@@ -11,11 +11,13 @@ coefficients each.  Concatenating all three gives the fused ``prop`` vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import trapezoid
 
 from .errors import (
@@ -23,18 +25,18 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InvalidHop,
     KindMismatch,
     KPrimeTooLarge,
     SeriesTooShort,
+    WindowTooLong,
 )
 from .signals import (
     ComplexSeries,
     Spectrogram,
     amplitude,
-    complex_second_derivative,
     phase_unwrapped,
-    second_derivative,
-    stft_magnitude,
+    second_difference,
 )
 
 FEATURE_KINDS = ("amp", "ph", "comp", "prop")
@@ -196,14 +198,7 @@ def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
     )
 
 
-def mel_energies(spec: Spectrogram, bank: MelBank) -> MelEnergies:
-    """Integrate the spectrogram against each filter over time and frequency.
-
-    Both integrals use the trapezoidal rule on the discrete STFT grid.  For a
-    two-sided spectrogram the filters are applied separately to the positive
-    and negative frequency halves (the negative side through H_ell(-f)).
-    """
-    freqs = spec.freqs
+def _check_axis(freqs: np.ndarray, bank: MelBank) -> None:
     nyq = bank.nyquist
     if freqs.max() > nyq * (1 + 1e-9) or freqs.min() < -nyq * (1 + 1e-9):
         raise AxisMismatch(
@@ -217,29 +212,49 @@ def mel_energies(spec: Spectrogram, bank: MelBank) -> MelEnergies:
             f"bank Nyquist {nyq:g} Hz"
         )
 
+
+def _spectral_sides(bank: MelBank, freqs: np.ndarray, two_sided: bool) -> tuple:
+    """(mask, grid, filter responses) of each spectral side, positive first.
+
+    For a two-sided axis the filters are applied to the negative half
+    through H_ell(-f).  An even-length DFT axis carries -fs/2 without a +fs/2
+    mirror, so the negative side is restricted to the exact mirror of the
+    positive grid: conjugate-symmetric input then yields identical energies
+    on both sides.
+    """
+    pos_mask = freqs >= 0
+    sides = [(pos_mask, freqs[pos_mask], bank_response_matrix(bank, freqs[pos_mask]))]
+    if two_sided:
+        neg_mask = (freqs <= 0) & (freqs >= -freqs.max())
+        sides.append(
+            (neg_mask, freqs[neg_mask], bank_response_matrix(bank, -freqs[neg_mask]))
+        )
+    return tuple(sides)
+
+
+def _side_energies(time_integral: np.ndarray, sides: tuple) -> list[np.ndarray]:
+    return [trapezoid(h * time_integral[mask], grid, axis=1) for mask, grid, h in sides]
+
+
+def mel_energies(spec: Spectrogram, bank: MelBank) -> MelEnergies:
+    """Integrate the spectrogram against each filter over time and frequency.
+
+    Both integrals use the trapezoidal rule on the discrete STFT grid.  For a
+    two-sided spectrogram the filters are applied separately to the positive
+    and negative frequency halves (the negative side through H_ell(-f)).
+    """
+    _check_axis(spec.freqs, bank)
     # Time first (trapezoid is linear, so the order is immaterial).
     if spec.n_frames > 1:
         time_integral = trapezoid(spec.values, spec.frame_times, axis=0)
         t0_span = float(spec.frame_times[-1] - spec.frame_times[0])
     else:
-        time_integral = np.zeros(freqs.size)
+        time_integral = np.zeros(spec.freqs.size)
         t0_span = 0.0
-
-    pos_mask = freqs >= 0
-    h_pos = bank_response_matrix(bank, freqs[pos_mask])
-    positive = trapezoid(h_pos * time_integral[pos_mask], freqs[pos_mask], axis=1)
-
-    negative = None
-    if spec.two_sided:
-        # an even-length DFT axis carries -fs/2 without a +fs/2 mirror;
-        # restrict the negative side to the exact mirror of the positive grid
-        # so conjugate-symmetric input yields identical energies on both sides
-        neg_mask = (freqs <= 0) & (freqs >= -freqs.max())
-        h_neg = bank_response_matrix(bank, -freqs[neg_mask])
-        negative = trapezoid(
-            h_neg * time_integral[neg_mask], freqs[neg_mask], axis=1
-        )
-    return MelEnergies(positive, negative, t0_span)
+    energies = _side_energies(
+        time_integral, _spectral_sides(bank, spec.freqs, spec.two_sided)
+    )
+    return MelEnergies(energies[0], energies[1] if spec.two_sided else None, t0_span)
 
 
 def dct2(m) -> np.ndarray:
@@ -255,6 +270,107 @@ def _compress(energies: np.ndarray, log_energies: bool) -> np.ndarray:
     if log_energies:
         return np.log(energies + 1e-12)
     return energies
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_bank(cfg: MelBankConfig) -> MelBank:
+    return build_mel_bank(cfg)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_sides(cfg: MelBankConfig, fs: float, n_win: int, two_sided: bool) -> tuple:
+    """Validated filter responses on the STFT axis of ``n_win``-sample frames."""
+    bank = _cached_bank(cfg)
+    if two_sided:
+        freqs = np.fft.fftshift(np.fft.fftfreq(n_win, d=1.0 / fs))
+    else:
+        freqs = np.fft.rfftfreq(n_win, d=1.0 / fs)
+    _check_axis(freqs, bank)
+    sides = _spectral_sides(bank, freqs, two_sided)
+    for side in sides:
+        for arr in side:
+            arr.flags.writeable = False  # shared by every later call
+    return sides
+
+
+def _time_integrals(
+    deriv: np.ndarray, fs: float, t0: float, n_win: int, n_hop: int
+) -> list[np.ndarray]:
+    """|STFT| of each row of ``deriv`` integrated over frame time.
+
+    Same frames, transform, scaling and trapezoid as ``stft_magnitude``
+    followed by ``mel_energies``, so the result is bit-identical; the frames
+    are a strided view rather than a gathered copy.  Two-sided spectra are
+    left in FFT order: the time integral is per bin, so the caller may
+    ``fftshift`` the integrated vector instead of the whole spectrogram.
+    """
+    frames = sliding_window_view(deriv, n_win, axis=-1)[..., ::n_hop, :]
+    n_frames = frames.shape[-2]
+    if np.iscomplexobj(deriv):
+        spectra = scipy.fft.fft(frames, axis=-1)
+    else:
+        spectra = scipy.fft.rfft(frames, axis=-1)
+    mags = np.abs(spectra) * (1.0 / math.sqrt(n_win))
+    # a single frame integrates to exact zeros, as in ``mel_energies``
+    frame_times = t0 + (n_hop * np.arange(n_frames) + 0.5 * n_win) / fs
+    return [trapezoid(m, frame_times, axis=0) for m in mags.reshape(-1, *mags.shape[-2:])]
+
+
+def _cepstra(
+    s: ComplexSeries,
+    cfg: MelBankConfig,
+    kinds: tuple[str, ...],
+    k_prime: int,
+    window_len: float,
+    hop: float,
+    log_energies: bool,
+) -> dict[str, FeatureVector]:
+    """The requested branch vectors of one signal, computed in one pass.
+
+    The filter bank and its responses come from a per-settings cache; the
+    amplitude and phase branches share one real FFT call.
+    """
+    if not 0 < k_prime < cfg.n_filters:
+        raise KPrimeTooLarge(
+            f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
+        )
+    n_win = int(round(window_len * s.fs))
+    if len(s) < n_win + 2:
+        raise SeriesTooShort(
+            f"{len(s)} samples cannot host a derivative plus one "
+            f"{n_win}-sample window"
+        )
+    if hop <= 0:
+        raise InvalidHop(f"hop must be positive, got {hop}")
+    n_hop = int(round(hop * s.fs))
+    if n_hop < 1:
+        raise InvalidHop(f"hop {hop} s is below one sample at fs={s.fs}")
+    if n_win < 1:
+        raise WindowTooLong(f"window of {n_win} samples is empty")
+
+    def cepstrum(energies: np.ndarray) -> np.ndarray:
+        return dct2(_compress(energies, log_energies))[:k_prime]
+
+    out = {}
+    real = [k for k in ("amp", "ph") if k in kinds]
+    if real:
+        sides = _cached_sides(cfg, s.fs, n_win, False)
+        base = np.stack([
+            (amplitude(s) if k == "amp" else phase_unwrapped(s)).samples
+            for k in real
+        ])
+        deriv = second_difference(base, s.fs)
+        for k, ti in zip(real, _time_integrals(deriv, s.fs, 0.0, n_win, n_hop)):
+            (positive,) = _side_energies(ti, sides)
+            out[k] = FeatureVector(cepstrum(positive), k, k_prime)
+    if "comp" in kinds:
+        sides = _cached_sides(cfg, s.fs, n_win, True)
+        deriv = second_difference(s.samples, s.fs)
+        (ti,) = _time_integrals(deriv, s.fs, s.t0 + 1.0 / s.fs, n_win, n_hop)
+        positive, negative = _side_energies(np.fft.fftshift(ti), sides)
+        values = np.concatenate([cepstrum(negative)[::-1], cepstrum(positive)])
+        out["comp"] = FeatureVector(values, "comp", k_prime)
+    return out
 
 
 def extract_features(
@@ -274,36 +390,14 @@ def extract_features(
     K' lowest-order one-sided coefficients.
 
     The DCT is applied to the raw integrated energies by default;
-    ``log_energies`` switches to log(M + 1e-12) compression first.
+    ``log_energies`` switches to log(M + 1e-12) compression first.  The
+    result is bit-identical to chaining ``second_derivative`` (or
+    ``complex_second_derivative``), ``stft_magnitude``, ``mel_energies`` and
+    ``dct2``.
     """
     if kind not in ("amp", "ph", "comp"):
         raise ValueError(f"kind must be amp/ph/comp, got {kind!r}")
-    if not 0 < k_prime < cfg.n_filters:
-        raise KPrimeTooLarge(
-            f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
-        )
-    n_win = int(round(window_len * s.fs))
-    if len(s) < n_win + 2:
-        raise SeriesTooShort(
-            f"{len(s)} samples cannot host a derivative plus one "
-            f"{n_win}-sample window"
-        )
-    bank = build_mel_bank(cfg)
-
-    if kind == "comp":
-        deriv = complex_second_derivative(s)
-        spec = stft_magnitude(deriv, window_len, hop)
-        en = mel_energies(spec, bank)
-        c_pos = dct2(_compress(en.positive, log_energies))[:k_prime]
-        c_neg = dct2(_compress(en.negative, log_energies))[:k_prime]
-        values = np.concatenate([c_neg[::-1], c_pos])
-    else:
-        base = amplitude(s) if kind == "amp" else phase_unwrapped(s)
-        deriv = second_derivative(base)
-        spec = stft_magnitude(deriv, window_len, hop)
-        en = mel_energies(spec, bank)
-        values = dct2(_compress(en.positive, log_energies))[:k_prime]
-    return FeatureVector(values, kind, k_prime)
+    return _cepstra(s, cfg, (kind,), k_prime, window_len, hop, log_energies)[kind]
 
 
 def fuse(amp: FeatureVector, ph: FeatureVector, comp: FeatureVector) -> FeatureVector:
@@ -325,12 +419,12 @@ def extract_all(
     hop: float = 0.1,
     log_energies: bool = False,
 ) -> dict[str, FeatureVector]:
-    """All four feature vectors of one signal, sharing the branch computations."""
-    out = {
-        kind: extract_features(
-            s, cfg, k_prime, kind, window_len, hop, log_energies
-        )
-        for kind in ("amp", "ph", "comp")
-    }
+    """All four feature vectors of one signal: ``amp``, ``ph``, ``comp``, ``prop``.
+
+    Each is bit-identical to ``extract_features`` of that kind; ``prop`` is
+    their ``fuse``.  The three branches run in one pass over the signal and
+    share the cached filter bank and one real FFT call for ``amp``/``ph``.
+    """
+    out = _cepstra(s, cfg, ("amp", "ph", "comp"), k_prime, window_len, hop, log_energies)
     out["prop"] = fuse(out["amp"], out["ph"], out["comp"])
     return out

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import (
-    DimMismatch,
+    DimensionMismatch,
     LengthMismatch,
     NoConvergence,
     SingleClass,
@@ -248,7 +248,7 @@ def predict(model: SvmModel, X: np.ndarray):
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.standardizer.mean.size:
-        raise DimMismatch(
+        raise DimensionMismatch(
             f"expected {model.standardizer.mean.size} feature dims, "
             f"got {X.shape[1] if X.ndim == 2 else X.shape}"
         )

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal failure.
 Option precedence is flags > --config JSON file > built-in defaults; the
 config file maps subcommand names to option dictionaries, e.g.
-``{"extract": {"k_prime": 16}}``.
+``{"extract": {"k_prime": 16}}``; an unknown subcommand or option name in it
+is a data error.
 """
 
 from __future__ import annotations
@@ -119,11 +120,25 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise PipelineError(f"cannot read config {known.config}: {exc}") from exc
-    if config and argv:
-        for action in parser._subparsers._group_actions:  # noqa: SLF001
-            for name, sp in action.choices.items():
-                if name in config:
-                    sp.set_defaults(**config[name])
+    if not isinstance(config, dict):
+        raise PipelineError(f"config {known.config} must map subcommands to options")
+    subparsers = {
+        name: sp
+        for action in parser._subparsers._group_actions  # noqa: SLF001
+        for name, sp in action.choices.items()
+    }
+    for name, options in config.items():
+        if name not in subparsers:
+            raise PipelineError(f"config {known.config}: unknown subcommand {name!r}")
+        if not isinstance(options, dict):
+            raise PipelineError(f"config {known.config}: {name!r} must map options to values")
+        valid = {a.dest for a in subparsers[name]._actions} - {"help"}  # noqa: SLF001
+        unknown = sorted(set(options) - valid)
+        if unknown:
+            raise PipelineError(
+                f"config {known.config}: unknown {name} option(s) {', '.join(unknown)}"
+            )
+        subparsers[name].set_defaults(**options)
     return parser.parse_args(argv)
 
 
@@ -163,7 +178,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _measurement_series(m, manifest) -> "object":
+def _measurement_series(m) -> "object":
     if m.is_cube:
         return radar.extract_slow_time(m.signal).series
     return m.signal
@@ -180,16 +195,19 @@ def cmd_extract(args) -> int:
     rows = []
     n_values = None
     for record in manifest["records"]:
-        measurement = dataio.load_record(args.data, manifest, record)
         base_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
+        try:
+            measurement = dataio.load_record(args.data, manifest, record)
+        except PipelineError as exc:
+            raise PipelineError(f"sample {base_id}: {exc}") from exc
         pieces = (
             cohort.segment(measurement, args.segment)
             if args.segment
             else [measurement]
         )
         for seg_idx, piece in enumerate(pieces):
-            series = _measurement_series(piece, manifest)
             try:
+                series = _measurement_series(piece)
                 vec = (
                     cepstrum.extract_all(
                         series, cfg, args.k_prime, args.window, args.hop,
@@ -332,6 +350,8 @@ def cmd_report(args) -> int:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise PipelineError(f"cannot read report {path}: {exc}") from exc
+        if not isinstance(payload, dict) or not {"accuracy_pct", "macro_auc"} <= payload.keys():
+            raise PipelineError(f"{path} is not an eval report: needs accuracy_pct and macro_auc")
         entries.append(
             {
                 "kind": payload.get("params", {}).get("kind", Path(path).stem),

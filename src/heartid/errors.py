@@ -28,6 +28,10 @@ class InvalidHop(PipelineError):
     pass
 
 
+class NonFiniteSample(PipelineError):
+    pass
+
+
 # --- filter bank / cepstra -------------------------------------------------
 
 class IndexOutOfRange(PipelineError):
@@ -52,6 +56,9 @@ class KindMismatch(PipelineError):
 
 class DimensionMismatch(PipelineError):
     pass
+
+
+DimMismatch = DimensionMismatch  # former name, kept for callers
 
 
 # --- radar front end -------------------------------------------------------
@@ -97,10 +104,6 @@ class SingleClass(PipelineError):
 
 
 class TooFewSessions(PipelineError):
-    pass
-
-
-class DimMismatch(PipelineError):
     pass
 
 

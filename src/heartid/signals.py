@@ -14,12 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidHop, SeriesTooShort, WindowTooLong, ZeroSample
+from .errors import (
+    InvalidHop,
+    NonFiniteSample,
+    SeriesTooShort,
+    WindowTooLong,
+    ZeroSample,
+)
 
 
 @dataclass(frozen=True)
 class ComplexSeries:
-    """Uniformly sampled complex baseband signal (I/Q)."""
+    """Uniformly sampled complex baseband signal (I/Q).
+
+    Every sample must be finite: a NaN or infinity raises
+    :class:`NonFiniteSample` naming its index, rather than turning into NaN
+    features downstream.
+    """
 
     samples: np.ndarray
     fs: float
@@ -31,6 +42,13 @@ class ComplexSeries:
             raise ValueError("samples must be a nonempty 1-D array")
         if not self.fs > 0:
             raise ValueError("sampling rate must be positive")
+        finite = np.isfinite(samples)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NonFiniteSample(
+                f"non-finite sample at index {bad} ({samples[bad]}); "
+                f"{samples.size - int(finite.sum())} of {samples.size} are not finite"
+            )
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -108,6 +126,11 @@ class Spectrogram:
         return bool(self.freqs[0] < 0)
 
 
+def second_difference(a: np.ndarray, fs: float) -> np.ndarray:
+    """(a[n+1] - 2 a[n] + a[n-1]) * fs^2 along the last axis, real or complex."""
+    return (a[..., 2:] - 2.0 * a[..., 1:-1] + a[..., :-2]) * fs**2
+
+
 def second_derivative(x: RealSeries) -> RealSeries:
     """Central-difference second derivative, endpoints dropped.
 
@@ -117,8 +140,7 @@ def second_derivative(x: RealSeries) -> RealSeries:
     s = x.samples
     if s.size < 3:
         raise SeriesTooShort(f"need at least 3 samples, got {s.size}")
-    y = (s[2:] - 2.0 * s[1:-1] + s[:-2]) * x.fs**2
-    return RealSeries(y, x.fs)
+    return RealSeries(second_difference(s, x.fs), x.fs)
 
 
 def complex_second_derivative(s: ComplexSeries) -> ComplexSeries:
@@ -126,8 +148,7 @@ def complex_second_derivative(s: ComplexSeries) -> ComplexSeries:
     a = s.samples
     if a.size < 3:
         raise SeriesTooShort(f"need at least 3 samples, got {a.size}")
-    y = (a[2:] - 2.0 * a[1:-1] + a[:-2]) * s.fs**2
-    return ComplexSeries(y, s.fs, s.t0 + 1.0 / s.fs)
+    return ComplexSeries(second_difference(a, s.fs), s.fs, s.t0 + 1.0 / s.fs)
 
 
 def amplitude(s: ComplexSeries) -> RealSeries:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heartid import cepstrum
 from heartid.cepstrum import (
     FeatureVector,
     MelBank,
@@ -26,7 +27,16 @@ from heartid.errors import (
     KPrimeTooLarge,
     SeriesTooShort,
 )
-from heartid.signals import ComplexSeries, RealSeries, Spectrogram, stft_magnitude
+from heartid.signals import (
+    ComplexSeries,
+    RealSeries,
+    Spectrogram,
+    amplitude,
+    complex_second_derivative,
+    phase_unwrapped,
+    second_derivative,
+    stft_magnitude,
+)
 
 
 def naive_dct2(m):
@@ -375,3 +385,77 @@ def test_feature_vector_dimension_validation():
         FeatureVector(np.zeros(10), "amp", 24)
     with pytest.raises(ValueError):
         FeatureVector(np.zeros(24), "bogus", 24)
+
+
+# --- single-pass extraction against the public building blocks ---------------
+
+def _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies):
+    """One branch composed from the public blocks, as the paper chains them."""
+    bank = build_mel_bank(cfg)
+
+    def cep(m):
+        return dct2(np.log(m + 1e-12) if log_energies else m)[:k_prime]
+
+    if kind == "comp":
+        spec = stft_magnitude(complex_second_derivative(s), window_len, hop)
+        en = mel_energies(spec, bank)
+        return np.concatenate([cep(en.negative)[::-1], cep(en.positive)])
+    base = amplitude(s) if kind == "amp" else phase_unwrapped(s)
+    en = mel_energies(stft_magnitude(second_derivative(base), window_len, hop), bank)
+    return cep(en.positive)
+
+
+def _heartbeat_like(n, fs, t0, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / fs
+    phi = 0.4 * np.sin(2 * np.pi * 1.2 * t) + np.cumsum(rng.normal(0, 0.01, n))
+    amp = 1.5 + 0.1 * np.cos(2 * np.pi * 0.25 * t) + 0.02 * rng.standard_normal(n)
+    return ComplexSeries(amp * np.exp(1j * phi), fs, t0)
+
+
+@pytest.mark.parametrize(
+    "n, cfg, window_len, hop, k_prime, log_energies, t0",
+    [
+        (6000, MelBankConfig(), 2.0, 0.1, 24, False, 0.0),   # 60 s, paper settings
+        (6000, MelBankConfig(), 2.0, 0.1, 24, True, 0.37),
+        (500, MelBankConfig(), 2.0, 0.1, 1, False, 0.0),     # 5-s segment
+        (500, MelBankConfig(), 2.01, 0.1, 63, True, 12.5),   # odd window, K' = L-1
+        (202, MelBankConfig(), 2.0, 0.1, 24, False, 0.0),    # a single frame
+        (1200, MelBankConfig(n_filters=16, fs=40.0), 2.0, 0.25, 15, False, 0.0),
+        (1200, MelBankConfig(n_filters=16, fs=40.0), 1.525, 0.25, 1, True, 3.0),
+    ],
+)
+def test_extraction_bit_identical_to_public_blocks(
+    n, cfg, window_len, hop, k_prime, log_energies, t0
+):
+    s = _heartbeat_like(n, cfg.fs, t0, seed=n)
+    feats = extract_all(s, cfg, k_prime, window_len, hop, log_energies)
+    for kind in ("amp", "ph", "comp"):
+        ref = _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
+        single = extract_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
+        assert np.array_equal(feats[kind].values, ref), kind
+        assert np.array_equal(single.values, ref), kind
+    assert np.array_equal(
+        feats["prop"].values,
+        np.concatenate([feats["amp"].values, feats["ph"].values, feats["comp"].values]),
+    )
+
+
+def test_filter_bank_built_once_per_settings(monkeypatch):
+    builds, responses = [], []
+    build, respond = cepstrum.build_mel_bank, cepstrum.bank_response_matrix
+    monkeypatch.setattr(cepstrum, "build_mel_bank", lambda cfg: builds.append(cfg) or build(cfg))
+    monkeypatch.setattr(
+        cepstrum, "bank_response_matrix",
+        lambda bank, f: responses.append(f.size) or respond(bank, f),
+    )
+    cepstrum._cached_bank.cache_clear()
+    cepstrum._cached_sides.cache_clear()
+    settings = [MelBankConfig(), MelBankConfig(n_filters=32)]
+    for cfg in settings:
+        for seed in range(6):
+            extract_all(_heartbeat_like(1500, cfg.fs, 0.0, seed), cfg)
+    # one bank per settings; one response matrix per spectral side
+    # (one-sided, two-sided positive, two-sided negative)
+    assert builds == settings
+    assert len(responses) == 3 * len(settings)

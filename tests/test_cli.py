@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heartid.cli import main
-from heartid.dataio import read_features
+from heartid.dataio import read_features, read_iq, write_iq
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +173,49 @@ def test_config_file_defaults_and_flag_precedence(small_dataset, tmp_path):
     assert main(["--config", str(config), "extract", "--data", str(small_dataset),
                  "--out", str(out2), "--k-prime", "12"]) == 0
     assert read_features(out2).values.shape[1] == 24
+
+
+def test_extract_non_finite_sample_exits_2(tmp_path, capsys):
+    data = tmp_path / "ds"
+    assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
+                 "--duration", "10", "--seed", "3"]) == 0
+    record = json.loads((data / "manifest.json").read_text())["records"][2]
+    samples = read_iq(data / record["file"])
+    samples[123] = np.nan
+    write_iq(data / record["file"], samples)
+    capsys.readouterr()
+    assert main(["extract", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    sample_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
+    assert sample_id in err and "index 123 " in err
+
+
+@pytest.mark.parametrize("missing", ["accuracy_pct", "macro_auc"])
+def test_report_missing_key_exits_2(prop_csv, tmp_path, missing):
+    report = tmp_path / "r.json"
+    assert main(["eval", "--features", str(prop_csv), "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    del payload[missing]
+    report.write_text(json.dumps(payload))
+    assert main(["report", str(report)]) == 2
+    not_a_report = tmp_path / "list.json"
+    not_a_report.write_text("[1, 2]")
+    assert main(["report", str(not_a_report)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"extract": {"k_prim": 16}},
+        {"extrct": {"k_prime": 16}},
+        {"extract": 16},
+        [1, 2],
+    ],
+)
+def test_config_unknown_keys_exit_2(small_dataset, tmp_path, config):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "f.csv"
+    assert main(["--config", str(path), "extract", "--data", str(small_dataset),
+                 "--out", str(out)]) == 2
+    assert not out.exists()

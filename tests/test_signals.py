@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heartid.errors import InvalidHop, SeriesTooShort, WindowTooLong, ZeroSample
+from heartid.errors import (
+    InvalidHop,
+    NonFiniteSample,
+    PipelineError,
+    SeriesTooShort,
+    WindowTooLong,
+    ZeroSample,
+)
 from heartid.signals import (
     ComplexSeries,
     RealSeries,
@@ -27,6 +34,15 @@ def test_series_reject_empty_and_bad_fs():
         RealSeries(np.array([]), 100.0)
     with pytest.raises(ValueError):
         ComplexSeries(np.ones(4), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_complex_series_rejects_non_finite_sample(bad):
+    samples = np.ones(10, dtype=np.complex128)
+    samples[7] = bad
+    with pytest.raises(NonFiniteSample, match="index 7 ") as info:
+        ComplexSeries(samples, 100.0)
+    assert isinstance(info.value, PipelineError)
 
 
 def test_spectrogram_invariants():
