@@ -26,6 +26,7 @@ from .errors import (
     EmptyInput,
     IndexOutOfRange,
     InvalidHop,
+    InvalidParameter,
     KindMismatch,
     KPrimeTooLarge,
     SeriesTooShort,
@@ -62,9 +63,9 @@ class MelBankConfig:
 
     def __post_init__(self):
         if self.n_filters < 1:
-            raise ValueError("need at least one filter")
-        if self.f_ref <= 0 or self.f_prime <= 0 or self.fs <= 0:
-            raise ValueError("frequencies must be positive")
+            raise InvalidParameter(f"need at least one filter, got {self.n_filters}")
+        if not all(0 < f < math.inf for f in (self.f_ref, self.f_prime, self.fs)):
+            raise InvalidParameter("frequencies must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,6 @@ class MelEnergies:
 
     positive: np.ndarray
     negative: np.ndarray | None
-    t0_span: float
 
     def __post_init__(self):
         positive = np.asarray(self.positive, dtype=np.float64)
@@ -247,14 +247,12 @@ def mel_energies(spec: Spectrogram, bank: MelBank) -> MelEnergies:
     # Time first (trapezoid is linear, so the order is immaterial).
     if spec.n_frames > 1:
         time_integral = trapezoid(spec.values, spec.frame_times, axis=0)
-        t0_span = float(spec.frame_times[-1] - spec.frame_times[0])
     else:
         time_integral = np.zeros(spec.freqs.size)
-        t0_span = 0.0
     energies = _side_energies(
         time_integral, _spectral_sides(bank, spec.freqs, spec.two_sided)
     )
-    return MelEnergies(energies[0], energies[1] if spec.two_sided else None, t0_span)
+    return MelEnergies(energies[0], energies[1] if spec.two_sided else None)
 
 
 def dct2(m) -> np.ndarray:
@@ -334,6 +332,8 @@ def _cepstra(
         raise KPrimeTooLarge(
             f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
         )
+    if not (math.isfinite(window_len * s.fs) and math.isfinite(hop * s.fs)):
+        raise InvalidParameter(f"window {window_len} s and hop {hop} s must be finite")
     n_win = int(round(window_len * s.fs))
     if len(s) < n_win + 2:
         raise SeriesTooShort(

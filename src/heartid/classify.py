@@ -19,6 +19,7 @@ from scipy.stats import rankdata
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     LengthMismatch,
     NoConvergence,
     SingleClass,
@@ -110,6 +111,8 @@ def _smo(
     Maintains the gradient of the dual objective and repeatedly solves the
     analytic two-variable subproblem for the pair that most violates the KKT
     conditions, until max-over-up minus min-over-low falls below ``tol``.
+    The gap is also measured after the last allowed update, so a budget that
+    ends exactly at convergence counts as converged.
     """
     n = y.size
     alpha = np.zeros(n)
@@ -117,9 +120,7 @@ def _smo(
     eps = 1e-12
 
     it = 0
-    converged = False
-    m_up = m_low = 0.0
-    while it < max_iter:
+    while True:
         viol = -y * grad
         up = ((y > 0) & (alpha < C - eps)) | ((y < 0) & (alpha > eps))
         low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < C - eps))
@@ -128,8 +129,8 @@ def _smo(
         i = int(np.argmax(up_v))
         j = int(np.argmin(low_v))
         m_up, m_low = up_v[i], low_v[j]
-        if m_up - m_low <= tol:
-            converged = True
+        converged = bool(m_up - m_low <= tol)  # a numpy bool breaks save_model
+        if converged or it >= max_iter:
             break
 
         a = K[i, i] + K[j, j] - 2.0 * K[i, j]
@@ -147,12 +148,6 @@ def _smo(
         it += 1
 
     if not converged:
-        # recompute the gap for the warning after the final update
-        viol = -y * grad
-        up = ((y > 0) & (alpha < C - eps)) | ((y < 0) & (alpha > eps))
-        low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < C - eps))
-        m_up = np.max(np.where(up, viol, -np.inf))
-        m_low = np.min(np.where(low, viol, np.inf))
         warnings.warn(
             NoConvergence(
                 f"SMO stopped after {max_iter} iterations with KKT gap "
@@ -184,8 +179,8 @@ def train_binary_svm(
     y = np.asarray(y, dtype=np.float64)
     if not (np.any(y > 0) and np.any(y < 0)):
         raise SingleClass("training labels must contain both classes")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not C > 0:
+        raise InvalidParameter(f"C must be positive, got {C}")
     gamma_val = resolve_gamma(gamma, X)
     if K is None:
         K = kernel_matrix(X, X, kernel, gamma_val)

@@ -11,7 +11,7 @@ non-trivially distinct.  Everything is a pure function of the seed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .signals import ComplexSeries, RealSeries
 
 DEFAULT_DURATION = 60.0
 DEFAULT_FS = 100.0
+SESSION_AMP_SIGMA = 0.15  # log-normal spread of the per-session amplitude scale
+SESSION_RATE_DRIFT = 0.05  # per-session heart-rate scale drawn from 1 +/- this
 
 
 def derive_seed(*parts) -> int:
@@ -109,15 +111,6 @@ class Schedule:
         return [f"d{d}{h}" for d in range(1, self.days + 1) for h in ("am", "pm")]
 
 
-@dataclass(frozen=True)
-class NuisanceConfig:
-    """Per-session variability: amplitude scale, phase offset, rate drift."""
-
-    amp_scale_sigma: float = 0.15
-    rate_drift_max: float = 0.05
-    random_phase: bool = True
-
-
 def _pink_drift(rng: np.random.Generator, n: int, fs: float, amp: float) -> np.ndarray:
     """Zero-mean 1/f drift with the requested RMS amplitude."""
     white = rng.standard_normal(n)
@@ -144,8 +137,8 @@ def displacement(
     each beat stamps the profile's Gaussian template, scaled by heart_amp_m.
     Deterministic given the seed.
     """
-    if duration <= 0:
-        raise InvalidDuration(f"duration must be positive, got {duration}")
+    if not 0 < duration < np.inf:
+        raise InvalidDuration(f"duration must be positive and finite, got {duration}")
     rng = np.random.default_rng(seed)
     n = int(round(duration * fs))
     t = np.arange(n) / fs
@@ -177,6 +170,15 @@ def displacement(
     return RealSeries(d, fs)
 
 
+def _add_noise(x: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
+    """``x`` plus complex circular Gaussian noise ``snr_db`` below unit power."""
+    if snr_db is None:
+        return x
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    return x + sigma * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+
+
 def render_baseband(
     d: RealSeries,
     cfg: RadarConfig,
@@ -192,13 +194,7 @@ def render_baseband(
     """
     phase = 4.0 * np.pi * d.samples / cfg.wavelength + phase_offset
     s = amp_scale * np.exp(1j * phase)
-    if snr_db is not None:
-        rng = np.random.default_rng(seed)
-        sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-        s = s + sigma * (
-            rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))
-        )
-    return ComplexSeries(s, d.fs)
+    return ComplexSeries(_add_noise(s, snr_db, seed), d.fs)
 
 
 def render_cube(
@@ -243,25 +239,17 @@ def render_cube(
         + elem[None, :, None]
     )
     cube = amp_scale * np.exp(1j * phase)
-    if snr_db is not None:
-        rng = np.random.default_rng(seed)
-        sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-        cube = cube + sigma * (
-            rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
-        )
-    return DataCube(cube, cfg)
+    return DataCube(_add_noise(cube, snr_db, seed), cfg)
 
 
 def session_nuisance(
-    profile_id: str, session_id: str, seed: int, nuisance: NuisanceConfig
+    profile_id: str, session_id: str, seed: int
 ) -> tuple[float, float, float]:
     """Deterministic (amp_scale, phase_offset, rate_scale) for one session."""
     rng = np.random.default_rng(derive_seed(seed, "session", profile_id, session_id))
-    amp_scale = float(np.exp(rng.normal(0.0, nuisance.amp_scale_sigma)))
-    phase_offset = float(rng.uniform(0.0, 2.0 * np.pi)) if nuisance.random_phase else 0.0
-    rate_scale = float(
-        1.0 + rng.uniform(-nuisance.rate_drift_max, nuisance.rate_drift_max)
-    )
+    amp_scale = float(np.exp(rng.normal(0.0, SESSION_AMP_SIGMA)))
+    phase_offset = float(rng.uniform(0.0, 2.0 * np.pi))
+    rate_scale = float(1.0 + rng.uniform(-SESSION_RATE_DRIFT, SESSION_RATE_DRIFT))
     return amp_scale, phase_offset, rate_scale
 
 
@@ -275,16 +263,12 @@ def simulate_measurement(
     fs: float = DEFAULT_FS,
     mode: str = "baseband",
     radar: RadarConfig | None = None,
-    nuisance: NuisanceConfig | None = None,
 ) -> tuple[Measurement, RealSeries]:
     """Generate one measurement; also returns the injected displacement truth."""
     if mode not in ("baseband", "cube"):
         raise ValueError(f"mode must be baseband or cube, got {mode!r}")
     radar = radar or RadarConfig(fs_slow=fs)
-    nuisance = nuisance or NuisanceConfig()
-    amp_scale, phase_offset, rate_scale = session_nuisance(
-        profile.id, session_id, seed, nuisance
-    )
+    amp_scale, phase_offset, rate_scale = session_nuisance(profile.id, session_id, seed)
     d_seed = derive_seed(seed, "disp", profile.id, session_id, repetition)
     n_seed = derive_seed(seed, "noise", profile.id, session_id, repetition)
     d = displacement(profile, duration, fs, d_seed, rate_scale)
@@ -308,7 +292,6 @@ def generate_cohort(
     duration: float = DEFAULT_DURATION,
     fs: float = DEFAULT_FS,
     radar: RadarConfig | None = None,
-    nuisance: NuisanceConfig | None = None,
 ) -> list[Measurement]:
     """One measurement per (profile, session, repetition), deterministic in seed."""
     if len(profiles) < 2:
@@ -330,7 +313,6 @@ def generate_cohort(
                     fs=fs,
                     mode=mode,
                     radar=radar,
-                    nuisance=nuisance,
                 )
                 out.append(m)
     return out
@@ -342,7 +324,7 @@ def segment(m: Measurement, seg_len: float) -> list[Measurement]:
     ``seg_len`` must divide the duration exactly; labels and session are
     inherited by every segment.
     """
-    if seg_len <= 0:
+    if not seg_len > 0:  # also rejects NaN; an infinite length divides nothing
         raise NonDivisibleLength(f"segment length must be positive, got {seg_len}")
     n_seg = m.duration / seg_len
     if abs(n_seg - round(n_seg)) > 1e-9 or round(n_seg) < 1:

@@ -12,6 +12,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,23 +25,21 @@ from .radar import DataCube, RadarConfig
 from .signals import ComplexSeries
 
 MANIFEST_NAME = "manifest.json"
+RECORD_KEYS = ("file", "label", "session_id", "repetition")
 
 
 # --- raw I/Q records --------------------------------------------------------
 
 def write_iq(path, samples: np.ndarray) -> None:
-    samples = np.asarray(samples, dtype=np.complex128).ravel()
-    interleaved = np.empty(2 * samples.size, dtype="<f4")
-    interleaved[0::2] = samples.real
-    interleaved[1::2] = samples.imag
-    interleaved.tofile(path)
+    # "<c8" is one I/Q pair of little-endian float32, real part first
+    np.asarray(samples, dtype=np.complex128).astype("<c8").tofile(path)
 
 
 def read_iq(path) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 2:
-        raise IoError(f"{path}: odd float count, not interleaved I/Q")
-    return raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+    size = os.path.getsize(path)
+    if size % 8:
+        raise IoError(f"{path}: {size} bytes is not a whole number of I/Q pairs")
+    return np.fromfile(path, dtype="<c8").astype(np.complex128)
 
 
 def write_cube(path, cube: DataCube) -> None:
@@ -135,6 +135,10 @@ def load_manifest(data_dir) -> dict:
     for key in ("fs", "mode", "records"):
         if key not in manifest:
             raise ManifestError(f"{path}: missing required key {key!r}")
+    for i, record in enumerate(manifest["records"]):
+        missing = [k for k in RECORD_KEYS if not isinstance(record, dict) or k not in record]
+        if missing:
+            raise ManifestError(f"{path}: records[{i}] lacks {', '.join(missing)}")
     return manifest
 
 
@@ -150,15 +154,21 @@ def manifest_radar(manifest: dict) -> RadarConfig:
 
 
 def load_record(data_dir, manifest: dict, record: dict) -> Measurement:
-    """Materialize one manifest record as a Measurement."""
+    """Materialize one manifest record, whose file must match its size entry."""
     path = Path(data_dir) / record["file"]
     if not path.exists():
         raise ManifestError(f"manifest references missing file {path}")
+    size_key = "n_slow" if manifest["mode"] == "cube" else "n_samples"
+    if size_key not in record:
+        raise ManifestError(f"manifest record for {path} lacks {size_key}")
     if manifest["mode"] == "cube":
         cube = read_cube(path, manifest_radar(manifest), record["n_slow"])
         signal: ComplexSeries | DataCube = cube
     else:
-        signal = ComplexSeries(read_iq(path), manifest["fs"])
+        samples = read_iq(path)
+        if samples.size != record["n_samples"]:
+            raise IoError(f"{path}: {samples.size} samples, manifest says {record['n_samples']}")
+        signal = ComplexSeries(samples, manifest["fs"])
     return Measurement(
         signal, record["label"], record["session_id"], record["repetition"]
     )
@@ -212,7 +222,19 @@ def write_features(path, rows: list[dict], n_values: int) -> None:
             )
 
 
+def _number(path, line: list[str], header: list[str], j: int, parse=float):
+    """Cell ``j`` of a feature row as a finite number, or an error naming it."""
+    try:
+        value = parse(line[j])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise IoError(f"{path}: sample {line[0]} column {header[j]}: {line[j]!r} is not finite")
+    return value
+
+
 def read_features(path) -> FeatureTable:
+    """Parse a feature CSV; a ragged row or a non-finite cell is an IoError."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"feature file {path} does not exist")
@@ -228,12 +250,16 @@ def read_features(path) -> FeatureTable:
         for line in reader:
             if not line:
                 continue
+            if len(line) != len(header):
+                raise IoError(
+                    f"{path}: sample {line[0]} has {len(line)} cells, header {len(header)}"
+                )
             sample_ids.append(line[0])
             labels.append(line[1])
             sessions.append(line[2])
-            segments.append(int(line[3]))
+            segments.append(_number(path, line, header, 3, int))
             kinds.append(line[4])
-            values.append([float(v) for v in line[5:]])
+            values.append([_number(path, line, header, j) for j in range(5, len(line))])
     if not values:
         raise IoError(f"{path}: no feature rows")
     kind_set = set(kinds)

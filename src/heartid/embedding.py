@@ -10,6 +10,9 @@ import numpy as np
 from .errors import DegenerateInput, PerplexityTooLarge
 
 MACHINE_EPS = np.finfo(np.float64).eps
+PERPLEXITY_TOL = 1e-4  # bits of entropy
+EARLY_EXAGGERATION = 12.0
+EXAGGERATION_ITERS = 250
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def pca2(X: np.ndarray, labels=None) -> Projection2D:
     return Projection2D(points, None if labels is None else np.asarray(labels), "pca")
 
 
-def _conditional_probs(dist_sq: np.ndarray, perplexity: float, tol: float = 1e-4):
+def _conditional_probs(dist_sq: np.ndarray, perplexity: float):
     """Per-row Gaussian affinities with bandwidths bisected to the perplexity.
 
     The bisection targets Shannon entropy (bits) equal to log2(perplexity).
@@ -78,7 +81,7 @@ def _conditional_probs(dist_sq: np.ndarray, perplexity: float, tol: float = 1e-4
             sum_w = w.sum()
             p = w / sum_w
             entropy = -np.sum(p * np.log2(np.maximum(p, MACHINE_EPS)))
-            if abs(entropy - target) <= tol:
+            if abs(entropy - target) <= PERPLEXITY_TOL:
                 break
             if entropy > target:  # too flat: sharpen
                 lo = beta
@@ -91,10 +94,15 @@ def _conditional_probs(dist_sq: np.ndarray, perplexity: float, tol: float = 1e-4
     return P
 
 
-def _kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
+def _student_q(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Student-t kernel of the embedding (diagonal zero) and its normalized Q."""
     num = 1.0 / (1.0 + _pairwise_sq(Y))
     np.fill_diagonal(num, 0.0)
-    Q = np.maximum(num / num.sum(), MACHINE_EPS)
+    return num, np.maximum(num / num.sum(), MACHINE_EPS)
+
+
+def _kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
+    _, Q = _student_q(Y)
     Pc = np.maximum(P, MACHINE_EPS)
     return float(np.sum(P * np.log(Pc / Q)))
 
@@ -119,15 +127,12 @@ def tsne2(
     iterations: int = 1000,
     seed: int = 0,
     labels=None,
-    learning_rate: float | None = None,
-    early_exaggeration: float = 12.0,
-    exaggeration_iters: int = 250,
 ) -> Projection2D:
     """Exact (O(N^2)) t-SNE to two dimensions, deterministic given the seed.
 
-    Standard schedule: early exaggeration for the first 250 iterations with
-    momentum 0.5, then momentum 0.8; adaptive per-coordinate gains; default
-    learning rate N/12.
+    Standard schedule: early exaggeration (x12) for the first 250 iterations
+    with momentum 0.5, then momentum 0.8; adaptive per-coordinate gains;
+    learning rate max(N/12, 50).
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -135,8 +140,7 @@ def tsne2(
         raise PerplexityTooLarge(
             f"{n} rows cannot support perplexity {perplexity} (need > 3x)"
         )
-    if learning_rate is None:
-        learning_rate = max(n / early_exaggeration, 50.0)
+    learning_rate = max(n / EARLY_EXAGGERATION, 50.0)
 
     P = joint_probabilities(X, perplexity)
     rng = np.random.default_rng(seed)
@@ -145,11 +149,9 @@ def tsne2(
     gains = np.ones_like(Y)
 
     for it in range(iterations):
-        scale = early_exaggeration if it < exaggeration_iters else 1.0
-        momentum = 0.5 if it < exaggeration_iters else 0.8
-        num = 1.0 / (1.0 + _pairwise_sq(Y))
-        np.fill_diagonal(num, 0.0)
-        Q = np.maximum(num / num.sum(), MACHINE_EPS)
+        scale = EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0
+        momentum = 0.5 if it < EXAGGERATION_ITERS else 0.8
+        num, Q = _student_q(Y)
         W = (scale * P - Q) * num
         # gradient of KL wrt each point: 4 * sum_j W_ij (y_i - y_j)
         grad = 4.0 * (np.diag(W.sum(axis=1)) - W) @ Y

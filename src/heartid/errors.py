@@ -10,6 +10,10 @@ class PipelineError(Exception):
     """Base class for input-validation and data errors."""
 
 
+class InvalidParameter(PipelineError, ValueError):
+    """A setting outside its valid range (still a ``ValueError`` for callers)."""
+
+
 # --- series / STFT ---------------------------------------------------------
 
 class SeriesTooShort(PipelineError):

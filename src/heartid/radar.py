@@ -9,16 +9,17 @@ pipeline consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
 
-from .errors import DegenerateCube, EmptyGrid, EmptyWindow
+from .errors import DegenerateCube, EmptyGrid, EmptyWindow, InvalidParameter
 from .signals import ComplexSeries
 
 DEFAULT_ANGLE_GRID = np.arange(-60.0, 60.0 + 1e-9, 1.0)
 DEFAULT_RANGE_WINDOW = (0.5, 3.0)
+LOW_SNR_POWER = 1.0  # mean echo power below which a selection is flagged low_snr
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,16 @@ class RadarConfig:
     element_spacing: float | None = None
 
     def __post_init__(self):
-        if min(self.fc, self.bandwidth, self.chirp_duration, self.fs_slow) <= 0:
-            raise ValueError("all radar parameters must be positive")
+        timing = (self.fc, self.bandwidth, self.chirp_duration, self.fs_slow)
+        if not all(0 < v < np.inf for v in timing):
+            raise InvalidParameter("all radar parameters must be positive and finite")
         if self.n_virtual < 1 or self.n_fast < 1:
-            raise ValueError("element and fast-time counts must be positive")
+            raise InvalidParameter("element and fast-time counts must be positive")
         lam = C_LIGHT / self.fc
         if self.wavelength is None:
             object.__setattr__(self, "wavelength", lam)
         elif abs(self.wavelength - lam) > 1e-3 * lam:
-            raise ValueError(
+            raise InvalidParameter(
                 f"wavelength {self.wavelength:g} inconsistent with "
                 f"c/fc = {lam:g}"
             )
@@ -57,7 +59,7 @@ class RadarConfig:
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", half)
         elif abs(self.element_spacing - half) > 1e-3 * half:
-            raise ValueError(
+            raise InvalidParameter(
                 f"element spacing {self.element_spacing:g} is not lambda/2"
             )
 
@@ -126,8 +128,9 @@ def steering_weights(cfg: RadarConfig, angles_deg: np.ndarray) -> np.ndarray:
 class BeamformResult:
     """Power map over (angle, range) with on-demand access to steered series.
 
-    Steered slow-time series are not materialized for every cell (that would
-    be angles x slow x range); :meth:`steered_series` forms the one requested.
+    ``beamform`` forms every steered sample (slow x range x angles) to average
+    the power map, then drops them; :meth:`steered_series` re-forms the one
+    slow-time series requested from the kept range profiles and weights.
     """
 
     profiles: np.ndarray
@@ -183,13 +186,12 @@ class EchoSelection:
 def select_echo(
     result: BeamformResult,
     range_window: tuple[float, float] = DEFAULT_RANGE_WINDOW,
-    power_floor: float = 1.0,
 ) -> EchoSelection:
     """Pick the (angle, range) cell with maximal mean power inside the window.
 
     The returned slow-time series is the s(t) handed to feature extraction.
-    If the winning cell's mean power falls below ``power_floor`` the selection
-    is flagged ``low_snr`` (the series is still returned).
+    If the winning cell's mean power falls below ``LOW_SNR_POWER`` the
+    selection is flagged ``low_snr`` (the series is still returned).
     """
     ranges = result.config.range_axis
     lo, hi = range_window
@@ -210,17 +212,10 @@ def select_echo(
         angle_deg=float(result.angles_deg[a]),
         range_m=float(ranges[range_idx]),
         power=peak,
-        low_snr=peak < power_floor,
+        low_snr=peak < LOW_SNR_POWER,
     )
 
 
-def extract_slow_time(
-    cube: DataCube,
-    angles_deg: np.ndarray | None = None,
-    range_window: tuple[float, float] = DEFAULT_RANGE_WINDOW,
-    power_floor: float = 1.0,
-) -> EchoSelection:
+def extract_slow_time(cube: DataCube) -> EchoSelection:
     """Full front-end pass: range FFT, beamform, select the target echo."""
-    profiles = range_profile(cube)
-    result = beamform(profiles, cube.config, angles_deg)
-    return select_echo(result, range_window, power_floor)
+    return select_echo(beamform(range_profile(cube), cube.config))

@@ -16,11 +16,19 @@ import numpy as np
 
 from .errors import (
     InvalidHop,
+    InvalidParameter,
     NonFiniteSample,
     SeriesTooShort,
     WindowTooLong,
     ZeroSample,
 )
+
+
+def _check_series(samples: np.ndarray, fs: float) -> None:
+    if samples.ndim != 1 or samples.size == 0:
+        raise InvalidParameter("samples must be a nonempty 1-D array")
+    if not 0 < fs < math.inf:
+        raise InvalidParameter(f"sampling rate must be positive and finite, got {fs}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +46,7 @@ class ComplexSeries:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a nonempty 1-D array")
-        if not self.fs > 0:
-            raise ValueError("sampling rate must be positive")
+        _check_series(samples, self.fs)
         finite = np.isfinite(samples)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -58,10 +63,6 @@ class ComplexSeries:
     def duration(self) -> float:
         return self.samples.size / self.fs
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.fs
-
 
 @dataclass(frozen=True)
 class RealSeries:
@@ -72,18 +73,11 @@ class RealSeries:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a nonempty 1-D array")
-        if not self.fs > 0:
-            raise ValueError("sampling rate must be positive")
+        _check_series(samples, self.fs)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.fs
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from heartid.classify import (
     EvalReport,
     LabeledDataset,
     SvmModel,
+    _smo,
     kernel_matrix,
     load_model,
     metrics,
@@ -196,6 +199,21 @@ def test_smo_nonconvergence_is_surfaced():
             X, y, kernel="rbf", C=1e6, gamma=0.01, tol=1e-9, max_passes=1
         )
     assert not machine.converged
+
+
+def test_smo_budget_ending_at_convergence_counts_as_converged():
+    rng = np.random.default_rng(3)
+    X, labels = blobs(rng, [(0.0, 0.0), (2.0, 0.5)], 15, spread=0.7)
+    y = np.where(labels == 0, -1.0, 1.0)
+    K = kernel_matrix(X, X, "rbf", 0.7)
+    alpha, bias, converged, n_iter = _smo(K, y, 10.0, 1e-3, 100 * y.size)
+    assert converged and n_iter > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NoConvergence)
+        exact_alpha, exact_bias, exact_converged, exact_iter = _smo(K, y, 10.0, 1e-3, n_iter)
+    assert exact_converged is True  # a Python bool, which save_model can serialize
+    assert exact_iter == n_iter
+    assert np.array_equal(exact_alpha, alpha) and exact_bias == bias
 
 
 # --- multiclass ------------------------------------------------------------------

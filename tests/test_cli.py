@@ -219,3 +219,79 @@ def test_config_unknown_keys_exit_2(small_dataset, tmp_path, config):
     assert main(["--config", str(path), "extract", "--data", str(small_dataset),
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# --- bad input at the file and parameter boundaries ------------------------------
+
+@pytest.mark.parametrize("command", ["eval", "train", "project"])
+@pytest.mark.parametrize("cell", ["nan", "-inf", "0.5x", None])
+def test_bad_feature_cell_exits_2(prop_csv, tmp_path, capsys, command, cell):
+    lines = prop_csv.read_text().splitlines()
+    row = lines[3].split(",")
+    if cell is None:
+        row.pop()  # a ragged row, one cell short
+    else:
+        row[5 + 7] = cell  # column c7
+    lines[3] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = {"eval": "--report", "train": "--out", "project": "--out"}[command]
+    capsys.readouterr()
+    assert main([command, "--features", str(bad), out, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"sample {row[0]}" in err
+    assert cell is None or "column c7" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "no_file"])
+def test_extract_record_not_matching_its_file_exits_2(tmp_path, capsys, damage):
+    data = tmp_path / "ds"
+    assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
+                 "--duration", "10", "--seed", "3"]) == 0
+    manifest_path = data / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    record = manifest["records"][2]
+    iq = data / record["file"]
+    if damage == "truncated":
+        iq.write_bytes(iq.read_bytes()[: iq.stat().st_size // 2])
+    elif damage == "empty":
+        iq.write_bytes(b"")
+    else:
+        del record["file"]
+        manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["extract", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    sample_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
+    assert ("records[2] lacks file" if damage == "no_file" else sample_id) in err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("extract", "n_filters", 0),
+        ("extract", "window", "nan"),
+        ("extract", "segment", "nan"),
+        ("train", "C", -1),
+        ("synth", "fs", 0),
+    ],
+)
+def test_invalid_parameter_exits_2(
+    small_dataset, prop_csv, tmp_path, command, option, value, via_config
+):
+    files = {
+        "extract": ["--data", str(small_dataset), "--out", str(tmp_path / "f.csv")],
+        "train": ["--features", str(prop_csv), "--out", str(tmp_path / "m.json")],
+        "synth": ["--out", str(tmp_path / "ds"), "--days", "1", "--repetitions", "1",
+                  "--duration", "5"],
+    }
+    argv = [command, *files[command]]
+    if via_config:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({command: {option: value}}))
+        argv = ["--config", str(config), *argv]
+    else:
+        argv += [f"--{option.replace('_', '-')}", str(value)]
+    assert main(argv) == 2

@@ -7,7 +7,6 @@ from scipy.signal import detrend
 from heartid.cohort import (
     GaussPulse,
     Measurement,
-    NuisanceConfig,
     PersonProfile,
     Schedule,
     default_cohort,
