@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import trapezoid
 
 from .errors import (
@@ -25,19 +24,19 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
-    InvalidHop,
     InvalidParameter,
     KindMismatch,
     KPrimeTooLarge,
-    SeriesTooShort,
-    WindowTooLong,
 )
 from .signals import (
     ComplexSeries,
     Spectrogram,
     amplitude,
+    complex_second_derivative,
     phase_unwrapped,
-    second_difference,
+    second_derivative,
+    stft_freqs,
+    stft_magnitude,
 )
 
 FEATURE_KINDS = ("amp", "ph", "comp", "prop")
@@ -168,6 +167,19 @@ def build_mel_bank(cfg: MelBankConfig) -> MelBank:
     return MelBank(centers, mel_points, m_tilde)
 
 
+def _triangle(f_lo, f_mid, f_hi, f: np.ndarray) -> np.ndarray:
+    """Triangle on [f_lo, f_hi) peaking at f_mid with unit area; broadcasts."""
+    return np.where(
+        (f >= f_lo) & (f < f_mid),
+        2.0 * (f - f_lo) / ((f_mid - f_lo) * (f_hi - f_lo)),
+        np.where(
+            (f >= f_mid) & (f < f_hi),
+            2.0 * (f_hi - f) / ((f_hi - f_mid) * (f_hi - f_lo)),
+            0.0,
+        ),
+    )
+
+
 def filter_response(bank: MelBank, ell: int, f):
     """Triangular response H_ell(f); accepts a scalar or an array of Hz.
 
@@ -179,13 +191,7 @@ def filter_response(bank: MelBank, ell: int, f):
         raise IndexOutOfRange(
             f"filter index {ell} outside 0..{bank.n_filters - 1}"
         )
-    f_lo, f_mid, f_hi = bank.centers[ell : ell + 3]
-    f_arr = np.asarray(f, dtype=np.float64)
-    out = np.zeros_like(f_arr)
-    rising = (f_arr >= f_lo) & (f_arr < f_mid)
-    falling = (f_arr >= f_mid) & (f_arr < f_hi)
-    out[rising] = 2.0 * (f_arr[rising] - f_lo) / ((f_mid - f_lo) * (f_hi - f_lo))
-    out[falling] = 2.0 * (f_hi - f_arr[falling]) / ((f_hi - f_mid) * (f_hi - f_lo))
+    out = _triangle(*bank.centers[ell : ell + 3], np.asarray(f, dtype=np.float64))
     if np.isscalar(f) or np.ndim(f) == 0:
         return float(out)
     return out
@@ -193,9 +199,8 @@ def filter_response(bank: MelBank, ell: int, f):
 
 def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
     """All filter responses sampled on a frequency grid, shape (L, len(freqs))."""
-    return np.stack(
-        [filter_response(bank, ell, freqs) for ell in range(bank.n_filters)]
-    )
+    c = bank.centers[:, None]
+    return _triangle(c[:-2], c[1:-1], c[2:], np.asarray(freqs, dtype=np.float64))
 
 
 def _check_axis(freqs: np.ndarray, bank: MelBank) -> None:
@@ -236,21 +241,24 @@ def _side_energies(time_integral: np.ndarray, sides: tuple) -> list[np.ndarray]:
     return [trapezoid(h * time_integral[mask], grid, axis=1) for mask, grid, h in sides]
 
 
+def _time_integral(spec: Spectrogram) -> np.ndarray:
+    """Trapezoid of each frequency bin over frame time; one frame gives zeros."""
+    if spec.n_frames > 1:
+        return trapezoid(spec.values, spec.frame_times, axis=0)
+    return np.zeros(spec.freqs.size)
+
+
 def mel_energies(spec: Spectrogram, bank: MelBank) -> MelEnergies:
     """Integrate the spectrogram against each filter over time and frequency.
 
-    Both integrals use the trapezoidal rule on the discrete STFT grid.  For a
-    two-sided spectrogram the filters are applied separately to the positive
-    and negative frequency halves (the negative side through H_ell(-f)).
+    Both integrals use the trapezoidal rule on the discrete STFT grid, time
+    first (trapezoid is linear, so the order is immaterial).  For a two-sided
+    spectrogram the filters are applied separately to the positive and
+    negative frequency halves (the negative side through H_ell(-f)).
     """
     _check_axis(spec.freqs, bank)
-    # Time first (trapezoid is linear, so the order is immaterial).
-    if spec.n_frames > 1:
-        time_integral = trapezoid(spec.values, spec.frame_times, axis=0)
-    else:
-        time_integral = np.zeros(spec.freqs.size)
     energies = _side_energies(
-        time_integral, _spectral_sides(bank, spec.freqs, spec.two_sided)
+        _time_integral(spec), _spectral_sides(bank, spec.freqs, spec.two_sided)
     )
     return MelEnergies(energies[0], energies[1] if spec.two_sided else None)
 
@@ -276,42 +284,16 @@ def _cached_bank(cfg: MelBankConfig) -> MelBank:
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_sides(cfg: MelBankConfig, fs: float, n_win: int, two_sided: bool) -> tuple:
-    """Validated filter responses on the STFT axis of ``n_win``-sample frames."""
+def _cached_sides(cfg: MelBankConfig, fs: float, window_len: float, two_sided: bool) -> tuple:
+    """Validated filter responses on the STFT axis of ``window_len``-second frames."""
     bank = _cached_bank(cfg)
-    if two_sided:
-        freqs = np.fft.fftshift(np.fft.fftfreq(n_win, d=1.0 / fs))
-    else:
-        freqs = np.fft.rfftfreq(n_win, d=1.0 / fs)
+    freqs = stft_freqs(fs, window_len, two_sided)
     _check_axis(freqs, bank)
     sides = _spectral_sides(bank, freqs, two_sided)
     for side in sides:
         for arr in side:
             arr.flags.writeable = False  # shared by every later call
     return sides
-
-
-def _time_integrals(
-    deriv: np.ndarray, fs: float, t0: float, n_win: int, n_hop: int
-) -> list[np.ndarray]:
-    """|STFT| of each row of ``deriv`` integrated over frame time.
-
-    Same frames, transform, scaling and trapezoid as ``stft_magnitude``
-    followed by ``mel_energies``, so the result is bit-identical; the frames
-    are a strided view rather than a gathered copy.  Two-sided spectra are
-    left in FFT order: the time integral is per bin, so the caller may
-    ``fftshift`` the integrated vector instead of the whole spectrogram.
-    """
-    frames = sliding_window_view(deriv, n_win, axis=-1)[..., ::n_hop, :]
-    n_frames = frames.shape[-2]
-    if np.iscomplexobj(deriv):
-        spectra = scipy.fft.fft(frames, axis=-1)
-    else:
-        spectra = scipy.fft.rfft(frames, axis=-1)
-    mags = np.abs(spectra) * (1.0 / math.sqrt(n_win))
-    # a single frame integrates to exact zeros, as in ``mel_energies``
-    frame_times = t0 + (n_hop * np.arange(n_frames) + 0.5 * n_win) / fs
-    return [trapezoid(m, frame_times, axis=0) for m in mags.reshape(-1, *mags.shape[-2:])]
 
 
 def _cepstra(
@@ -323,53 +305,33 @@ def _cepstra(
     hop: float,
     log_energies: bool,
 ) -> dict[str, FeatureVector]:
-    """The requested branch vectors of one signal, computed in one pass.
+    """The requested branch vectors of one signal.
 
-    The filter bank and its responses come from a per-settings cache; the
-    amplitude and phase branches share one real FFT call.
+    Each branch chains the public blocks: the second derivative of |s|, of
+    the unwrapped phase or of s itself, ``stft_magnitude``, the time
+    integral of ``mel_energies``, and ``dct2``.  The filter responses come
+    from a per-settings cache instead of being rebuilt for every signal.
     """
     if not 0 < k_prime < cfg.n_filters:
         raise KPrimeTooLarge(
             f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
         )
-    if not (math.isfinite(window_len * s.fs) and math.isfinite(hop * s.fs)):
-        raise InvalidParameter(f"window {window_len} s and hop {hop} s must be finite")
-    n_win = int(round(window_len * s.fs))
-    if len(s) < n_win + 2:
-        raise SeriesTooShort(
-            f"{len(s)} samples cannot host a derivative plus one "
-            f"{n_win}-sample window"
-        )
-    if hop <= 0:
-        raise InvalidHop(f"hop must be positive, got {hop}")
-    n_hop = int(round(hop * s.fs))
-    if n_hop < 1:
-        raise InvalidHop(f"hop {hop} s is below one sample at fs={s.fs}")
-    if n_win < 1:
-        raise WindowTooLong(f"window of {n_win} samples is empty")
 
     def cepstrum(energies: np.ndarray) -> np.ndarray:
         return dct2(_compress(energies, log_energies))[:k_prime]
 
     out = {}
-    real = [k for k in ("amp", "ph") if k in kinds]
-    if real:
-        sides = _cached_sides(cfg, s.fs, n_win, False)
-        base = np.stack([
-            (amplitude(s) if k == "amp" else phase_unwrapped(s)).samples
-            for k in real
-        ])
-        deriv = second_difference(base, s.fs)
-        for k, ti in zip(real, _time_integrals(deriv, s.fs, 0.0, n_win, n_hop)):
-            (positive,) = _side_energies(ti, sides)
-            out[k] = FeatureVector(cepstrum(positive), k, k_prime)
-    if "comp" in kinds:
-        sides = _cached_sides(cfg, s.fs, n_win, True)
-        deriv = second_difference(s.samples, s.fs)
-        (ti,) = _time_integrals(deriv, s.fs, s.t0 + 1.0 / s.fs, n_win, n_hop)
-        positive, negative = _side_energies(np.fft.fftshift(ti), sides)
-        values = np.concatenate([cepstrum(negative)[::-1], cepstrum(positive)])
-        out["comp"] = FeatureVector(values, "comp", k_prime)
+    for kind in kinds:
+        if kind == "comp":
+            deriv = complex_second_derivative(s)
+        else:
+            deriv = second_derivative(amplitude(s) if kind == "amp" else phase_unwrapped(s))
+        spec = stft_magnitude(deriv, window_len, hop)
+        sides = _cached_sides(cfg, s.fs, spec.window_len, spec.two_sided)
+        cepstra = [cepstrum(e) for e in _side_energies(_time_integral(spec), sides)]
+        if kind == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
+            cepstra = [cepstra[1][::-1], cepstra[0]]
+        out[kind] = FeatureVector(np.concatenate(cepstra), kind, k_prime)
     return out
 
 
@@ -391,7 +353,7 @@ def extract_features(
 
     The DCT is applied to the raw integrated energies by default;
     ``log_energies`` switches to log(M + 1e-12) compression first.  The
-    result is bit-identical to chaining ``second_derivative`` (or
+    result equals chaining ``second_derivative`` (or
     ``complex_second_derivative``), ``stft_magnitude``, ``mel_energies`` and
     ``dct2``.
     """
@@ -421,9 +383,8 @@ def extract_all(
 ) -> dict[str, FeatureVector]:
     """All four feature vectors of one signal: ``amp``, ``ph``, ``comp``, ``prop``.
 
-    Each is bit-identical to ``extract_features`` of that kind; ``prop`` is
-    their ``fuse``.  The three branches run in one pass over the signal and
-    share the cached filter bank and one real FFT call for ``amp``/``ph``.
+    Each equals ``extract_features`` of that kind; ``prop`` is their
+    ``fuse``.  The three branches share one cached filter bank.
     """
     out = _cepstra(s, cfg, ("amp", "ph", "comp"), k_prime, window_len, hop, log_energies)
     out["prop"] = fuse(out["amp"], out["ph"], out["comp"])

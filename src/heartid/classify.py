@@ -58,17 +58,22 @@ def standardize_fit_transform(X: np.ndarray) -> tuple[Standardizer, np.ndarray]:
 
 # --- kernels ----------------------------------------------------------------
 
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 for every row pair, clipped at 0 against rounding."""
+    sq = (
+        np.sum(A**2, axis=1)[:, None]
+        + np.sum(B**2, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
 def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
     if kernel == "linear":
         return A @ B.T
     if kernel == "rbf":
-        sq = (
-            np.sum(A**2, axis=1)[:, None]
-            + np.sum(B**2, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-gamma * sq)
+        return np.exp(-gamma * squared_distances(A, B))
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -181,6 +186,10 @@ def train_binary_svm(
         raise SingleClass("training labels must contain both classes")
     if not C > 0:
         raise InvalidParameter(f"C must be positive, got {C}")
+    if not 0 < tol < np.inf:
+        raise InvalidParameter(f"tol must be positive and finite, got {tol}")
+    if not max_passes >= 1:
+        raise InvalidParameter(f"max_passes must be at least 1, got {max_passes}")
     gamma_val = resolve_gamma(gamma, X)
     if K is None:
         K = kernel_matrix(X, X, kernel, gamma_val)

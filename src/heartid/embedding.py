@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, PerplexityTooLarge
+from .classify import squared_distances
+from .errors import DegenerateInput, InvalidParameter, PerplexityTooLarge
 
 MACHINE_EPS = np.finfo(np.float64).eps
 PERPLEXITY_TOL = 1e-4  # bits of entropy
@@ -96,7 +97,7 @@ def _conditional_probs(dist_sq: np.ndarray, perplexity: float):
 
 def _student_q(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Student-t kernel of the embedding (diagonal zero) and its normalized Q."""
-    num = 1.0 / (1.0 + _pairwise_sq(Y))
+    num = 1.0 / (1.0 + squared_distances(Y, Y))
     np.fill_diagonal(num, 0.0)
     return num, np.maximum(num / num.sum(), MACHINE_EPS)
 
@@ -107,16 +108,9 @@ def _kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
     return float(np.sum(P * np.log(Pc / Q)))
 
 
-def _pairwise_sq(X: np.ndarray) -> np.ndarray:
-    s = np.sum(X**2, axis=1)
-    sq = s[:, None] + s[None, :] - 2.0 * (X @ X.T)
-    np.maximum(sq, 0.0, out=sq)
-    return sq
-
-
 def joint_probabilities(X: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized t-SNE affinities summing to 1."""
-    cond = _conditional_probs(_pairwise_sq(X), perplexity)
+    cond = _conditional_probs(squared_distances(X, X), perplexity)
     P = (cond + cond.T) / (2.0 * X.shape[0])
     return np.maximum(P, MACHINE_EPS)
 
@@ -136,6 +130,8 @@ def tsne2(
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
+    if not 0 < perplexity < np.inf:
+        raise InvalidParameter(f"perplexity must be positive and finite, got {perplexity}")
     if n <= 3 * perplexity:
         raise PerplexityTooLarge(
             f"{n} rows cannot support perplexity {perplexity} (need > 3x)"

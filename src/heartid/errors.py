@@ -24,16 +24,16 @@ class ZeroSample(PipelineError):
     pass
 
 
-class WindowTooLong(PipelineError):
-    pass
+class WindowTooLong(SeriesTooShort):
+    """The series is shorter than one STFT window."""
 
 
 class InvalidHop(PipelineError):
     pass
 
 
-class NonFiniteSample(PipelineError):
-    pass
+class NonFiniteSample(PipelineError, ValueError):
+    """A NaN or infinite sample (still a ``ValueError`` for callers)."""
 
 
 # --- filter bank / cepstra -------------------------------------------------

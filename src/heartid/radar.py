@@ -15,7 +15,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 
 from .errors import DegenerateCube, EmptyGrid, EmptyWindow, InvalidParameter
-from .signals import ComplexSeries
+from .signals import ComplexSeries, check_finite
 
 DEFAULT_ANGLE_GRID = np.arange(-60.0, 60.0 + 1e-9, 1.0)
 DEFAULT_RANGE_WINDOW = (0.5, 3.0)
@@ -78,7 +78,11 @@ class RadarConfig:
 
 @dataclass(frozen=True)
 class DataCube:
-    """Raw dechirped samples, indexed (slow time, virtual element, fast time)."""
+    """Raw dechirped samples, indexed (slow time, virtual element, fast time).
+
+    Every sample must be finite: a NaN or infinity raises
+    :class:`NonFiniteSample` naming its (slow, element, fast) index.
+    """
 
     values: np.ndarray
     config: RadarConfig
@@ -91,8 +95,7 @@ class DataCube:
             raise ValueError("element axis inconsistent with config")
         if values.shape[2] != self.config.n_fast:
             raise ValueError("fast-time axis inconsistent with config")
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("cube contains non-finite samples")
+        check_finite(values)
         object.__setattr__(self, "values", values)
 
     @property

@@ -9,10 +9,13 @@ filter-bank stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InvalidHop,
@@ -31,6 +34,19 @@ def _check_series(samples: np.ndarray, fs: float) -> None:
         raise InvalidParameter(f"sampling rate must be positive and finite, got {fs}")
 
 
+def check_finite(samples: np.ndarray) -> None:
+    """Raise :class:`NonFiniteSample` naming the index of the first NaN or infinity."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = np.unravel_index(np.argmin(finite), samples.shape)
+        where = tuple(int(i) for i in bad)
+        raise NonFiniteSample(
+            f"non-finite sample at index {where[0] if len(where) == 1 else where} "
+            f"({samples[bad]}); {samples.size - int(finite.sum())} of "
+            f"{samples.size} are not finite"
+        )
+
+
 @dataclass(frozen=True)
 class ComplexSeries:
     """Uniformly sampled complex baseband signal (I/Q).
@@ -47,13 +63,7 @@ class ComplexSeries:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
         _check_series(samples, self.fs)
-        finite = np.isfinite(samples)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise NonFiniteSample(
-                f"non-finite sample at index {bad} ({samples[bad]}); "
-                f"{samples.size - int(finite.sum())} of {samples.size} are not finite"
-            )
+        check_finite(samples)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -105,7 +115,7 @@ class Spectrogram:
             raise ValueError("values shape inconsistent with axes")
         if np.any(values < 0):
             raise ValueError("magnitudes must be nonnegative")
-        if freqs.size > 1 and np.any(np.diff(freqs) <= 0):
+        if freqs.size > 1 and (freqs[1:] <= freqs[:-1]).any():
             raise ValueError("frequency axis must be strictly increasing")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "freqs", freqs)
@@ -162,12 +172,28 @@ def phase_unwrapped(s: ComplexSeries) -> RealSeries:
     return RealSeries(np.unwrap(np.angle(s.samples)), s.fs)
 
 
-def stft_magnitude(
-    x: RealSeries | ComplexSeries,
-    window_len: float,
-    hop: float,
-    two_sided: bool | None = None,
-) -> Spectrogram:
+def _n_samples(seconds: float, fs: float) -> int:
+    return int(round(seconds * fs))
+
+
+@functools.lru_cache(maxsize=16)
+def stft_freqs(fs: float, window_len: float, two_sided: bool) -> np.ndarray:
+    """Frequency axis (Hz) of ``stft_magnitude`` frames of ``window_len`` seconds.
+
+    Two-sided axes are centered on 0 Hz (complex input); one-sided axes run
+    0 ... fs/2 (real input).  The read-only array is shared by every call
+    with the same settings.
+    """
+    n_win = _n_samples(window_len, fs)
+    if two_sided:
+        freqs = np.fft.fftshift(np.fft.fftfreq(n_win, d=1.0 / fs))
+    else:
+        freqs = np.fft.rfftfreq(n_win, d=1.0 / fs)
+    freqs.flags.writeable = False
+    return freqs
+
+
+def stft_magnitude(x: RealSeries | ComplexSeries, window_len: float, hop: float) -> Spectrogram:
     """Magnitude STFT with a rectangular window and no zero padding.
 
     Frames start at the beginning of the signal and must lie fully inside it,
@@ -175,41 +201,35 @@ def stft_magnitude(
     by 1/sqrt(N) so the summed squared magnitudes of a frame's spectrum equal
     the frame's summed squared samples (energy-preserving convention).
 
-    ``two_sided`` defaults to the natural axis for the input type: two-sided
-    (centered on 0 Hz) for complex input, one-sided for real input.  Asking
-    for the other pairing is an error.
+    Complex input gives a two-sided spectrum (centered on 0 Hz), real input a
+    one-sided one.
     """
-    complex_input = isinstance(x, ComplexSeries)
-    if two_sided is None:
-        two_sided = complex_input
-    if two_sided != complex_input:
-        raise ValueError(
-            "two-sided spectra require complex input; real input is one-sided"
-        )
+    if not (math.isfinite(window_len * x.fs) and math.isfinite(hop * x.fs)):
+        raise InvalidParameter(f"window {window_len} s and hop {hop} s must be finite")
     if hop <= 0:
         raise InvalidHop(f"hop must be positive, got {hop}")
     n = x.samples.size
-    n_win = int(round(window_len * x.fs))
-    n_hop = int(round(hop * x.fs))
+    n_win = _n_samples(window_len, x.fs)
+    n_hop = _n_samples(hop, x.fs)
     if n_hop < 1:
         raise InvalidHop(f"hop {hop} s is below one sample at fs={x.fs}")
-    if n_win < 1 or n_win > n:
+    if n_win < 1:
+        raise InvalidParameter(f"window {window_len} s is below one sample at fs={x.fs}")
+    if n_win > n:
         raise WindowTooLong(
             f"window of {n_win} samples does not fit a signal of {n} samples"
         )
 
-    n_frames = (n - n_win) // n_hop + 1
-    idx = n_hop * np.arange(n_frames)[:, None] + np.arange(n_win)[None, :]
-    frames = x.samples[idx]
-
-    scale = 1.0 / math.sqrt(n_win)
+    frames = sliding_window_view(x.samples, n_win)[::n_hop]
+    two_sided = isinstance(x, ComplexSeries)
+    transform = scipy.fft.fft if two_sided else scipy.fft.rfft
+    spec = np.abs(transform(frames, axis=1))
+    spec *= 1.0 / math.sqrt(n_win)
     if two_sided:
-        spec = np.abs(np.fft.fftshift(np.fft.fft(frames, axis=1), axes=1)) * scale
-        freqs = np.fft.fftshift(np.fft.fftfreq(n_win, d=1.0 / x.fs))
-    else:
-        spec = np.abs(np.fft.rfft(frames, axis=1)) * scale
-        freqs = np.fft.rfftfreq(n_win, d=1.0 / x.fs)
+        spec = np.fft.fftshift(spec, axes=1)
 
     t0 = getattr(x, "t0", 0.0)
-    frame_times = t0 + (n_hop * np.arange(n_frames) + 0.5 * n_win) / x.fs
-    return Spectrogram(spec, freqs, frame_times, n_win / x.fs, n_hop / x.fs)
+    frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / x.fs
+    return Spectrogram(
+        spec, stft_freqs(x.fs, window_len, two_sided), frame_times, n_win / x.fs, n_hop / x.fs
+    )

@@ -175,11 +175,14 @@ def test_config_file_defaults_and_flag_precedence(small_dataset, tmp_path):
     assert read_features(out2).values.shape[1] == 24
 
 
-def test_extract_non_finite_sample_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["baseband", "cube"])
+def test_extract_non_finite_sample_exits_2(tmp_path, capsys, mode):
     data = tmp_path / "ds"
+    duration = "10" if mode == "baseband" else "4"
     assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
-                 "--duration", "10", "--seed", "3"]) == 0
-    record = json.loads((data / "manifest.json").read_text())["records"][2]
+                 "--duration", duration, "--seed", "3", "--mode", mode]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    record = manifest["records"][2]
     samples = read_iq(data / record["file"])
     samples[123] = np.nan
     write_iq(data / record["file"], samples)
@@ -187,7 +190,11 @@ def test_extract_non_finite_sample_exits_2(tmp_path, capsys):
     assert main(["extract", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 2
     err = capsys.readouterr().err
     sample_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
-    assert sample_id in err and "index 123 " in err
+    if mode == "cube":  # 123 = element 0, fast-time bin 123 of the first chirp
+        assert manifest["radar"]["n_fast"] > 123
+        assert sample_id in err and "index (0, 0, 123) " in err
+    else:
+        assert sample_id in err and "index 123 " in err
 
 
 @pytest.mark.parametrize("missing", ["accuracy_pct", "macro_auc"])
@@ -276,6 +283,9 @@ def test_extract_record_not_matching_its_file_exits_2(tmp_path, capsys, damage):
         ("extract", "segment", "nan"),
         ("train", "C", -1),
         ("synth", "fs", 0),
+        ("train", "max_passes", -1),
+        ("eval", "tol", "nan"),
+        ("project", "perplexity", "nan"),
     ],
 )
 def test_invalid_parameter_exits_2(
@@ -284,6 +294,9 @@ def test_invalid_parameter_exits_2(
     files = {
         "extract": ["--data", str(small_dataset), "--out", str(tmp_path / "f.csv")],
         "train": ["--features", str(prop_csv), "--out", str(tmp_path / "m.json")],
+        "eval": ["--features", str(prop_csv), "--report", str(tmp_path / "r.json")],
+        "project": ["--features", str(prop_csv), "--out", str(tmp_path / "p.csv"),
+                    "--method", "tsne"],
         "synth": ["--out", str(tmp_path / "ds"), "--days", "1", "--repetitions", "1",
                   "--duration", "5"],
     }

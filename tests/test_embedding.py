@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from heartid.classify import squared_distances
 from heartid.embedding import (
     Projection2D,
     _conditional_probs,
-    _pairwise_sq,
     joint_probabilities,
     pca2,
     tsne2,
@@ -21,7 +21,7 @@ def gaussian_clusters(rng, n_per=30, dims=20, sep=8.0, k=3):
 
 def silhouette(points, labels):
     """Plain O(N^2) silhouette coefficient."""
-    d = np.sqrt(_pairwise_sq(points))
+    d = np.sqrt(squared_distances(points, points))
     scores = []
     for i in range(points.shape[0]):
         same = labels == labels[i]
@@ -49,8 +49,9 @@ def test_pca_rotation_preserves_projected_distances():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((50, 6))
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    d_base = np.sort(_pairwise_sq(pca2(X).points).ravel())
-    d_rot = np.sort(_pairwise_sq(pca2(X @ q.T).points).ravel())
+    base, rot = pca2(X).points, pca2(X @ q.T).points
+    d_base = np.sort(squared_distances(base, base).ravel())
+    d_rot = np.sort(squared_distances(rot, rot).ravel())
     assert np.max(np.abs(d_base - d_rot)) <= 1e-9 * max(d_base.max(), 1.0)
 
 
@@ -84,7 +85,7 @@ def test_perplexity_bisection_hits_entropy_target():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 8))
     perplexity = 12.0
-    cond = _conditional_probs(_pairwise_sq(X), perplexity)
+    cond = _conditional_probs(squared_distances(X, X), perplexity)
     eps = np.finfo(float).eps
     for i in range(X.shape[0]):
         row = np.delete(cond[i], i)

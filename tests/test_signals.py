@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from heartid.errors import (
     InvalidHop,
+    InvalidParameter,
     NonFiniteSample,
     PipelineError,
     SeriesTooShort,
@@ -231,6 +232,33 @@ def test_stft_frame_count_matches_invariant():
     assert spec.n_frames == int(np.floor((60.0 - 2.0) / 0.1)) + 1 == 581
 
 
+@pytest.mark.parametrize("is_complex", [True, False])
+@pytest.mark.parametrize(
+    "n, window_len, hop",
+    [
+        (1000, 2.0, 0.1),    # even window
+        (1000, 2.01, 0.1),   # odd window
+        (1003, 1.51, 0.25),  # odd window, frames stop short of the end
+        (201, 2.01, 0.1),    # a single frame
+    ],
+)
+def test_stft_matches_direct_formula(is_complex, n, window_len, hop):
+    fs = 100.0
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
+    x = ComplexSeries(z, fs) if is_complex else RealSeries(z, fs)
+    spec = stft_magnitude(x, window_len, hop)
+    n_win, n_hop = int(round(window_len * fs)), int(round(hop * fs))
+    n_frames = (n - n_win) // n_hop + 1
+    frames = z[n_hop * np.arange(n_frames)[:, None] + np.arange(n_win)[None, :]]
+    if is_complex:
+        want = np.abs(np.fft.fftshift(np.fft.fft(frames, axis=1), axes=1))
+    else:
+        want = np.abs(np.fft.rfft(frames, axis=1))
+    assert np.array_equal(spec.values, want * (1.0 / np.sqrt(n_win)))
+    assert spec.two_sided == is_complex
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_stft_parseval_per_frame(seed):
@@ -257,7 +285,7 @@ def test_stft_errors():
         stft_magnitude(x, 0.5, 0.0)
     with pytest.raises(InvalidHop):
         stft_magnitude(x, 0.5, 1e-5)
-    with pytest.raises(ValueError):
-        stft_magnitude(x, 0.5, 0.1, two_sided=True)
-    with pytest.raises(ValueError):
-        stft_magnitude(ComplexSeries(np.ones(100, complex), 100.0), 0.5, 0.1, two_sided=False)
+    with pytest.raises(InvalidParameter):
+        stft_magnitude(x, 0.001, 0.1)
+    with pytest.raises(InvalidParameter):
+        stft_magnitude(x, float("nan"), 0.1)
