@@ -26,6 +26,7 @@ from .errors import (
     TooFewRows,
     TooFewSessions,
 )
+from .signals import check_finite
 
 KERNELS = ("linear", "rbf")
 
@@ -149,7 +150,7 @@ def _smo(
         d_j = -y[j] * t
         alpha[i] += d_i
         alpha[j] += d_j
-        grad += y * (K[:, i] * (y[i] * d_i) + K[:, j] * (y[j] * d_j))
+        grad += y * (K[i] * (y[i] * d_i) + K[j] * (y[j] * d_j))
         it += 1
 
     if not converged:
@@ -176,9 +177,10 @@ def train_binary_svm(
     """Train one soft-margin binary machine by SMO.
 
     ``y`` must contain both +1 and -1.  ``K`` may carry a precomputed kernel
-    matrix (shared across one-vs-rest machines).  The iteration budget is
-    ``max_passes * n``; exhausting it raises a :class:`NoConvergence` warning
-    and flags the machine, but still returns it.
+    matrix (shared across one-vs-rest machines); it must be symmetric, as
+    ``kernel_matrix(X, X, ...)`` is bit for bit, since SMO reads its rows.
+    The iteration budget is ``max_passes * n``; exhausting it raises a
+    :class:`NoConvergence` warning and flags the machine, but still returns it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -227,12 +229,17 @@ def train_multiclass(
     tol: float = 1e-3,
     max_passes: int = 10,
 ) -> SvmModel:
-    """Standardize, then train one binary machine per class against the rest."""
+    """Standardize, then train one binary machine per class against the rest.
+
+    A non-finite feature raises :class:`NonFiniteSample` naming its (row, column).
+    """
     labels = np.asarray(labels)
     classes = sorted(np.unique(labels).tolist())
     if len(classes) < 2:
         raise SingleClass("need at least two classes")
-    std, Xs = standardize_fit_transform(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    check_finite(X)
+    std, Xs = standardize_fit_transform(X)
     gamma_val = resolve_gamma(gamma, Xs)
     K = kernel_matrix(Xs, Xs, kernel, gamma_val)
     machines = []
@@ -269,7 +276,10 @@ def predict(model: SvmModel, X: np.ndarray):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with participant labels and session ids per row."""
+    """Feature matrix with participant labels and session ids per row.
+
+    A non-finite feature raises :class:`NonFiniteSample` naming its (row, column).
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -277,6 +287,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
+        check_finite(features)
         labels = np.asarray(self.labels)
         sessions = np.asarray(self.sessions)
         if not features.shape[0] == labels.size == sessions.size:

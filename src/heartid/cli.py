@@ -147,7 +147,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 def cmd_synth(args) -> int:
     profiles = cohort.COHORT_PRESETS[args.cohort]()
     schedule = cohort.Schedule(days=args.days, repetitions=args.repetitions)
-    radar_cfg = radar.RadarConfig(fs_slow=args.fs)
     measurements = cohort.generate_cohort(
         profiles,
         schedule,
@@ -156,23 +155,18 @@ def cmd_synth(args) -> int:
         mode=args.mode,
         duration=args.duration,
         fs=args.fs,
-        radar=radar_cfg,
     )
-    dataio.save_dataset(
+    records = dataio.save_dataset(
         args.out,
         measurements,
         profiles,
-        fs=args.fs,
-        duration=args.duration,
-        mode=args.mode,
         seed=args.seed,
         snr_db=args.snr_db,
-        radar=radar_cfg if args.mode == "cube" else None,
         dataset_id=args.dataset_id,
-    )
-    by_class = Counter(m.label for m in measurements)
-    by_session = Counter(m.session_id for m in measurements)
-    print(f"wrote {len(measurements)} measurements to {args.out}")
+    )["records"]
+    by_class = Counter(r["label"] for r in records)
+    by_session = Counter(r["session_id"] for r in records)
+    print(f"wrote {len(records)} measurements to {args.out}")
     print(f"  classes : {dict(sorted(by_class.items()))}")
     print(f"  sessions: {dict(sorted(by_session.items()))}")
     return 0

@@ -11,6 +11,7 @@ non-trivially distinct.  Everything is a pure function of the seed.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import (
     NonDivisibleLength,
     ScheduleEmpty,
 )
-from .radar import DataCube, RadarConfig
+from .radar import C_LIGHT, DataCube, RadarConfig
 from .signals import ComplexSeries, RealSeries
 
 DEFAULT_DURATION = 60.0
@@ -61,7 +62,6 @@ class PersonProfile:
     resp_rate_hz: float
     resp_amp_m: float
     heart_amp_m: float
-    drift_amp_m: float = 0.0
 
     def __post_init__(self):
         if not 0.7 <= self.heart_rate_hz <= 2.0:
@@ -111,19 +111,6 @@ class Schedule:
         return [f"d{d}{h}" for d in range(1, self.days + 1) for h in ("am", "pm")]
 
 
-def _pink_drift(rng: np.random.Generator, n: int, fs: float, amp: float) -> np.ndarray:
-    """Zero-mean 1/f drift with the requested RMS amplitude."""
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
-    f = np.fft.rfftfreq(n, d=1.0 / fs)
-    f[0] = f[1] if n > 1 else 1.0
-    shaped = np.fft.irfft(spectrum / np.sqrt(f), n)
-    rms = np.sqrt(np.mean(shaped**2))
-    if rms == 0:
-        return np.zeros(n)
-    return amp * (shaped - shaped.mean()) / rms
-
-
 def displacement(
     profile: PersonProfile,
     duration: float = DEFAULT_DURATION,
@@ -164,9 +151,6 @@ def displacement(
         # max() guards against pathological jitter producing non-advancing beats
         onset += max(0.25 * period, period + rng.normal(0.0, profile.hrv_std))
     d += profile.heart_amp_m * heartbeat
-
-    if profile.drift_amp_m > 0:
-        d += _pink_drift(rng, n, fs, profile.drift_amp_m)
     return RealSeries(d, fs)
 
 
@@ -214,8 +198,6 @@ def render_cube(
     the virtual array with half-wavelength steering phases.  Doppler within a
     chirp is neglected (chest velocity is negligible at this timescale).
     """
-    from scipy.constants import c as c_light
-
     n_slow = len(d)
     r = range_m + d.samples  # (slow,)
     if np.any(r >= cfg.max_range):
@@ -224,7 +206,7 @@ def render_cube(
             f"span {cfg.max_range:g} m"
         )
     t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
-    f_beat = 2.0 * cfg.bandwidth * r / (c_light * cfg.chirp_duration)
+    f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
     carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
     elem = (
         2.0
@@ -262,12 +244,14 @@ def simulate_measurement(
     duration: float = DEFAULT_DURATION,
     fs: float = DEFAULT_FS,
     mode: str = "baseband",
-    radar: RadarConfig | None = None,
 ) -> tuple[Measurement, RealSeries]:
-    """Generate one measurement; also returns the injected displacement truth."""
+    """Generate one measurement; also returns the injected displacement truth.
+
+    The radar is the default :class:`RadarConfig` at slow-time rate ``fs``.
+    """
     if mode not in ("baseband", "cube"):
         raise ValueError(f"mode must be baseband or cube, got {mode!r}")
-    radar = radar or RadarConfig(fs_slow=fs)
+    radar = RadarConfig(fs_slow=fs)
     amp_scale, phase_offset, rate_scale = session_nuisance(profile.id, session_id, seed)
     d_seed = derive_seed(seed, "disp", profile.id, session_id, repetition)
     n_seed = derive_seed(seed, "noise", profile.id, session_id, repetition)
@@ -291,31 +275,24 @@ def generate_cohort(
     mode: str = "baseband",
     duration: float = DEFAULT_DURATION,
     fs: float = DEFAULT_FS,
-    radar: RadarConfig | None = None,
-) -> list[Measurement]:
-    """One measurement per (profile, session, repetition), deterministic in seed."""
+) -> Iterator[Measurement]:
+    """One measurement per (profile, session, repetition), deterministic in seed.
+
+    The profile count and schedule are checked at call time; each measurement
+    is rendered only when the returned iterator reaches it, so a caller that
+    consumes them one by one holds one at a time.
+    """
     if len(profiles) < 2:
         raise InvalidProfile("a cohort needs at least two profiles")
     schedule = schedule or Schedule()
     if schedule.days < 1 or schedule.repetitions < 1:
         raise ScheduleEmpty("schedule must contain at least one session and repetition")
-    out = []
-    for profile in profiles:
-        for session_id in schedule.sessions:
-            for rep in range(1, schedule.repetitions + 1):
-                m, _ = simulate_measurement(
-                    profile,
-                    session_id,
-                    rep,
-                    seed=seed,
-                    snr_db=snr_db,
-                    duration=duration,
-                    fs=fs,
-                    mode=mode,
-                    radar=radar,
-                )
-                out.append(m)
-    return out
+    return (
+        simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs, mode)[0]
+        for profile in profiles
+        for session_id in schedule.sessions
+        for rep in range(1, schedule.repetitions + 1)
+    )
 
 
 def segment(m: Measurement, seg_len: float) -> list[Measurement]:

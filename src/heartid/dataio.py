@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,23 +74,38 @@ def _profile_from_dict(d: dict) -> PersonProfile:
     return PersonProfile(**{**d, "pulse_template": template})
 
 
+def _dataset_header(m: Measurement) -> tuple:
+    """The (fs, duration, mode, radar) manifest fields a measurement carries."""
+    if m.is_cube:
+        config = m.signal.config
+        return config.fs_slow, m.duration, "cube", dataclasses.asdict(config)
+    return m.signal.fs, m.duration, "baseband", None
+
+
 def save_dataset(
     out_dir,
-    measurements: list[Measurement],
+    measurements: Iterable[Measurement],
     profiles: list[PersonProfile],
-    fs: float,
-    duration: float,
-    mode: str,
     seed: int,
     snr_db: float | None,
-    radar: RadarConfig | None = None,
     dataset_id: str = "cohort",
 ) -> dict:
-    """Write one raw file per measurement plus the manifest; returns the manifest."""
+    """Write each measurement's raw file as it arrives, then the manifest; returns it.
+
+    No measurement is kept, so ``measurements`` may be the lazy iterator of
+    :func:`heartid.cohort.generate_cohort`.  The manifest's fs, duration, mode
+    and radar are read from the measurements, which must all agree on them;
+    an empty iterable raises :class:`ManifestError`.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    header, records = None, []
     for m in measurements:
+        if header is None:
+            header = _dataset_header(m)
+            out_dir.mkdir(parents=True, exist_ok=True)
+        elif _dataset_header(m) != header:
+            raise ManifestError(f"{m.label} {m.session_id} r{m.repetition}: fs, duration, "
+                                "mode or radar differs from the first measurement")
         name = f"{m.label}_{m.session_id}_r{m.repetition}"
         record = {
             "file": f"{name}.iq",
@@ -98,14 +114,15 @@ def save_dataset(
             "repetition": m.repetition,
         }
         if m.is_cube:
-            cube: DataCube = m.signal
-            write_cube(out_dir / record["file"], cube)
-            record["n_slow"] = cube.n_slow
+            write_cube(out_dir / record["file"], m.signal)
+            record["n_slow"] = m.signal.n_slow
         else:
-            series: ComplexSeries = m.signal
-            write_iq(out_dir / record["file"], series.samples)
-            record["n_samples"] = len(series)
+            write_iq(out_dir / record["file"], m.signal.samples)
+            record["n_samples"] = len(m.signal)
         records.append(record)
+    if header is None:
+        raise ManifestError(f"no measurements to save in {out_dir}")
+    fs, duration, mode, radar = header
     manifest = {
         "dataset_id": dataset_id,
         "fs": fs,
@@ -113,7 +130,7 @@ def save_dataset(
         "mode": mode,
         "seed": seed,
         "snr_db": snr_db,
-        "radar": dataclasses.asdict(radar) if radar is not None else None,
+        "radar": radar,
         "profiles": [_profile_to_dict(p) for p in profiles],
         "records": records,
     }

@@ -24,6 +24,7 @@ from heartid.classify import (
 from heartid.errors import (
     DimMismatch,
     LengthMismatch,
+    NonFiniteSample,
     NoConvergence,
     SingleClass,
     TooFewRows,
@@ -288,6 +289,20 @@ def test_predict_dim_mismatch():
         predict(model, np.ones((2, 5)))
 
 
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_kernel_matrix_of_one_set_is_exactly_symmetric(kernel):
+    X = np.random.default_rng(4).standard_normal((97, 13))
+    K = kernel_matrix(X, X, kernel, 0.07)
+    assert np.array_equal(K, K.T)
+
+
+def test_multiclass_rejects_non_finite_feature():
+    X = np.random.default_rng(5).standard_normal((40, 4))
+    X[7, 2] = np.nan
+    with pytest.raises(NonFiniteSample, match=r"\(7, 2\)"):
+        train_multiclass(X, ["a", "b"] * 20)
+
+
 # --- dataset / CV -----------------------------------------------------------------
 
 def toy_dataset(n_sessions=4, n_per=3, n_classes=3, spread=0.3, seed=0):
@@ -312,6 +327,13 @@ def test_dataset_invariants():
         )
     with pytest.raises(LengthMismatch):
         LabeledDataset(np.ones((4, 2)), ["a", "b"], ["s1", "s2", "s1", "s2"])
+
+
+def test_dataset_rejects_non_finite_feature():
+    X = np.random.default_rng(5).standard_normal((40, 4))
+    X[11, 3] = np.inf
+    with pytest.raises(NonFiniteSample, match=r"\(11, 3\)"):
+        LabeledDataset(X, ["a", "b"] * 20, ["s1"] * 20 + ["s2"] * 20)
 
 
 def test_session_folds_partition():

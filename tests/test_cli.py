@@ -1,10 +1,12 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from heartid.cli import main
 from heartid.dataio import read_features, read_iq, write_iq
+from heartid.radar import RadarConfig
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,18 @@ def test_synth_writes_manifest_and_files(small_dataset):
     assert manifest["mode"] == "baseband"
     some = small_dataset / manifest["records"][0]["file"]
     assert some.exists() and some.stat().st_size == 2000 * 2 * 4
+
+
+def test_synth_cube_manifest(tmp_path):
+    data = tmp_path / "cube"
+    assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
+                 "--duration", "4", "--mode", "cube"]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert manifest["mode"] == "cube"
+    assert manifest["radar"] == asdict(RadarConfig(fs_slow=100.0))
+    assert manifest["fs"] == 100.0 and manifest["duration"] == 4.0
+    assert len(manifest["records"]) == 12
+    assert all(r["n_slow"] == 400 for r in manifest["records"])
 
 
 def test_synth_deterministic_bytes(tmp_path):

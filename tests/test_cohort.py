@@ -166,7 +166,7 @@ def test_render_noise_scales_with_snr():
 # --- cohort generation ---------------------------------------------------------
 
 def test_cohort_has_paper_protocol_shape():
-    ms = generate_cohort(default_cohort(), duration=2.0, snr_db=None)
+    ms = list(generate_cohort(default_cohort(), duration=2.0, snr_db=None))
     assert len(ms) == 300  # 6 people x 10 sessions x 5 repetitions
     labels = {m.label for m in ms}
     sessions = {m.session_id for m in ms}
@@ -197,6 +197,23 @@ def test_cohort_session_nuisance_varies():
             by_session.setdefault(m.session_id, m)
     amps = [np.abs(m.signal.samples[0]) for m in by_session.values()]
     assert np.std(amps) > 0.01  # amplitude scale differs across sessions
+
+
+def test_cohort_renders_only_as_iterated(monkeypatch):
+    import heartid.cohort as cohort_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate_measurement(*args, **kwargs)
+
+    monkeypatch.setattr(cohort_module, "simulate_measurement", counting)
+    ms = generate_cohort(default_cohort()[:2], Schedule(days=1, repetitions=2), duration=2.0)
+    assert len(calls) == 0
+    first = next(ms)
+    assert len(calls) == 1 and first.label == "p1" and first.repetition == 1
+    assert len(list(ms)) == 7 and len(calls) == 8
 
 
 def test_cohort_requires_two_profiles_and_schedule():

@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -68,13 +69,10 @@ def test_cube_roundtrip_and_axis_order(tmp_path):
 
 def test_dataset_roundtrip(tmp_path):
     profiles = default_cohort()[:2]
-    ms = generate_cohort(
+    ms = list(generate_cohort(
         profiles, Schedule(days=1, repetitions=2), duration=2.0, snr_db=15.0, seed=3
-    )
-    manifest = save_dataset(
-        tmp_path, ms, profiles, fs=100.0, duration=2.0, mode="baseband",
-        seed=3, snr_db=15.0,
-    )
+    ))
+    manifest = save_dataset(tmp_path, ms, profiles, seed=3, snr_db=15.0)
     assert len(manifest["records"]) == len(ms) == 8
     loaded = load_manifest(tmp_path)
     assert loaded == json.loads(json.dumps(manifest))
@@ -86,6 +84,18 @@ def test_dataset_roundtrip(tmp_path):
     assert [p.id for p in profs] == [p.id for p in profiles]
     assert profs[0] == profiles[0]
     assert manifest_radar(loaded).fs_slow == 100.0
+
+
+def test_save_dataset_rejects_empty_and_mixed_measurements(tmp_path):
+    profiles = default_cohort()[:2]
+    with pytest.raises(ManifestError):
+        save_dataset(tmp_path / "empty", iter([]), profiles, seed=0, snr_db=None)
+    assert not (tmp_path / "empty").exists()
+    schedule = Schedule(days=1, repetitions=1)
+    short = generate_cohort(profiles, schedule, duration=2.0, snr_db=None)
+    longer = generate_cohort(profiles, schedule, duration=3.0, snr_db=None)
+    with pytest.raises(ManifestError):
+        save_dataset(tmp_path / "mixed", chain(short, longer), profiles, seed=0, snr_db=None)
 
 
 def test_manifest_errors(tmp_path):
