@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import GaussPulse, Measurement, PersonProfile
+from .cohort import Measurement, PersonProfile
 from .errors import IoError, ManifestError
 from .radar import DataCube, RadarConfig
 from .signals import ComplexSeries
@@ -67,11 +67,6 @@ def _profile_to_dict(p: PersonProfile) -> dict:
     d = dataclasses.asdict(p)
     d["pulse_template"] = [dataclasses.asdict(g) for g in p.pulse_template]
     return d
-
-
-def _profile_from_dict(d: dict) -> PersonProfile:
-    template = tuple(GaussPulse(**g) for g in d["pulse_template"])
-    return PersonProfile(**{**d, "pulse_template": template})
 
 
 def _dataset_header(m: Measurement) -> tuple:
@@ -157,10 +152,6 @@ def load_manifest(data_dir) -> dict:
         if missing:
             raise ManifestError(f"{path}: records[{i}] lacks {', '.join(missing)}")
     return manifest
-
-
-def manifest_profiles(manifest: dict) -> list[PersonProfile]:
-    return [_profile_from_dict(d) for d in manifest.get("profiles", [])]
 
 
 def manifest_radar(manifest: dict) -> RadarConfig:

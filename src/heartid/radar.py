@@ -1,10 +1,11 @@
 """FMCW MIMO front end: range FFT, delay-and-sum beamforming, echo selection.
 
 A :class:`DataCube` is indexed (slow time, virtual element, fast time).  The
-fast-time DFT turns beat frequency into range (bin spacing c/(2B)); steering
-the 12-element virtual array and picking the strongest (angle, range) cell
-inside a range window yields the slow-time series s(t) that the feature
-pipeline consumes.
+fast-time DFT turns beat frequency into range (bin spacing c/(2B)).  The mean
+delay-and-sum power of every (angle, range) cell of the 12-element virtual
+array comes from each range bin's slow-time element covariance; steering only
+the strongest cell inside a range window yields the slow-time series s(t)
+that the feature pipeline consumes.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class DataCube:
     """Raw dechirped samples, indexed (slow time, virtual element, fast time).
 
     Every sample must be finite: a NaN or infinity raises
-    :class:`NonFiniteSample` naming its (slow, element, fast) index.
+    :class:`NonFiniteSample` naming its (slow, element, fast) index.  A cube
+    with no slow-time sample raises :class:`DegenerateCube`.
     """
 
     values: np.ndarray
@@ -95,6 +97,8 @@ class DataCube:
             raise ValueError("element axis inconsistent with config")
         if values.shape[2] != self.config.n_fast:
             raise ValueError("fast-time axis inconsistent with config")
+        if values.shape[0] == 0:
+            raise DegenerateCube(f"cube of shape {values.shape} has no slow-time sample")
         check_finite(values)
         object.__setattr__(self, "values", values)
 
@@ -131,9 +135,10 @@ def steering_weights(cfg: RadarConfig, angles_deg: np.ndarray) -> np.ndarray:
 class BeamformResult:
     """Power map over (angle, range) with on-demand access to steered series.
 
-    ``beamform`` forms every steered sample (slow x range x angles) to average
-    the power map, then drops them; :meth:`steered_series` re-forms the one
-    slow-time series requested from the kept range profiles and weights.
+    ``beamform`` computes the map from the per-range element covariances
+    (n_virtual x n_virtual, averaged over slow time), so no steered sample is
+    formed for it; :meth:`steered_series` forms only the requested cell's
+    slow-time series from the kept range profiles and weights.
     """
 
     profiles: np.ndarray
@@ -165,13 +170,10 @@ def beamform(
         raise EmptyGrid("angles must lie within +/-90 degrees")
     weights = steering_weights(cfg, angles_deg)
 
-    n_slow, n_elem, n_range = profiles.shape
-    # (slow*range, elem) @ (elem, angles) in one shot
-    flat = np.transpose(profiles, (0, 2, 1)).reshape(-1, n_elem)
-    steered = flat @ weights.T
-    power = (
-        np.abs(steered.reshape(n_slow, n_range, angles_deg.size)) ** 2
-    ).mean(axis=0).T
+    # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H
+    per_range = np.transpose(profiles, (2, 1, 0))
+    cov = per_range @ per_range.conj().transpose(0, 2, 1) / profiles.shape[0]
+    power = np.einsum("ai,rij,aj->ar", weights, cov, weights.conj()).real
     return BeamformResult(profiles, cfg, angles_deg, weights, power)
 
 

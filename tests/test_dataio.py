@@ -7,10 +7,10 @@ import pytest
 from heartid.cohort import Schedule, default_cohort, generate_cohort
 from heartid.dataio import (
     FeatureTable,
+    _profile_to_dict,
     file_sha256,
     load_manifest,
     load_record,
-    manifest_profiles,
     manifest_radar,
     read_cube,
     read_features,
@@ -80,9 +80,7 @@ def test_dataset_roundtrip(tmp_path):
     orig = ms[0]
     assert back.label == orig.label and back.session_id == orig.session_id
     assert np.max(np.abs(back.signal.samples - orig.signal.samples)) <= 1e-6
-    profs = manifest_profiles(loaded)
-    assert [p.id for p in profs] == [p.id for p in profiles]
-    assert profs[0] == profiles[0]
+    assert loaded["profiles"] == json.loads(json.dumps([_profile_to_dict(p) for p in profiles]))
     assert manifest_radar(loaded).fs_slow == 100.0
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT
@@ -89,6 +92,13 @@ def test_range_profile_degenerate():
         range_profile(cube)
 
 
+def test_cube_without_slow_time_sample_is_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateCube, match=r"\(0, 12, 128\)"):
+            DataCube(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG)
+
+
 # --- beamforming ------------------------------------------------------------
 
 def test_beamform_broadside_target():
@@ -113,6 +123,59 @@ def test_beamform_steering_gain_is_element_count():
     steered_power = result.power[0, bin_idx]
     single_power = np.mean(np.abs(prof[:, 0, bin_idx]) ** 2)
     assert abs(steered_power - CFG.n_virtual * single_power) <= 0.05 * steered_power
+
+
+def materialized_power(profiles, weights):
+    """Reference map: steer every (slow, range) sample, then average |.|^2 over slow time."""
+    steered = np.transpose(profiles, (0, 2, 1)) @ weights.T  # (slow, range, angles)
+    return (np.abs(steered) ** 2).mean(axis=0).T
+
+
+@pytest.mark.parametrize("n_slow", [1, 2, 37, 400])
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 3e7])
+@pytest.mark.parametrize("angles", [None, np.array([-90.0, -41.5, -3.0, 0.0, 0.25, 17.0, 89.0])])
+def test_beamform_power_matches_materialized_steering(n_slow, scale, angles):
+    rng = np.random.default_rng(n_slow)
+    shape = (n_slow, CFG.n_virtual, CFG.n_fast)
+    profiles = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    result = beamform(profiles, CFG, angles_deg=angles)
+    reference = materialized_power(profiles, result.weights)
+    assert result.power.shape == reference.shape
+    row_max = reference.max(axis=1, keepdims=True)
+    # also bounds a steering null that rounds to a tiny negative, since reference >= 0
+    assert np.all(np.abs(result.power - reference) <= 1e-12 * row_max)
+    assert np.argmax(result.power) == np.argmax(reference)
+
+
+def _displacement_cube():
+    d = displacement(default_cohort()[0], duration=15.0, fs=100.0, seed=4)
+    return render_cube(d, CFG, snr_db=20.0, seed=9, range_m=1.5, angle_deg=0.0)
+
+
+def _two_target_cube():
+    near = still_target_cube(1.0, angle_deg=-10.0)
+    far = still_target_cube(2.5, angle_deg=15.0)
+    return DataCube(near.values + far.values, CFG)
+
+
+@pytest.mark.parametrize(
+    "make_cube, window",
+    [
+        (lambda: still_target_cube(1.5, angle_deg=0.0), (0.5, 3.0)),
+        (lambda: still_target_cube(1.5, angle_deg=20.0, snr_db=10.0, seed=3), (0.5, 3.0)),
+        (_displacement_cube, (0.5, 3.0)),
+        (_two_target_cube, (0.5, 1.8)),
+        (_two_target_cube, (0.5, 3.0)),
+    ],
+)
+def test_select_echo_same_as_with_materialized_map(make_cube, window):
+    result = beamform(range_profile(make_cube()), CFG)
+    reference = dataclasses.replace(
+        result, power=materialized_power(result.profiles, result.weights)
+    )
+    sel, ref = select_echo(result, window), select_echo(reference, window)
+    assert (sel.angle_deg, sel.range_m) == (ref.angle_deg, ref.range_m)
+    assert np.array_equal(sel.series.samples, ref.series.samples)
 
 
 def test_steering_vector_coherent_sum():
