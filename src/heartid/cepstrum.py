@@ -23,7 +23,6 @@ from .errors import (
     AxisMismatch,
     DimensionMismatch,
     EmptyInput,
-    IndexOutOfRange,
     InvalidParameter,
     KindMismatch,
     KPrimeTooLarge,
@@ -167,8 +166,16 @@ def build_mel_bank(cfg: MelBankConfig) -> MelBank:
     return MelBank(centers, mel_points, m_tilde)
 
 
-def _triangle(f_lo, f_mid, f_hi, f: np.ndarray) -> np.ndarray:
-    """Triangle on [f_lo, f_hi) peaking at f_mid with unit area; broadcasts."""
+def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
+    """Every filter response H_ell(f) on a frequency grid, shape (L, len(freqs)).
+
+    H_ell rises linearly on [f_ell, f_{ell+1}), falls on [f_{ell+1}, f_{ell+2})
+    and is zero elsewhere; the peak value 2/(f_{ell+2} - f_ell) makes every
+    filter integrate to 1.
+    """
+    c = bank.centers[:, None]
+    f_lo, f_mid, f_hi = c[:-2], c[1:-1], c[2:]
+    f = np.asarray(freqs, dtype=np.float64)
     return np.where(
         (f >= f_lo) & (f < f_mid),
         2.0 * (f - f_lo) / ((f_mid - f_lo) * (f_hi - f_lo)),
@@ -178,29 +185,6 @@ def _triangle(f_lo, f_mid, f_hi, f: np.ndarray) -> np.ndarray:
             0.0,
         ),
     )
-
-
-def filter_response(bank: MelBank, ell: int, f):
-    """Triangular response H_ell(f); accepts a scalar or an array of Hz.
-
-    Rises linearly on [f_ell, f_{ell+1}), falls on [f_{ell+1}, f_{ell+2}),
-    zero elsewhere; the peak value 2/(f_{ell+2} - f_ell) makes every filter
-    integrate to 1.
-    """
-    if not 0 <= ell <= bank.n_filters - 1:
-        raise IndexOutOfRange(
-            f"filter index {ell} outside 0..{bank.n_filters - 1}"
-        )
-    out = _triangle(*bank.centers[ell : ell + 3], np.asarray(f, dtype=np.float64))
-    if np.isscalar(f) or np.ndim(f) == 0:
-        return float(out)
-    return out
-
-
-def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
-    """All filter responses sampled on a frequency grid, shape (L, len(freqs))."""
-    c = bank.centers[:, None]
-    return _triangle(c[:-2], c[1:-1], c[2:], np.asarray(freqs, dtype=np.float64))
 
 
 def _check_axis(freqs: np.ndarray, bank: MelBank) -> None:

@@ -155,12 +155,21 @@ def displacement(
 
 
 def _add_noise(x: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
-    """``x`` plus complex circular Gaussian noise ``snr_db`` below unit power."""
+    """Add complex circular Gaussian noise ``snr_db`` below unit power to ``x`` in place.
+
+    The real parts are drawn first, then the imaginary parts, each into one
+    reused float64 buffer; ``x`` is returned.
+    """
     if snr_db is None:
         return x
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    return x + sigma * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    buf = np.empty(x.shape)
+    for part in (x.real, x.imag):
+        rng.standard_normal(out=buf)
+        buf *= sigma
+        part += buf
+    return x
 
 
 def render_baseband(
@@ -194,11 +203,12 @@ def render_cube(
     """Render displacement as a full FMCW data cube (stop-and-go beat model).
 
     Per chirp, the target at R = range_m + d(t) produces a beat tone at
-    2 B R / (c T_chirp) with carrier phase 4 pi R / lambda, replicated across
-    the virtual array with half-wavelength steering phases.  Doppler within a
-    chirp is neglected (chest velocity is negligible at this timescale).
+    2 B R / (c T_chirp) with carrier phase 4 pi R / lambda.  That chirp phasor
+    is formed once per (slow, fast) sample and steered to each element of
+    the virtual array by its half-wavelength phase factor; noise is then
+    added in place.  Doppler within a chirp is neglected (chest velocity is
+    negligible at this timescale).
     """
-    n_slow = len(d)
     r = range_m + d.samples  # (slow,)
     if np.any(r >= cfg.max_range):
         raise InvalidDuration(
@@ -215,12 +225,10 @@ def render_cube(
         * np.sin(np.radians(angle_deg))
         * np.arange(cfg.n_virtual)
     )
-    phase = (
-        2.0 * np.pi * f_beat[:, None, None] * t_fast[None, None, :]
-        + carrier[:, None, None]
-        + elem[None, :, None]
+    chirp = amp_scale * np.exp(
+        1j * (2.0 * np.pi * f_beat[:, None] * t_fast[None, :] + carrier[:, None])
     )
-    cube = amp_scale * np.exp(1j * phase)
+    cube = chirp[:, None, :] * np.exp(1j * elem)[None, :, None]
     return DataCube(_add_noise(cube, snr_db, seed), cfg)
 
 

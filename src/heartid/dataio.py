@@ -115,6 +115,7 @@ def save_dataset(
             write_iq(out_dir / record["file"], m.signal.samples)
             record["n_samples"] = len(m.signal)
         records.append(record)
+        del m  # free this record before the iterator renders the next one
     if header is None:
         raise ManifestError(f"no measurements to save in {out_dir}")
     fs, duration, mode, radar = header

@@ -38,10 +38,6 @@ class NonFiniteSample(PipelineError, ValueError):
 
 # --- filter bank / cepstra -------------------------------------------------
 
-class IndexOutOfRange(PipelineError):
-    pass
-
-
 class AxisMismatch(PipelineError):
     pass
 

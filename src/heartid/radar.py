@@ -168,6 +168,8 @@ def beamform(
         raise EmptyGrid("angle grid is empty")
     if np.any(np.abs(angles_deg) > 90.0):
         raise EmptyGrid("angles must lie within +/-90 degrees")
+    if profiles.shape[0] == 0:
+        raise DegenerateCube(f"profiles of shape {profiles.shape} have no slow-time sample")
     weights = steering_weights(cfg, angles_deg)
 
     # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H

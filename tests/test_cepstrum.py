@@ -15,7 +15,6 @@ from heartid.cepstrum import (
     dct2,
     extract_all,
     extract_features,
-    filter_response,
     fuse,
     mel_energies,
 )
@@ -23,7 +22,6 @@ from heartid.errors import (
     AxisMismatch,
     DimensionMismatch,
     EmptyInput,
-    IndexOutOfRange,
     KindMismatch,
     KPrimeTooLarge,
     SeriesTooShort,
@@ -94,11 +92,13 @@ def test_filter_response_edges_and_peak():
     bank = build_mel_bank(MelBankConfig())
     for ell in (0, 7, 63):
         f_lo, f_mid, f_hi = bank.centers[ell : ell + 3]
-        assert filter_response(bank, ell, f_lo) == 0.0
-        peak = filter_response(bank, ell, f_mid)
+        at_lo, peak, at_hi, below = bank_response_matrix(
+            bank, np.array([f_lo, f_mid, f_hi, f_lo - 1.0])
+        )[ell]
+        assert at_lo == 0.0
         assert abs(peak - 2.0 / (f_hi - f_lo)) <= 1e-12 * peak
-        assert filter_response(bank, ell, f_hi) == 0.0
-        assert filter_response(bank, ell, f_lo - 1.0) == 0.0
+        assert at_hi == 0.0
+        assert below == 0.0
 
 
 def test_filter_response_unit_area():
@@ -112,16 +112,8 @@ def test_filter_response_unit_area():
                 [np.linspace(f_lo, f_hi, 501), [f_lo, f_mid, f_hi]]
             )
         )
-        area = trapezoid(filter_response(bank, ell, grid), grid)
+        area = trapezoid(bank_response_matrix(bank, grid)[ell], grid)
         assert abs(area - 1.0) <= 1e-9
-
-
-def test_filter_response_index_out_of_range():
-    bank = build_mel_bank(MelBankConfig(n_filters=8))
-    with pytest.raises(IndexOutOfRange):
-        filter_response(bank, 8, 1.0)
-    with pytest.raises(IndexOutOfRange):
-        filter_response(bank, -1, 1.0)
 
 
 # --- mel energies -----------------------------------------------------------
@@ -177,12 +169,7 @@ def _riemann_oracle(bank, duration, bumps, f_lo, f_hi, n_f, n_t):
     wf[0] = wf[-1] = 0.5
     wt = np.ones(n_t)
     wt[0] = wt[-1] = 0.5
-    h = np.stack(
-        [
-            filter_response(bank, ell, np.abs(f_fine) if f_lo < 0 else f_fine)
-            for ell in range(bank.n_filters)
-        ]
-    )
+    h = bank_response_matrix(bank, np.abs(f_fine) if f_lo < 0 else f_fine)
     hw = h * wf[None, :]
     out = np.zeros(bank.n_filters)
     for start in range(0, n_t, 128):

@@ -15,6 +15,7 @@ from heartid.cohort import (
     generate_cohort,
     hard_cohort,
     render_baseband,
+    render_cube,
     segment,
     simulate_measurement,
 )
@@ -24,7 +25,7 @@ from heartid.errors import (
     NonDivisibleLength,
     ScheduleEmpty,
 )
-from heartid.radar import RadarConfig
+from heartid.radar import C_LIGHT, RadarConfig
 from heartid.signals import RealSeries, phase_unwrapped
 
 CFG = RadarConfig()
@@ -161,6 +162,71 @@ def test_render_noise_scales_with_snr():
         s = render_baseband(d, CFG, snr_db=snr, seed=8)
         noise_power = np.mean(np.abs(s.samples - 1.0) ** 2)
         assert abs(noise_power - 10 ** (-snr / 10)) <= 0.05 * 10 ** (-snr / 10)
+
+
+def _reference_noise(x, snr_db, seed):
+    """Out-of-place noise formula the in-place one must reproduce bit for bit."""
+    if snr_db is None:
+        return x
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    return x + sigma * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+
+
+def _reference_cube(d, cfg, snr_db, seed, angle_deg, amp_scale, phase_offset, range_m=1.5):
+    """Full-phase cube: one exp per (slow, element, fast) sample."""
+    r = range_m + d.samples
+    t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
+    f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
+    carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
+    elem = (
+        2.0
+        * np.pi
+        * (cfg.element_spacing / cfg.wavelength)
+        * np.sin(np.radians(angle_deg))
+        * np.arange(cfg.n_virtual)
+    )
+    phase3d = (
+        2.0 * np.pi * f_beat[:, None, None] * t_fast[None, None, :]
+        + carrier[:, None, None]
+        + elem[None, :, None]
+    )
+    return _reference_noise(amp_scale * np.exp(1j * phase3d), snr_db, seed)
+
+
+NUISANCE = dict(amp_scale=1.37, phase_offset=2.9)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, None])
+def test_render_cube_broadside_bit_identical_to_full_phase(snr_db):
+    d = displacement(make_profile(), duration=3.0, fs=100.0, seed=4)
+    before = d.samples.copy()
+    cube = render_cube(d, CFG, snr_db, seed=11, **NUISANCE)
+    ref = _reference_cube(d, CFG, snr_db, 11, 0.0, **NUISANCE)
+    assert np.array_equal(cube.values, ref)
+    assert np.array_equal(d.samples, before)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, None])
+@pytest.mark.parametrize("angle_deg", [8.0, -8.0, 20.0, -60.0])
+def test_render_cube_off_broadside_matches_full_phase(angle_deg, snr_db):
+    d = displacement(make_profile(), duration=3.0, fs=100.0, seed=4)
+    before = d.samples.copy()
+    cube = render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
+    ref = _reference_cube(d, CFG, snr_db, 11, angle_deg, **NUISANCE)
+    assert np.all(np.abs(cube.values - ref) <= 1e-12 * np.abs(ref))
+    assert np.array_equal(d.samples, before)
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 20.0, None])
+def test_render_baseband_matches_out_of_place_noise(snr_db):
+    d = displacement(make_profile(), duration=10.0, fs=100.0, seed=6)
+    before = d.samples.copy()
+    s = render_baseband(d, CFG, snr_db, 13, **NUISANCE)
+    phase = 4.0 * np.pi * d.samples / CFG.wavelength + NUISANCE["phase_offset"]
+    ref = _reference_noise(NUISANCE["amp_scale"] * np.exp(1j * phase), snr_db, 13)
+    assert np.array_equal(s.samples, ref)
+    assert np.array_equal(d.samples, before)
 
 
 # --- cohort generation ---------------------------------------------------------

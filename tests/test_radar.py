@@ -99,6 +99,13 @@ def test_cube_without_slow_time_sample_is_rejected_without_warning():
             DataCube(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG)
 
 
+def test_beamform_without_slow_time_sample_is_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateCube, match=r"\(0, 12, 128\)"):
+            beamform(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG)
+
+
 # --- beamforming ------------------------------------------------------------
 
 def test_beamform_broadside_target():
