@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.integrate import trapezoid
 
 from .errors import (
     AxisMismatch,
@@ -222,13 +221,13 @@ def _spectral_sides(bank: MelBank, freqs: np.ndarray, two_sided: bool) -> tuple:
 
 
 def _side_energies(time_integral: np.ndarray, sides: tuple) -> list[np.ndarray]:
-    return [trapezoid(h * time_integral[mask], grid, axis=1) for mask, grid, h in sides]
+    return [np.trapezoid(h * time_integral[mask], grid, axis=1) for mask, grid, h in sides]
 
 
 def _time_integral(spec: Spectrogram) -> np.ndarray:
     """Trapezoid of each frequency bin over frame time; one frame gives zeros."""
     if spec.n_frames > 1:
-        return trapezoid(spec.values, spec.frame_times, axis=0)
+        return np.trapezoid(spec.values, spec.frame_times, axis=0)
     return np.zeros(spec.freqs.size)
 
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DimensionMismatch,
@@ -356,7 +355,9 @@ def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(scores)
+    # mid-ranks: a tie group of c scores ending at sorted position b ranks b - (c - 1) / 2
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -132,14 +132,31 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             raise PipelineError(f"config {known.config}: unknown subcommand {name!r}")
         if not isinstance(options, dict):
             raise PipelineError(f"config {known.config}: {name!r} must map options to values")
-        valid = {a.dest for a in subparsers[name]._actions} - {"help"}  # noqa: SLF001
-        unknown = sorted(set(options) - valid)
+        actions = {a.dest: a for a in subparsers[name]._actions}  # noqa: SLF001
+        del actions["help"]
+        unknown = sorted(set(options) - set(actions))
         if unknown:
             raise PipelineError(
                 f"config {known.config}: unknown {name} option(s) {', '.join(unknown)}"
             )
-        subparsers[name].set_defaults(**options)
+        subparsers[name].set_defaults(**{
+            dest: _config_value(f"config {known.config}: {name} {dest}", actions[dest], value)
+            for dest, value in options.items()
+        })
     return parser.parse_args(argv)
+
+
+def _config_value(where: str, action: argparse.Action, value):
+    """A config value parsed as the command line parses the same text; bad values raise."""
+    if value is None and action.default is None:
+        return None
+    try:
+        value = action.type(str(value)) if action.type else value
+    except ValueError as exc:
+        raise PipelineError(f"{where}: {value!r} is not valid ({exc})") from exc
+    if action.choices is not None and value not in action.choices:
+        raise PipelineError(f"{where}: {value!r} is not one of {', '.join(action.choices)}")
+    return value
 
 
 # --- subcommand bodies ------------------------------------------------------

@@ -255,7 +255,7 @@ def simulate_measurement(
 ) -> tuple[Measurement, RealSeries]:
     """Generate one measurement; also returns the injected displacement truth.
 
-    The radar is the default :class:`RadarConfig` at slow-time rate ``fs``.
+    The radar is the fixed :class:`RadarConfig` device at slow-time rate ``fs``.
     """
     if mode not in ("baseband", "cube"):
         raise ValueError(f"mode must be baseband or cube, got {mode!r}")

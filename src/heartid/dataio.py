@@ -50,15 +50,11 @@ def write_cube(path, cube: DataCube) -> None:
 
 def read_cube(path, config: RadarConfig, n_slow: int) -> DataCube:
     flat = read_iq(path)
-    expected = n_slow * config.n_virtual * config.n_fast
-    if flat.size != expected:
-        raise IoError(
-            f"{path}: {flat.size} samples, expected {expected} "
-            f"({n_slow} x {config.n_virtual} x {config.n_fast})"
-        )
-    return DataCube(
-        flat.reshape(n_slow, config.n_virtual, config.n_fast), config
-    )
+    shape = (n_slow, config.n_virtual, config.n_fast)
+    if flat.size != math.prod(shape):
+        raise IoError(f"{path}: {flat.size} samples, expected {math.prod(shape)} "
+                      f"({n_slow} x {config.n_virtual} x {config.n_fast})")
+    return DataCube(flat.reshape(shape), config)
 
 
 # --- dataset directories ----------------------------------------------------
@@ -70,11 +66,10 @@ def _profile_to_dict(p: PersonProfile) -> dict:
 
 
 def _dataset_header(m: Measurement) -> tuple:
-    """The (fs, duration, mode, radar) manifest fields a measurement carries."""
+    """The (fs, duration, mode) manifest fields a measurement carries."""
     if m.is_cube:
-        config = m.signal.config
-        return config.fs_slow, m.duration, "cube", dataclasses.asdict(config)
-    return m.signal.fs, m.duration, "baseband", None
+        return m.signal.config.fs_slow, m.duration, "cube"
+    return m.signal.fs, m.duration, "baseband"
 
 
 def save_dataset(
@@ -88,9 +83,10 @@ def save_dataset(
     """Write each measurement's raw file as it arrives, then the manifest; returns it.
 
     No measurement is kept, so ``measurements`` may be the lazy iterator of
-    :func:`heartid.cohort.generate_cohort`.  The manifest's fs, duration, mode
-    and radar are read from the measurements, which must all agree on them;
-    an empty iterable raises :class:`ManifestError`.
+    :func:`heartid.cohort.generate_cohort`.  The manifest's fs (for cubes, the
+    slow-time rate of the fixed :class:`RadarConfig` device), duration and mode
+    are read from the measurements, which must all agree on them; an empty
+    iterable raises :class:`ManifestError`.
     """
     out_dir = Path(out_dir)
     header, records = None, []
@@ -99,8 +95,8 @@ def save_dataset(
             header = _dataset_header(m)
             out_dir.mkdir(parents=True, exist_ok=True)
         elif _dataset_header(m) != header:
-            raise ManifestError(f"{m.label} {m.session_id} r{m.repetition}: fs, duration, "
-                                "mode or radar differs from the first measurement")
+            raise ManifestError(f"{m.label} {m.session_id} r{m.repetition}: fs, duration "
+                                "or mode differs from the first measurement")
         name = f"{m.label}_{m.session_id}_r{m.repetition}"
         record = {
             "file": f"{name}.iq",
@@ -118,7 +114,7 @@ def save_dataset(
         del m  # free this record before the iterator renders the next one
     if header is None:
         raise ManifestError(f"no measurements to save in {out_dir}")
-    fs, duration, mode, radar = header
+    fs, duration, mode = header
     manifest = {
         "dataset_id": dataset_id,
         "fs": fs,
@@ -126,7 +122,6 @@ def save_dataset(
         "mode": mode,
         "seed": seed,
         "snr_db": snr_db,
-        "radar": radar,
         "profiles": [_profile_to_dict(p) for p in profiles],
         "records": records,
     }
@@ -155,15 +150,11 @@ def load_manifest(data_dir) -> dict:
     return manifest
 
 
-def manifest_radar(manifest: dict) -> RadarConfig:
-    radar = manifest.get("radar")
-    if radar is None:
-        return RadarConfig(fs_slow=manifest["fs"])
-    return RadarConfig(**radar)
-
-
 def load_record(data_dir, manifest: dict, record: dict) -> Measurement:
-    """Materialize one manifest record, whose file must match its size entry."""
+    """Materialize one manifest record, whose file must match its size entry.
+
+    Cubes use the fixed radar at the manifest's ``fs``; an older ``radar`` entry is ignored.
+    """
     path = Path(data_dir) / record["file"]
     if not path.exists():
         raise ManifestError(f"manifest references missing file {path}")
@@ -171,8 +162,8 @@ def load_record(data_dir, manifest: dict, record: dict) -> Measurement:
     if size_key not in record:
         raise ManifestError(f"manifest record for {path} lacks {size_key}")
     if manifest["mode"] == "cube":
-        cube = read_cube(path, manifest_radar(manifest), record["n_slow"])
-        signal: ComplexSeries | DataCube = cube
+        radar = RadarConfig(fs_slow=manifest["fs"])
+        signal: ComplexSeries | DataCube = read_cube(path, radar, record["n_slow"])
     else:
         samples = read_iq(path)
         if samples.size != record["n_samples"]:

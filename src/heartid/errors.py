@@ -58,20 +58,9 @@ class DimensionMismatch(PipelineError):
     pass
 
 
-DimMismatch = DimensionMismatch  # former name, kept for callers
-
-
 # --- radar front end -------------------------------------------------------
 
 class DegenerateCube(PipelineError):
-    pass
-
-
-class EmptyGrid(PipelineError):
-    pass
-
-
-class EmptyWindow(PipelineError):
     pass
 
 

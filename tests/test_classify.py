@@ -22,7 +22,7 @@ from heartid.classify import (
     train_multiclass,
 )
 from heartid.errors import (
-    DimMismatch,
+    DimensionMismatch,
     LengthMismatch,
     NonFiniteSample,
     NoConvergence,
@@ -285,7 +285,7 @@ def test_predict_dim_mismatch():
     rng = np.random.default_rng(7)
     X, labels = blobs(rng, [(0, 0), (3, 3)], 5)
     model = train_multiclass(X, labels)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         predict(model, np.ones((2, 5)))
 
 

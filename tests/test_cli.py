@@ -1,9 +1,13 @@
 import json
-from dataclasses import asdict
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heartid
 from heartid.cli import main
 from heartid.dataio import read_features, read_iq, write_iq
 from heartid.radar import RadarConfig
@@ -37,13 +41,18 @@ def test_synth_writes_manifest_and_files(small_dataset):
     assert some.exists() and some.stat().st_size == 2000 * 2 * 4
 
 
-def test_synth_cube_manifest(tmp_path):
-    data = tmp_path / "cube"
+@pytest.fixture(scope="module")
+def cube_dataset(tmp_path_factory):
+    data = tmp_path_factory.mktemp("cube")
     assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
                  "--duration", "4", "--mode", "cube"]) == 0
-    manifest = json.loads((data / "manifest.json").read_text())
+    return data
+
+
+def test_synth_cube_manifest(cube_dataset):
+    manifest = json.loads((cube_dataset / "manifest.json").read_text())
     assert manifest["mode"] == "cube"
-    assert manifest["radar"] == asdict(RadarConfig(fs_slow=100.0))
+    assert "radar" not in manifest  # the device is fixed; fs is its slow-time rate
     assert manifest["fs"] == 100.0 and manifest["duration"] == 4.0
     assert len(manifest["records"]) == 12
     assert all(r["n_slow"] == 400 for r in manifest["records"])
@@ -87,6 +96,28 @@ def test_extract_deterministic_bytes(small_dataset, tmp_path):
     for out in (a, b):
         assert main(["extract", "--data", str(small_dataset), "--out", str(out),
                      "--kind", "ph"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+# the radar entry that cube manifests carried before the device was fixed
+PARENT_RADAR = {
+    "fc": 79000000000.0, "bandwidth": 3600000000.0, "chirp_duration": 0.0001, "n_virtual": 12,
+    "fs_slow": 100.0, "n_fast": 128, "wavelength": 0.003794841240506329,
+    "element_spacing": 0.0018974206202531645,
+}
+
+
+@pytest.mark.parametrize("radar", [PARENT_RADAR, {"fc": "79 GHz"}], ids=["parent", "malformed"])
+def test_extract_ignores_radar_entry_of_older_manifests(cube_dataset, tmp_path, radar):
+    old = tmp_path / "old"
+    old.mkdir()
+    manifest = json.loads((cube_dataset / "manifest.json").read_text())
+    for record in manifest["records"]:
+        (old / record["file"]).symlink_to(cube_dataset / record["file"])
+    (old / "manifest.json").write_text(json.dumps({**manifest, "radar": radar}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["extract", "--data", str(cube_dataset), "--out", str(a)]) == 0
+    assert main(["extract", "--data", str(old), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -205,7 +236,7 @@ def test_extract_non_finite_sample_exits_2(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     sample_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
     if mode == "cube":  # 123 = element 0, fast-time bin 123 of the first chirp
-        assert manifest["radar"]["n_fast"] > 123
+        assert RadarConfig.n_fast > 123
         assert sample_id in err and "index (0, 0, 123) " in err
     else:
         assert sample_id in err and "index 123 " in err
@@ -231,6 +262,13 @@ def test_report_missing_key_exits_2(prop_csv, tmp_path, missing):
         {"extrct": {"k_prime": 16}},
         {"extract": 16},
         [1, 2],
+        # values outside an option's type or choices
+        {"eval": {"kernel": "poly"}},
+        {"extract": {"kind": "bogus"}},
+        {"synth": {"cohort": "bogus"}},
+        {"synth": {"mode": "bogus"}},
+        {"extract": {"k_prime": [1]}},
+        {"project": {"method": "umap"}},
     ],
 )
 def test_config_unknown_keys_exit_2(small_dataset, tmp_path, config):
@@ -240,6 +278,16 @@ def test_config_unknown_keys_exit_2(small_dataset, tmp_path, config):
     assert main(["--config", str(path), "extract", "--data", str(small_dataset),
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    src = str(Path(heartid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, heartid.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    for name in ("scipy.stats", "scipy.integrate", "scipy.constants"):
+        assert f"'{name}'" not in out
 
 
 # --- bad input at the file and parameter boundaries ------------------------------

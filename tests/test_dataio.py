@@ -11,7 +11,6 @@ from heartid.dataio import (
     file_sha256,
     load_manifest,
     load_record,
-    manifest_radar,
     read_cube,
     read_features,
     read_iq,
@@ -49,20 +48,22 @@ def test_iq_rejects_odd_float_count(tmp_path):
 
 
 def test_cube_roundtrip_and_axis_order(tmp_path):
-    cfg = RadarConfig(n_fast=4, n_virtual=2)
+    cfg = RadarConfig()
+    shape = (3, cfg.n_virtual, cfg.n_fast)
     rng = np.random.default_rng(1)
     values = (
-        rng.integers(-5, 5, (3, 2, 4)) + 1j * rng.integers(-5, 5, (3, 2, 4))
+        rng.integers(-5, 5, shape) + 1j * rng.integers(-5, 5, shape)
     ).astype(np.complex128)
     cube = DataCube(values, cfg)
     path = tmp_path / "c.iq"
     write_cube(path, cube)
     back = read_cube(path, cfg, n_slow=3)
     assert np.array_equal(back.values, values)
-    # fastest-varying index is fast time: first 8 floats are slow=0, elem=0
+    # fastest-varying index is fast time: first 2 * n_fast floats are slow=0, elem=0
     raw = np.fromfile(path, dtype="<f4")
-    assert np.array_equal(raw[0:8:2], values[0, 0].real)
-    assert np.array_equal(raw[1:8:2], values[0, 0].imag)
+    n = 2 * cfg.n_fast
+    assert np.array_equal(raw[0:n:2], values[0, 0].real)
+    assert np.array_equal(raw[1:n:2], values[0, 0].imag)
     with pytest.raises(IoError):
         read_cube(path, cfg, n_slow=5)
 
@@ -81,7 +82,7 @@ def test_dataset_roundtrip(tmp_path):
     assert back.label == orig.label and back.session_id == orig.session_id
     assert np.max(np.abs(back.signal.samples - orig.signal.samples)) <= 1e-6
     assert loaded["profiles"] == json.loads(json.dumps([_profile_to_dict(p) for p in profiles]))
-    assert manifest_radar(loaded).fs_slow == 100.0
+    assert loaded["fs"] == 100.0 and "radar" not in loaded
 
 
 def test_save_dataset_rejects_empty_and_mixed_measurements(tmp_path):

@@ -7,8 +7,9 @@ from scipy.constants import c as C_LIGHT
 from scipy.signal import detrend
 
 from heartid.cohort import default_cohort, displacement, render_cube
-from heartid.errors import DegenerateCube, EmptyGrid, EmptyWindow
+from heartid.errors import DegenerateCube
 from heartid.radar import (
+    ANGLE_GRID,
     BeamformResult,
     DataCube,
     RadarConfig,
@@ -34,13 +35,6 @@ def test_radar_config_defaults_consistent():
     assert abs(CFG.wavelength - C_LIGHT / 79e9) < 1e-12
     assert abs(CFG.element_spacing - CFG.wavelength / 2) < 1e-15
     assert abs(CFG.range_bin_spacing - C_LIGHT / (2 * 3.6e9)) < 1e-15
-
-
-def test_radar_config_rejects_inconsistent_wavelength():
-    with pytest.raises(ValueError):
-        RadarConfig(wavelength=3.9e-3)  # c/fc is 3.795 mm, off by >0.1%
-    with pytest.raises(ValueError):
-        RadarConfig(element_spacing=2.0e-3)
 
 
 # --- range profile ----------------------------------------------------------
@@ -85,13 +79,6 @@ def test_range_profile_preserves_energy():
     assert np.max(np.abs(e_in - e_out)) <= 1e-9 * np.max(e_in)
 
 
-def test_range_profile_degenerate():
-    cfg = RadarConfig(n_fast=1)
-    cube = DataCube(np.ones((4, cfg.n_virtual, 1), complex), cfg)
-    with pytest.raises(DegenerateCube):
-        range_profile(cube)
-
-
 def test_cube_without_slow_time_sample_is_rejected_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -125,9 +112,9 @@ def test_beamform_off_axis_target_within_one_step():
 def test_beamform_steering_gain_is_element_count():
     cube = still_target_cube(1.5, angle_deg=0.0)
     prof = range_profile(cube)
-    result = beamform(prof, CFG, angles_deg=np.array([0.0]))
+    result = beamform(prof, CFG)
     bin_idx = round(1.5 / CFG.range_bin_spacing)
-    steered_power = result.power[0, bin_idx]
+    steered_power = result.power[np.flatnonzero(ANGLE_GRID == 0.0)[0], bin_idx]
     single_power = np.mean(np.abs(prof[:, 0, bin_idx]) ** 2)
     assert abs(steered_power - CFG.n_virtual * single_power) <= 0.05 * steered_power
 
@@ -140,18 +127,26 @@ def materialized_power(profiles, weights):
 
 @pytest.mark.parametrize("n_slow", [1, 2, 37, 400])
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 3e7])
-@pytest.mark.parametrize("angles", [None, np.array([-90.0, -41.5, -3.0, 0.0, 0.25, 17.0, 89.0])])
+@pytest.mark.parametrize("angles", [None, np.array([-60.0, -41.0, -3.0, 0.0, 1.0, 17.0, 60.0])])
 def test_beamform_power_matches_materialized_steering(n_slow, scale, angles):
+    # None: every row against the result's own weights; otherwise the rows of
+    # the given grid angles against weights steered to those angles alone
     rng = np.random.default_rng(n_slow)
     shape = (n_slow, CFG.n_virtual, CFG.n_fast)
     profiles = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    result = beamform(profiles, CFG, angles_deg=angles)
-    reference = materialized_power(profiles, result.weights)
-    assert result.power.shape == reference.shape
+    result = beamform(profiles, CFG)
+    if angles is None:
+        power, reference = result.power, materialized_power(profiles, result.weights)
+    else:
+        rows = np.searchsorted(result.angles_deg, angles)
+        assert np.array_equal(result.angles_deg[rows], angles)
+        power = result.power[rows]
+        reference = materialized_power(profiles, steering_weights(angles))
+    assert power.shape == reference.shape
     row_max = reference.max(axis=1, keepdims=True)
     # also bounds a steering null that rounds to a tiny negative, since reference >= 0
-    assert np.all(np.abs(result.power - reference) <= 1e-12 * row_max)
-    assert np.argmax(result.power) == np.argmax(reference)
+    assert np.all(np.abs(power - reference) <= 1e-12 * row_max)
+    assert np.argmax(power) == np.argmax(reference)
 
 
 def _displacement_cube():
@@ -159,28 +154,29 @@ def _displacement_cube():
     return render_cube(d, CFG, snr_db=20.0, seed=9, range_m=1.5, angle_deg=0.0)
 
 
-def _two_target_cube():
+def _two_target_cube(far_m):
     near = still_target_cube(1.0, angle_deg=-10.0)
-    far = still_target_cube(2.5, angle_deg=15.0)
+    far = still_target_cube(far_m, angle_deg=15.0)
     return DataCube(near.values + far.values, CFG)
 
 
 @pytest.mark.parametrize(
-    "make_cube, window",
+    "make_cube",
     [
-        (lambda: still_target_cube(1.5, angle_deg=0.0), (0.5, 3.0)),
-        (lambda: still_target_cube(1.5, angle_deg=20.0, snr_db=10.0, seed=3), (0.5, 3.0)),
-        (_displacement_cube, (0.5, 3.0)),
-        (_two_target_cube, (0.5, 1.8)),
-        (_two_target_cube, (0.5, 3.0)),
+        lambda: still_target_cube(1.5, angle_deg=0.0),
+        lambda: still_target_cube(1.5, angle_deg=20.0, snr_db=10.0, seed=3),
+        _displacement_cube,
+        lambda: _two_target_cube(4.0),  # the far target lies outside RANGE_WINDOW
+        lambda: _two_target_cube(2.5),
     ],
+    ids=["broadside", "off_axis_noisy", "displacement", "far_target_outside", "two_targets"],
 )
-def test_select_echo_same_as_with_materialized_map(make_cube, window):
+def test_select_echo_same_as_with_materialized_map(make_cube):
     result = beamform(range_profile(make_cube()), CFG)
     reference = dataclasses.replace(
         result, power=materialized_power(result.profiles, result.weights)
     )
-    sel, ref = select_echo(result, window), select_echo(reference, window)
+    sel, ref = select_echo(result), select_echo(reference)
     assert (sel.angle_deg, sel.range_m) == (ref.angle_deg, ref.range_m)
     assert np.array_equal(sel.series.samples, ref.series.samples)
 
@@ -193,17 +189,9 @@ def test_steering_vector_coherent_sum():
     wave = np.exp(
         2j * np.pi * (CFG.element_spacing / CFG.wavelength) * np.sin(np.radians(theta)) * m
     )
-    w = steering_weights(CFG, np.array([theta]))[0]
+    w = steering_weights(np.array([theta]))[0]
     coherent = abs(np.sum(wave * w))
     assert abs(coherent - np.sqrt(CFG.n_virtual)) <= 1e-9
-
-
-def test_beamform_empty_grid():
-    cube = still_target_cube(1.5)
-    with pytest.raises(EmptyGrid):
-        beamform(range_profile(cube), CFG, angles_deg=np.array([]))
-    with pytest.raises(EmptyGrid):
-        beamform(range_profile(cube), CFG, angles_deg=np.array([95.0]))
 
 
 # --- echo selection ---------------------------------------------------------
@@ -222,10 +210,10 @@ def test_select_echo_recovers_displacement_phase():
 
 def test_select_echo_prefers_window():
     near = still_target_cube(1.0, angle_deg=-10.0)
-    far = still_target_cube(2.5, angle_deg=15.0)
+    far = still_target_cube(4.0, angle_deg=15.0)  # beyond the 3.0-m window edge
     cube = DataCube(near.values + far.values, CFG)
     result = beamform(range_profile(cube), CFG)
-    sel = select_echo(result, range_window=(0.5, 1.8))
+    sel = select_echo(result)
     assert abs(sel.range_m - 1.0) <= 2 * CFG.range_bin_spacing
     assert abs(sel.angle_deg - (-10.0)) <= 1.0
 
@@ -249,9 +237,3 @@ def test_select_echo_invariant_to_global_scaling():
     assert sel_a.range_m == sel_b.range_m
     assert sel_a.angle_deg == sel_b.angle_deg
 
-
-def test_select_echo_empty_window():
-    cube = still_target_cube(1.5)
-    result = beamform(range_profile(cube), CFG)
-    with pytest.raises(EmptyWindow):
-        select_echo(result, range_window=(50.0, 60.0))
