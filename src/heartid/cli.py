@@ -147,7 +147,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
 
 def _config_value(where: str, action: argparse.Action, value):
-    """A config value parsed as the command line parses the same text; bad values raise."""
+    """A config value parsed as the command line parses the same text; bad values raise.
+
+    A flag (an option that takes no argument) accepts only a JSON boolean.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise PipelineError(f"{where}: {value!r} is not a JSON boolean (true or false)")
+        return value
     if value is None and action.default is None:
         return None
     try:

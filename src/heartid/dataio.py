@@ -143,6 +143,11 @@ def load_manifest(data_dir) -> dict:
     for key in ("fs", "mode", "records"):
         if key not in manifest:
             raise ManifestError(f"{path}: missing required key {key!r}")
+    fs, mode = manifest["fs"], manifest["mode"]
+    if isinstance(fs, bool) or not isinstance(fs, (int, float)) or not 0 < fs < math.inf:
+        raise ManifestError(f"{path}: key 'fs' is {fs!r}, not a positive finite number")
+    if mode not in ("baseband", "cube"):
+        raise ManifestError(f"{path}: key 'mode' is {mode!r}, not 'baseband' or 'cube'")
     for i, record in enumerate(manifest["records"]):
         missing = [k for k in RECORD_KEYS if not isinstance(record, dict) or k not in record]
         if missing:

@@ -3,10 +3,12 @@
 A :class:`DataCube` is indexed (slow time, virtual element, fast time).  The
 fast-time DFT turns beat frequency into range (bin spacing c/(2B)).  The mean
 delay-and-sum power of every (angle, range) cell of the 12-element virtual
-array comes from each range bin's slow-time element covariance; steering only
-the strongest cell inside a range window yields the slow-time series s(t)
-that the feature pipeline consumes.  The device, its angle grid and its range
-window are fixed; only the slow-time rate varies between datasets.
+array comes from each range bin's slow-time element covariance, accumulated
+over short slow-time blocks so that no full-size transposed or conjugated
+copy of the range profiles is formed; steering only the strongest cell
+inside a range window yields the slow-time series s(t) that the feature
+pipeline consumes.  The device, its angle grid and its range window are
+fixed; only the slow-time rate varies between datasets.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ C_LIGHT = 299_792_458.0  # speed of light in vacuum, m/s (exact by the SI defini
 ANGLE_GRID = np.arange(-60.0, 60.0 + 1e-9, 1.0)  # beamformer search grid, degrees
 RANGE_WINDOW = (0.5, 3.0)  # ranges searched for the target echo, m
 LOW_SNR_POWER = 1.0  # mean echo power below which a selection is flagged low_snr
+_COV_BLOCK = 64  # slow-time samples per covariance block (32-256 time within ~10%)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,9 @@ def range_profile(cube: DataCube) -> np.ndarray:
 
     Scaled by 1/sqrt(n_fast) so each chirp's energy is preserved.
     """
-    return np.fft.fft(cube.values, axis=2) / np.sqrt(cube.config.n_fast)
+    profiles = np.fft.fft(cube.values, axis=2)
+    profiles /= np.sqrt(cube.config.n_fast)
+    return profiles
 
 
 def steering_weights(angles_deg: np.ndarray) -> np.ndarray:
@@ -127,16 +132,23 @@ def beamform(profiles: np.ndarray, cfg: RadarConfig) -> BeamformResult:
 
     Returns the slow-time-mean power map, shape (n_angles, n_range); the
     result also carries the steering weights needed to reconstruct any
-    cell's complex series.
+    cell's complex series.  Each range bin's element covariance is summed
+    over blocks of ``_COV_BLOCK`` chirps, each copied once into a small
+    contiguous (range, element, slow) array for BLAS, then divided by the
+    number of chirps.
     """
-    if profiles.shape[0] == 0:
+    n_slow, n_elem, n_range = profiles.shape
+    if n_slow == 0:
         raise DegenerateCube(f"profiles of shape {profiles.shape} have no slow-time sample")
     weights = BeamformResult.weights
 
     # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H
-    per_range = np.transpose(profiles, (2, 1, 0))
-    cov = per_range @ per_range.conj().transpose(0, 2, 1) / profiles.shape[0]
-    power = np.einsum("ai,rij,aj->ar", weights, cov, weights.conj()).real
+    cov = np.zeros((n_range, n_elem, n_elem), dtype=np.complex128)
+    for s0 in range(0, n_slow, _COV_BLOCK):
+        blk = np.ascontiguousarray(profiles[s0:s0 + _COV_BLOCK].transpose(2, 1, 0))
+        cov += blk @ blk.conj().transpose(0, 2, 1)
+    cov /= n_slow
+    power = np.einsum("rai,ai->ar", weights[None] @ cov, weights.conj()).real
     return BeamformResult(profiles, cfg, power)
 
 

@@ -107,14 +107,19 @@ PARENT_RADAR = {
 }
 
 
+def _relinked(dataset, out, entries):
+    """``out`` links every record file of ``dataset``; its manifest has ``entries`` set."""
+    out.mkdir()
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    for record in manifest["records"]:
+        (out / record["file"]).symlink_to(dataset / record["file"])
+    (out / "manifest.json").write_text(json.dumps({**manifest, **entries}))
+    return out
+
+
 @pytest.mark.parametrize("radar", [PARENT_RADAR, {"fc": "79 GHz"}], ids=["parent", "malformed"])
 def test_extract_ignores_radar_entry_of_older_manifests(cube_dataset, tmp_path, radar):
-    old = tmp_path / "old"
-    old.mkdir()
-    manifest = json.loads((cube_dataset / "manifest.json").read_text())
-    for record in manifest["records"]:
-        (old / record["file"]).symlink_to(cube_dataset / record["file"])
-    (old / "manifest.json").write_text(json.dumps({**manifest, "radar": radar}))
+    old = _relinked(cube_dataset, tmp_path / "old", {"radar": radar})
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["extract", "--data", str(cube_dataset), "--out", str(a)]) == 0
     assert main(["extract", "--data", str(old), "--out", str(b)]) == 0
@@ -277,6 +282,50 @@ def test_config_unknown_keys_exit_2(small_dataset, tmp_path, config):
     out = tmp_path / "f.csv"
     assert main(["--config", str(path), "extract", "--data", str(small_dataset),
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value", ["no", "true", 0, 1, None, [True]],
+    ids=["string_no", "string_true", "zero", "one", "null", "list"],
+)
+def test_config_flag_takes_only_a_json_boolean(small_dataset, tmp_path, capsys, value):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"extract": {"log_energies": value}}))
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["--config", str(path), "extract", "--data", str(small_dataset),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "extract log_energies" in err
+    assert not out.exists()
+
+
+def test_config_flag_true_same_as_command_line_flag(small_dataset, tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"extract": {"log_energies": True}}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["--config", str(path), "extract", "--data", str(small_dataset),
+                 "--out", str(a)]) == 0
+    assert main(["extract", "--data", str(small_dataset), "--out", str(b),
+                 "--log-energies"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"fs": "100"}, {"fs": -5}, {"fs": True}, {"fs": float("inf")}, {"fs": float("nan")},
+     {"mode": "fmcw"}],
+    ids=["fs_string", "fs_negative", "fs_bool", "fs_inf", "fs_nan", "mode_unknown"],
+)
+def test_extract_bad_manifest_fs_or_mode_exits_2(cube_dataset, tmp_path, capsys, entry):
+    bad = _relinked(cube_dataset, tmp_path / "bad", entry)
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["extract", "--data", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    (key,) = entry
+    assert str(bad / "manifest.json") in err and f"key {key!r}" in err
     assert not out.exists()
 
 

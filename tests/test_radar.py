@@ -9,6 +9,7 @@ from scipy.signal import detrend
 from heartid.cohort import default_cohort, displacement, render_cube
 from heartid.errors import DegenerateCube
 from heartid.radar import (
+    _COV_BLOCK,
     ANGLE_GRID,
     BeamformResult,
     DataCube,
@@ -125,7 +126,10 @@ def materialized_power(profiles, weights):
     return (np.abs(steered) ** 2).mean(axis=0).T
 
 
-@pytest.mark.parametrize("n_slow", [1, 2, 37, 400])
+# the last four straddle the slow-time block boundaries of the covariance sum
+@pytest.mark.parametrize(
+    "n_slow", [1, 2, 37, 400, _COV_BLOCK - 1, _COV_BLOCK, _COV_BLOCK + 1, 2 * _COV_BLOCK + 1]
+)
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 3e7])
 @pytest.mark.parametrize("angles", [None, np.array([-60.0, -41.0, -3.0, 0.0, 1.0, 17.0, 60.0])])
 def test_beamform_power_matches_materialized_steering(n_slow, scale, angles):
@@ -179,6 +183,25 @@ def test_select_echo_same_as_with_materialized_map(make_cube):
     sel, ref = select_echo(result), select_echo(reference)
     assert (sel.angle_deg, sel.range_m) == (ref.angle_deg, ref.range_m)
     assert np.array_equal(sel.series.samples, ref.series.samples)
+
+
+@pytest.mark.parametrize(
+    "make_cube",
+    [
+        lambda: still_target_cube(1.5, angle_deg=0.0),
+        lambda: still_target_cube(1.5, angle_deg=20.0, snr_db=10.0, seed=3),
+        _displacement_cube,
+    ],
+    ids=["broadside", "off_axis_noisy", "displacement"],
+)
+def test_front_end_bit_identical_to_out_of_place_profiles(make_cube):
+    cube = make_cube()
+    reference = np.fft.fft(cube.values, axis=2) / np.sqrt(cube.config.n_fast)
+    assert np.array_equal(range_profile(cube), reference)
+    sel = extract_slow_time(cube)
+    r = int(np.flatnonzero(CFG.range_axis == sel.range_m)[0])
+    w = BeamformResult.weights[int(np.flatnonzero(ANGLE_GRID == sel.angle_deg)[0])]
+    assert np.array_equal(sel.series.samples, reference[:, :, r] @ w)
 
 
 def test_steering_vector_coherent_sum():
