@@ -6,7 +6,8 @@ separately to positive and negative frequencies, incoherent integration over
 the whole measurement, DCT-II, and truncation to the lowest-order
 coefficients.  Complex input yields the two-sided ``comp`` vector (2K'
 coefficients); the amplitude and phase branches are one-sided and yield K'
-coefficients each.  Concatenating all three gives the fused ``prop`` vector.
+coefficients each.  Concatenating all three gives the fused ``prop`` vector
+(4K').  Every feature vector is a plain 1-D float64 array.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import (
-    AxisMismatch,
-    DimensionMismatch,
-    EmptyInput,
-    InvalidParameter,
-    KindMismatch,
-    KPrimeTooLarge,
-)
+from .errors import AxisMismatch, EmptyInput, InvalidParameter, KPrimeTooLarge
 from .signals import (
     ComplexSeries,
     Spectrogram,
@@ -38,9 +32,6 @@ from .signals import (
 )
 
 FEATURE_KINDS = ("amp", "ph", "comp", "prop")
-
-#: dimension of a feature vector of each kind, as a multiple of K'
-_KIND_MULTIPLIER = {"amp": 1, "ph": 1, "comp": 2, "prop": 4}
 
 
 @dataclass(frozen=True)
@@ -75,18 +66,6 @@ class MelBank:
     """
 
     centers: np.ndarray
-    mel_points: np.ndarray
-    m_tilde: float
-
-    def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.float64)
-        mel_points = np.asarray(self.mel_points, dtype=np.float64)
-        if centers.size != mel_points.size or centers.size < 3:
-            raise ValueError("need f_0 ... f_{L+1} with L >= 1")
-        if np.any(np.diff(centers) <= 0):
-            raise ValueError("center frequencies must be strictly increasing")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "mel_points", mel_points)
 
     @property
     def n_filters(self) -> int:
@@ -97,72 +76,30 @@ class MelBank:
         return float(self.centers[-1])
 
 
-@dataclass(frozen=True)
-class MelEnergies:
-    """Incoherently integrated filter-bank outputs.
-
-    ``positive`` holds M_{+0} ... M_{+(L-1)}; ``negative`` the mirrored
-    M_{-0} ... M_{-(L-1)} (None for one-sided input).  The zero-indexed
-    entries of the two sides are distinct variables, not shared.
-    """
-
-    positive: np.ndarray
-    negative: np.ndarray | None
-
-    def __post_init__(self):
-        positive = np.asarray(self.positive, dtype=np.float64)
-        object.__setattr__(self, "positive", positive)
-        if self.negative is not None:
-            negative = np.asarray(self.negative, dtype=np.float64)
-            if negative.size != positive.size:
-                raise ValueError("positive/negative banks differ in size")
-            object.__setattr__(self, "negative", negative)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Cepstral feature vector with its branch label.
-
-    Dimension is K' for ``amp``/``ph``, 2K' for ``comp`` and 4K' for the
-    fused ``prop`` vector.
-    """
-
-    values: np.ndarray
-    kind: str
-    k_prime: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if self.kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        expected = _KIND_MULTIPLIER[self.kind] * self.k_prime
-        if values.size != expected:
-            raise DimensionMismatch(
-                f"kind {self.kind!r} with K'={self.k_prime} needs "
-                f"{expected} values, got {values.size}"
-            )
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def build_mel_bank(cfg: MelBankConfig) -> MelBank:
     """Construct the warped filter bank edges.
 
     The warping constant is m~ = f' / log(f'/f_ref + 1); the mel points are
     spaced linearly, m_ell = m~ * (ell/(L+1)) * log(1 + fs/(2 f_ref)) for
     ell = 0 ... L+1, and mapped back through
-    f_ell = f_ref * (exp(m_ell/m~) - 1).  The top edge lands exactly on the
-    Nyquist frequency fs/2.
+    f_ell = f_ref * (exp(m_ell/m~) - 1).  The edges must rise strictly from
+    f_0 = 0 to the Nyquist frequency fs/2 (within 1e-9 relative); settings
+    that miss this, or whose warping is flat, raise :class:`InvalidParameter`.
     """
-    m_tilde = cfg.f_prime / math.log(cfg.f_prime / cfg.f_ref + 1.0)
+    settings = f"f_ref={cfg.f_ref:g}, f_prime={cfg.f_prime:g} and fs={cfg.fs:g} Hz"
+    warp = math.log(cfg.f_prime / cfg.f_ref + 1.0)
+    if warp == 0.0:
+        raise InvalidParameter(f"{settings} give a flat warping (f_prime/f_ref + 1 == 1)")
+    scale = cfg.f_prime / warp
     ell = np.arange(cfg.n_filters + 2, dtype=np.float64)
-    mel_points = m_tilde * (ell / (cfg.n_filters + 1)) * math.log(
-        1.0 + cfg.fs / (2.0 * cfg.f_ref)
-    )
-    centers = cfg.f_ref * np.expm1(mel_points / m_tilde)
-    return MelBank(centers, mel_points, m_tilde)
+    mels = scale * (ell / (cfg.n_filters + 1)) * math.log(1.0 + cfg.fs / (2.0 * cfg.f_ref))
+    centers = cfg.f_ref * np.expm1(mels / scale)
+    nyq = cfg.fs / 2.0
+    rising = centers[0] == 0.0 and (np.diff(centers) > 0).all()
+    if not (rising and abs(centers[-1] - nyq) <= 1e-9 * nyq):
+        raise InvalidParameter(f"{settings} give edges {centers[0]:g} ... {centers[-1]:g} Hz, "
+                               f"not rising strictly from 0 to {nyq:g} Hz")
+    return MelBank(centers)
 
 
 def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
@@ -231,19 +168,23 @@ def _time_integral(spec: Spectrogram) -> np.ndarray:
     return np.zeros(spec.freqs.size)
 
 
-def mel_energies(spec: Spectrogram, bank: MelBank) -> MelEnergies:
+def mel_energies(spec: Spectrogram, bank: MelBank) -> tuple[np.ndarray, np.ndarray | None]:
     """Integrate the spectrogram against each filter over time and frequency.
 
     Both integrals use the trapezoidal rule on the discrete STFT grid, time
     first (trapezoid is linear, so the order is immaterial).  For a two-sided
     spectrogram the filters are applied separately to the positive and
     negative frequency halves (the negative side through H_ell(-f)).
+
+    Returns ``(positive, negative)``: M_{+0} ... M_{+(L-1)} and the mirrored
+    M_{-0} ... M_{-(L-1)}, or None for one-sided input.  The zero-indexed
+    entries of the two sides are distinct variables, not shared.
     """
     _check_axis(spec.freqs, bank)
     energies = _side_energies(
         _time_integral(spec), _spectral_sides(bank, spec.freqs, spec.two_sided)
     )
-    return MelEnergies(energies[0], energies[1] if spec.two_sided else None)
+    return energies[0], energies[1] if spec.two_sided else None
 
 
 def dct2(m) -> np.ndarray:
@@ -253,12 +194,6 @@ def dct2(m) -> np.ndarray:
         raise EmptyInput("DCT input must be nonempty")
     # scipy's unnormalized type-II transform is exactly twice this convention.
     return scipy.fft.dct(m, type=2, norm=None) / 2.0
-
-
-def _compress(energies: np.ndarray, log_energies: bool) -> np.ndarray:
-    if log_energies:
-        return np.log(energies + 1e-12)
-    return energies
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,7 +222,7 @@ def _cepstra(
     window_len: float,
     hop: float,
     log_energies: bool,
-) -> dict[str, FeatureVector]:
+) -> dict[str, np.ndarray]:
     """The requested branch vectors of one signal.
 
     Each branch chains the public blocks: the second derivative of |s|, of
@@ -301,7 +236,9 @@ def _cepstra(
         )
 
     def cepstrum(energies: np.ndarray) -> np.ndarray:
-        return dct2(_compress(energies, log_energies))[:k_prime]
+        if log_energies:
+            energies = np.log(energies + 1e-12)
+        return dct2(energies)[:k_prime]
 
     out = {}
     for kind in kinds:
@@ -314,7 +251,7 @@ def _cepstra(
         cepstra = [cepstrum(e) for e in _side_energies(_time_integral(spec), sides)]
         if kind == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
             cepstra = [cepstra[1][::-1], cepstra[0]]
-        out[kind] = FeatureVector(np.concatenate(cepstra), kind, k_prime)
+        out[kind] = np.concatenate(cepstra)
     return out
 
 
@@ -326,13 +263,14 @@ def extract_features(
     window_len: float = 2.0,
     hop: float = 0.1,
     log_energies: bool = False,
-) -> FeatureVector:
-    """Run one feature branch end to end on a complex slow-time signal.
+) -> np.ndarray:
+    """One feature vector of a complex slow-time signal, as a 1-D float64 array.
 
     ``comp`` differentiates the complex signal and keeps both spectral sides:
     the result is ordered [C_{-(K'-1)}, ..., C_{-0}, C_{+0}, ..., C_{+(K'-1)}].
     ``amp`` and ``ph`` differentiate |s| or the unwrapped phase and keep the
-    K' lowest-order one-sided coefficients.
+    K' lowest-order one-sided coefficients.  ``prop`` is the fused vector of
+    :func:`extract_all`.  Any other kind raises :class:`InvalidParameter`.
 
     The DCT is applied to the raw integrated energies by default;
     ``log_energies`` switches to log(M + 1e-12) compression first.  The
@@ -340,20 +278,11 @@ def extract_features(
     ``complex_second_derivative``), ``stft_magnitude``, ``mel_energies`` and
     ``dct2``.
     """
-    if kind not in ("amp", "ph", "comp"):
-        raise ValueError(f"kind must be amp/ph/comp, got {kind!r}")
+    if kind not in FEATURE_KINDS:
+        raise InvalidParameter(f"kind must be one of {', '.join(FEATURE_KINDS)}, got {kind!r}")
+    if kind == "prop":
+        return extract_all(s, cfg, k_prime, window_len, hop, log_energies)["prop"]
     return _cepstra(s, cfg, (kind,), k_prime, window_len, hop, log_energies)[kind]
-
-
-def fuse(amp: FeatureVector, ph: FeatureVector, comp: FeatureVector) -> FeatureVector:
-    """Concatenate the three branch vectors (amp, ph, comp) into ``prop``."""
-    for vec, expected in ((amp, "amp"), (ph, "ph"), (comp, "comp")):
-        if vec.kind != expected:
-            raise KindMismatch(f"expected kind {expected!r}, got {vec.kind!r}")
-    if not amp.k_prime == ph.k_prime == comp.k_prime:
-        raise DimensionMismatch("branches disagree on K'")
-    values = np.concatenate([amp.values, ph.values, comp.values])
-    return FeatureVector(values, "prop", amp.k_prime)
 
 
 def extract_all(
@@ -363,12 +292,13 @@ def extract_all(
     window_len: float = 2.0,
     hop: float = 0.1,
     log_energies: bool = False,
-) -> dict[str, FeatureVector]:
+) -> dict[str, np.ndarray]:
     """All four feature vectors of one signal: ``amp``, ``ph``, ``comp``, ``prop``.
 
-    Each equals ``extract_features`` of that kind; ``prop`` is their
-    ``fuse``.  The three branches share one cached filter bank.
+    Each equals ``extract_features`` of that kind.  ``prop`` is the 4K'
+    concatenation [amp, ph, comp].  The three branches share one cached
+    filter bank.
     """
     out = _cepstra(s, cfg, ("amp", "ph", "comp"), k_prime, window_len, hop, log_energies)
-    out["prop"] = fuse(out["amp"], out["ph"], out["comp"])
+    out["prop"] = np.concatenate([out["amp"], out["ph"], out["comp"]])
     return out

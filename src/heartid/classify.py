@@ -78,12 +78,18 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, gamma: float) -> np
 
 
 def resolve_gamma(gamma, X: np.ndarray) -> float:
-    """'scale' resolves to 1/(n_dims * Var(X)), the usual robust default."""
+    """'scale' resolves to 1/(n_dims * Var(X)), the usual robust default.
+
+    A numeric gamma must be positive and finite, or :class:`InvalidParameter`
+    is raised: the RBF kernel is not positive semi-definite otherwise.
+    """
     if gamma == "scale":
         var = float(np.asarray(X, dtype=np.float64).var())
         if var <= 0:
             var = 1.0
         return 1.0 / (X.shape[1] * var)
+    if not 0 < float(gamma) < np.inf:
+        raise InvalidParameter(f"gamma must be 'scale' or positive and finite, got {gamma}")
     return float(gamma)
 
 

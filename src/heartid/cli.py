@@ -219,23 +219,13 @@ def cmd_extract(args) -> int:
         except PipelineError as exc:
             raise PipelineError(f"sample {base_id}: {exc}") from exc
         pieces = (
-            cohort.segment(measurement, args.segment)
-            if args.segment
-            else [measurement]
+            [measurement] if args.segment is None else cohort.segment(measurement, args.segment)
         )
         for seg_idx, piece in enumerate(pieces):
             try:
-                series = _measurement_series(piece)
-                vec = (
-                    cepstrum.extract_all(
-                        series, cfg, args.k_prime, args.window, args.hop,
-                        args.log_energies,
-                    )["prop"]
-                    if args.kind == "prop"
-                    else cepstrum.extract_features(
-                        series, cfg, args.k_prime, args.kind, args.window,
-                        args.hop, args.log_energies,
-                    )
+                values = cepstrum.extract_features(
+                    _measurement_series(piece), cfg, args.k_prime, args.kind,
+                    args.window, args.hop, args.log_energies,
                 )
             except PipelineError as exc:
                 raise PipelineError(f"sample {base_id} segment {seg_idx}: {exc}") from exc
@@ -246,10 +236,10 @@ def cmd_extract(args) -> int:
                     "session_id": record["session_id"],
                     "segment_index": seg_idx,
                     "kind": args.kind,
-                    "values": vec.values,
+                    "values": values,
                 }
             )
-            n_values = len(vec)
+            n_values = values.size
     dataio.write_features(args.out, rows, n_values)
     print(f"wrote {len(rows)} x {n_values} feature rows ({args.kind}) to {args.out}")
     return 0

@@ -132,6 +132,7 @@ def save_dataset(
 
 
 def load_manifest(data_dir) -> dict:
+    """Read a dataset manifest; a missing or malformed entry raises ManifestError naming it."""
     path = Path(data_dir) / MANIFEST_NAME
     if not path.exists():
         raise ManifestError(f"no {MANIFEST_NAME} in {data_dir}")
@@ -148,10 +149,20 @@ def load_manifest(data_dir) -> dict:
         raise ManifestError(f"{path}: key 'fs' is {fs!r}, not a positive finite number")
     if mode not in ("baseband", "cube"):
         raise ManifestError(f"{path}: key 'mode' is {mode!r}, not 'baseband' or 'cube'")
-    for i, record in enumerate(manifest["records"]):
-        missing = [k for k in RECORD_KEYS if not isinstance(record, dict) or k not in record]
+    records = manifest["records"]
+    if not isinstance(records, list) or not records:
+        raise ManifestError(f"{path}: key 'records' is {records!r:.40}, not a non-empty list")
+    size_key = "n_slow" if mode == "cube" else "n_samples"
+    for i, record in enumerate(records):
+        missing = [k for k in (*RECORD_KEYS, size_key)
+                   if not isinstance(record, dict) or k not in record]
         if missing:
             raise ManifestError(f"{path}: records[{i}] lacks {', '.join(missing)}")
+        size = record[size_key]
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ManifestError(
+                f"{path}: records[{i}] key {size_key!r} is {size!r}, not a positive int"
+            )
     return manifest
 
 
@@ -163,9 +174,6 @@ def load_record(data_dir, manifest: dict, record: dict) -> Measurement:
     path = Path(data_dir) / record["file"]
     if not path.exists():
         raise ManifestError(f"manifest references missing file {path}")
-    size_key = "n_slow" if manifest["mode"] == "cube" else "n_samples"
-    if size_key not in record:
-        raise ManifestError(f"manifest record for {path} lacks {size_key}")
     if manifest["mode"] == "cube":
         radar = RadarConfig(fs_slow=manifest["fs"])
         signal: ComplexSeries | DataCube = read_cube(path, radar, record["n_slow"])

@@ -50,10 +50,6 @@ class KPrimeTooLarge(PipelineError):
     pass
 
 
-class KindMismatch(PipelineError):
-    pass
-
-
 class DimensionMismatch(PipelineError):
     pass
 

@@ -103,7 +103,6 @@ class Spectrogram:
     freqs: np.ndarray
     frame_times: np.ndarray
     window_len: float
-    hop: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -230,6 +229,4 @@ def stft_magnitude(x: RealSeries | ComplexSeries, window_len: float, hop: float)
 
     t0 = getattr(x, "t0", 0.0)
     frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / x.fs
-    return Spectrogram(
-        spec, stft_freqs(x.fs, window_len, two_sided), frame_times, n_win / x.fs, n_hop / x.fs
-    )
+    return Spectrogram(spec, stft_freqs(x.fs, window_len, two_sided), frame_times, n_win / x.fs)

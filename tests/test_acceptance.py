@@ -27,7 +27,7 @@ def cohort_features(preset: str, seed: int, snr_db: float, seg_len: float | None
         for piece in pieces:
             feats = cepstrum.extract_all(piece.signal, MEL_CFG)
             for kind in cepstrum.FEATURE_KINDS:
-                rows[kind].append(feats[kind].values)
+                rows[kind].append(feats[kind])
             labels.append(piece.label)
             sessions.append(piece.session_id)
     features = {kind: np.stack(rows[kind]) for kind in cepstrum.FEATURE_KINDS}
@@ -114,14 +114,14 @@ def test_criterion_5_numerical_oracles():
     freqs = np.linspace(-50.0, 50.0, 8001)
     bumps = [(1.0, 2.0, 0.9), (0.6, 9.0, 2.5), (0.4, -15.0, 3.0)]
     spec = Spectrogram(
-        _smooth_spectrogram(freqs, frame_times, bumps), freqs, frame_times, 2.0, 0.1
+        _smooth_spectrogram(freqs, frame_times, bumps), freqs, frame_times, 2.0
     )
-    en = cepstrum.mel_energies(spec, bank)
+    positive, negative = cepstrum.mel_energies(spec, bank)
     pos = _riemann_oracle(bank, 6.0, bumps, 0.0, 50.0, 40001, 601)
     neg = _riemann_oracle(bank, 6.0, bumps, -50.0, 0.0, 40001, 601)
     scale = max(pos.max(), neg.max())
-    assert np.max(np.abs(en.positive - pos)) <= 1e-3 * scale
-    assert np.max(np.abs(en.negative - neg)) <= 1e-3 * scale
+    assert np.max(np.abs(positive - pos)) <= 1e-3 * scale
+    assert np.max(np.abs(negative - neg)) <= 1e-3 * scale
 
     # SMO dual objective vs projected-gradient QP on problems of <= 50 points
     from test_classify import dual_objective, qp_oracle

@@ -7,22 +7,18 @@ from scipy.integrate import trapezoid
 
 from heartid import cepstrum
 from heartid.cepstrum import (
-    FeatureVector,
-    MelBank,
     MelBankConfig,
     bank_response_matrix,
     build_mel_bank,
     dct2,
     extract_all,
     extract_features,
-    fuse,
     mel_energies,
 )
 from heartid.errors import (
     AxisMismatch,
-    DimensionMismatch,
     EmptyInput,
-    KindMismatch,
+    InvalidParameter,
     KPrimeTooLarge,
     SeriesTooShort,
 )
@@ -51,7 +47,6 @@ def naive_dct2(m):
 def test_mel_bank_bottom_edge_is_zero():
     bank = build_mel_bank(MelBankConfig())
     assert bank.centers[0] == 0.0
-    assert bank.mel_points[0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -66,6 +61,19 @@ def test_mel_bank_bottom_edge_is_zero():
 def test_mel_bank_top_edge_is_nyquist(cfg):
     bank = build_mel_bank(cfg)
     assert abs(bank.centers[-1] - cfg.fs / 2) <= 1e-9 * (cfg.fs / 2)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        MelBankConfig(f_ref=1e20),   # f_prime/f_ref + 1 == 1: a flat warping
+        MelBankConfig(f_prime=1e-20),
+        MelBankConfig(f_ref=1e17),   # top edge at 44.4 Hz instead of 50 Hz
+    ],
+)
+def test_mel_bank_rejects_degenerate_settings(cfg):
+    with pytest.raises(InvalidParameter, match="f_ref="):
+        build_mel_bank(cfg)
 
 
 def test_mel_bank_matches_high_precision_oracle():
@@ -125,11 +133,10 @@ def test_mel_energies_zero_spectrogram():
         np.linspace(0, 50, 51),
         np.linspace(0, 9, 10),
         2.0,
-        1.0,
     )
-    en = mel_energies(spec, bank)
-    assert np.all(en.positive == 0.0)
-    assert en.negative is None
+    positive, negative = mel_energies(spec, bank)
+    assert np.all(positive == 0.0)
+    assert negative is None
 
 
 def test_mel_energies_unit_spectrogram_gives_duration():
@@ -139,10 +146,10 @@ def test_mel_energies_unit_spectrogram_gives_duration():
     t0 = 10.0
     freqs = np.linspace(0, 50, 8001)
     spec = Spectrogram(
-        np.ones((21, freqs.size)), freqs, np.linspace(0, t0, 21), 2.0, 0.5
+        np.ones((21, freqs.size)), freqs, np.linspace(0, t0, 21), 2.0
     )
-    en = mel_energies(spec, bank)
-    assert np.max(np.abs(en.positive - t0)) <= 1e-3 * t0
+    positive, _ = mel_energies(spec, bank)
+    assert np.max(np.abs(positive - t0)) <= 1e-3 * t0
 
 
 def _smooth_spectrogram(freqs, frame_times, bumps):
@@ -190,18 +197,17 @@ def test_mel_energies_match_brute_force_quadrature():
         freqs,
         frame_times,
         2.0,
-        0.1,
     )
-    en = mel_energies(spec, bank)
+    positive, negative = mel_energies(spec, bank)
     pos_oracle = _riemann_oracle(bank, duration, bumps, 0.0, 50.0, 40001, 801)
     neg_oracle = _riemann_oracle(bank, duration, bumps, -50.0, 0.0, 40001, 801)
     scale = max(pos_oracle.max(), neg_oracle.max())
-    assert np.max(np.abs(en.positive - pos_oracle)) <= 1e-3 * scale
-    assert np.max(np.abs(en.negative - neg_oracle)) <= 1e-3 * scale
+    assert np.max(np.abs(positive - pos_oracle)) <= 1e-3 * scale
+    assert np.max(np.abs(negative - neg_oracle)) <= 1e-3 * scale
     # filters with substantial energy also meet the entrywise relative bound
     big = pos_oracle > 0.05 * scale
     assert np.all(
-        np.abs(en.positive[big] - pos_oracle[big]) <= 1e-3 * pos_oracle[big]
+        np.abs(positive[big] - pos_oracle[big]) <= 1e-3 * pos_oracle[big]
     )
 
 
@@ -210,16 +216,16 @@ def test_mel_energies_tone_concentrates_on_positive_side():
     t = np.arange(1000) / fs
     spec = stft_magnitude(ComplexSeries(np.exp(2j * np.pi * 3.0 * t), fs), 2.0, 0.1)
     bank = build_mel_bank(MelBankConfig())
-    en = mel_energies(spec, bank)
-    assert en.positive.max() > 0
-    assert en.negative.max() <= 1e-9 * en.positive.max()
+    positive, negative = mel_energies(spec, bank)
+    assert positive.max() > 0
+    assert negative.max() <= 1e-9 * positive.max()
     # energy sits in the filters whose support covers 3 Hz
     covering = [
         ell
         for ell in range(bank.n_filters)
         if bank.centers[ell] <= 3.0 < bank.centers[ell + 2]
     ]
-    top = np.argsort(en.positive)[-len(covering) :]
+    top = np.argsort(positive)[-len(covering) :]
     assert set(covering) <= set(top.tolist())
 
 
@@ -228,14 +234,14 @@ def test_mel_energies_real_signal_two_sided_symmetry():
     fs = 100.0
     x = rng.standard_normal(2000)  # real signal seen as complex
     spec = stft_magnitude(ComplexSeries(x + 0j, fs), 2.0, 0.1)
-    en = mel_energies(spec, build_mel_bank(MelBankConfig()))
-    scale = en.positive.max()
-    assert np.max(np.abs(en.positive - en.negative)) <= 1e-9 * scale
+    positive, negative = mel_energies(spec, build_mel_bank(MelBankConfig()))
+    scale = positive.max()
+    assert np.max(np.abs(positive - negative)) <= 1e-9 * scale
 
 
 def test_mel_energies_axis_mismatch():
     spec = Spectrogram(
-        np.ones((4, 26)), np.linspace(0, 25, 26), np.arange(4.0), 1.0, 1.0
+        np.ones((4, 26)), np.linspace(0, 25, 26), np.arange(4.0), 1.0
     )
     with pytest.raises(AxisMismatch):
         mel_energies(spec, build_mel_bank(MelBankConfig(fs=40.0)))  # nyq 20 < 25
@@ -301,7 +307,7 @@ def test_feature_extraction_deterministic(tone_signal):
     cfg = MelBankConfig()
     a = extract_features(tone_signal, cfg, 24, "comp")
     b = extract_features(tone_signal, cfg, 24, "comp")
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_comp_ordering_symmetric_for_real_signal():
@@ -310,7 +316,7 @@ def test_comp_ordering_symmetric_for_real_signal():
     rng = np.random.default_rng(11)
     s = ComplexSeries(rng.standard_normal(1200) + 0j, 100.0)
     vec = extract_features(s, MelBankConfig(), 24, "comp")
-    neg, pos = vec.values[:24][::-1], vec.values[24:]
+    neg, pos = vec[:24][::-1], vec[24:]
     scale = np.max(np.abs(pos))
     assert np.max(np.abs(neg - pos)) <= 1e-9 * scale
 
@@ -320,15 +326,15 @@ def test_amplitude_scaling_covariance(tone_signal):
     c = 3.0
     scaled = ComplexSeries(c * tone_signal.samples, tone_signal.fs)
     for kind in ("amp", "comp"):
-        base = extract_features(tone_signal, cfg, 24, kind).values
-        got = extract_features(scaled, cfg, 24, kind).values
+        base = extract_features(tone_signal, cfg, 24, kind)
+        got = extract_features(scaled, cfg, 24, kind)
         assert np.max(np.abs(got - c * base)) <= 1e-12 * np.max(np.abs(c * base))
 
 
 def test_log_energies_changes_values(tone_signal):
     cfg = MelBankConfig()
-    raw = extract_features(tone_signal, cfg, 24, "comp").values
-    logged = extract_features(tone_signal, cfg, 24, "comp", log_energies=True).values
+    raw = extract_features(tone_signal, cfg, 24, "comp")
+    logged = extract_features(tone_signal, cfg, 24, "comp", log_energies=True)
     assert not np.allclose(raw, logged)
 
 
@@ -341,38 +347,19 @@ def test_extract_errors(tone_signal):
     short = ComplexSeries(tone_signal.samples[:150], tone_signal.fs)
     with pytest.raises(SeriesTooShort):
         extract_features(short, cfg, 24, "comp")
-    with pytest.raises(ValueError):
-        extract_features(tone_signal, cfg, 24, "prop")
+    with pytest.raises(InvalidParameter):  # still a ValueError for callers
+        extract_features(tone_signal, cfg, 24, "bogus")
 
 
 def test_fuse_concatenation(tone_signal):
-    feats = extract_all(tone_signal, MelBankConfig())
-    prop = feats["prop"]
-    assert len(prop) == 96
-    assert np.array_equal(prop.values[:24], feats["amp"].values)
-    assert np.array_equal(prop.values[24:48], feats["ph"].values)
-    assert np.array_equal(prop.values[48:], feats["comp"].values)
-    again = fuse(feats["amp"], feats["ph"], feats["comp"])
-    assert np.array_equal(again.values, prop.values)
-
-
-def test_fuse_validation(tone_signal):
     cfg = MelBankConfig()
-    amp = extract_features(tone_signal, cfg, 24, "amp")
-    ph = extract_features(tone_signal, cfg, 24, "ph")
-    comp = extract_features(tone_signal, cfg, 24, "comp")
-    with pytest.raises(KindMismatch):
-        fuse(ph, amp, comp)
-    comp12 = extract_features(tone_signal, cfg, 12, "comp")
-    with pytest.raises(DimensionMismatch):
-        fuse(amp, ph, comp12)
-
-
-def test_feature_vector_dimension_validation():
-    with pytest.raises(DimensionMismatch):
-        FeatureVector(np.zeros(10), "amp", 24)
-    with pytest.raises(ValueError):
-        FeatureVector(np.zeros(24), "bogus", 24)
+    feats = extract_all(tone_signal, cfg)
+    prop = feats["prop"]
+    assert prop.shape == (96,) and prop.dtype == np.float64
+    assert np.array_equal(prop[:24], feats["amp"])
+    assert np.array_equal(prop[24:48], feats["ph"])
+    assert np.array_equal(prop[48:], feats["comp"])
+    assert np.array_equal(extract_features(tone_signal, cfg, 24, "prop"), prop)
 
 
 # --- single-pass extraction against the public building blocks ---------------
@@ -386,11 +373,11 @@ def _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies):
 
     if kind == "comp":
         spec = stft_magnitude(complex_second_derivative(s), window_len, hop)
-        en = mel_energies(spec, bank)
-        return np.concatenate([cep(en.negative)[::-1], cep(en.positive)])
+        positive, negative = mel_energies(spec, bank)
+        return np.concatenate([cep(negative)[::-1], cep(positive)])
     base = amplitude(s) if kind == "amp" else phase_unwrapped(s)
-    en = mel_energies(stft_magnitude(second_derivative(base), window_len, hop), bank)
-    return cep(en.positive)
+    positive, _ = mel_energies(stft_magnitude(second_derivative(base), window_len, hop), bank)
+    return cep(positive)
 
 
 def _heartbeat_like(n, fs, t0, seed):
@@ -421,11 +408,11 @@ def test_extraction_bit_identical_to_public_blocks(
     for kind in ("amp", "ph", "comp"):
         ref = _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
         single = extract_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
-        assert np.array_equal(feats[kind].values, ref), kind
-        assert np.array_equal(single.values, ref), kind
+        assert np.array_equal(feats[kind], ref), kind
+        assert np.array_equal(single, ref), kind
     assert np.array_equal(
-        feats["prop"].values,
-        np.concatenate([feats["amp"].values, feats["ph"].values, feats["comp"].values]),
+        feats["prop"],
+        np.concatenate([feats["amp"], feats["ph"], feats["comp"]]),
     )
 
 

@@ -23,6 +23,7 @@ from heartid.classify import (
 )
 from heartid.errors import (
     DimensionMismatch,
+    InvalidParameter,
     LengthMismatch,
     NonFiniteSample,
     NoConvergence,
@@ -189,6 +190,13 @@ def test_smo_kkt_conditions_hold():
 def test_smo_single_class_rejected():
     with pytest.raises(SingleClass):
         train_binary_svm(np.ones((4, 2)), np.ones(4))
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0, 0.0])
+def test_smo_rejects_gamma_not_positive_and_finite(gamma):
+    X = np.random.default_rng(2).standard_normal((8, 2))
+    with pytest.raises(InvalidParameter, match="gamma"):
+        train_binary_svm(X, np.array([1.0, -1.0] * 4), gamma=gamma)
 
 
 def test_smo_nonconvergence_is_surfaced():

@@ -315,8 +315,9 @@ def test_config_flag_true_same_as_command_line_flag(small_dataset, tmp_path):
 @pytest.mark.parametrize(
     "entry",
     [{"fs": "100"}, {"fs": -5}, {"fs": True}, {"fs": float("inf")}, {"fs": float("nan")},
-     {"mode": "fmcw"}],
-    ids=["fs_string", "fs_negative", "fs_bool", "fs_inf", "fs_nan", "mode_unknown"],
+     {"mode": "fmcw"}, {"records": 5}, {"records": []}],
+    ids=["fs_string", "fs_negative", "fs_bool", "fs_inf", "fs_nan", "mode_unknown",
+         "records_int", "records_empty"],
 )
 def test_extract_bad_manifest_fs_or_mode_exits_2(cube_dataset, tmp_path, capsys, entry):
     bad = _relinked(cube_dataset, tmp_path / "bad", entry)
@@ -326,6 +327,22 @@ def test_extract_bad_manifest_fs_or_mode_exits_2(cube_dataset, tmp_path, capsys,
     err = capsys.readouterr().err
     (key,) = entry
     assert str(bad / "manifest.json") in err and f"key {key!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["2000", 0, True])
+@pytest.mark.parametrize("dataset", ["small_dataset", "cube_dataset"])
+def test_extract_bad_record_size_exits_2(request, tmp_path, capsys, dataset, size):
+    data = request.getfixturevalue(dataset)
+    records = json.loads((data / "manifest.json").read_text())["records"]
+    size_key = "n_slow" if dataset == "cube_dataset" else "n_samples"
+    records[1][size_key] = size
+    bad = _relinked(data, tmp_path / "bad", {"records": records})
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["extract", "--data", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad / "manifest.json") in err and f"records[1] key {size_key!r}" in err
     assert not out.exists()
 
 
@@ -392,6 +409,12 @@ def test_extract_record_not_matching_its_file_exits_2(tmp_path, capsys, damage):
         ("extract", "n_filters", 0),
         ("extract", "window", "nan"),
         ("extract", "segment", "nan"),
+        ("extract", "segment", "0"),
+        ("extract", "f_ref", "1e20"),
+        ("extract", "f_prime", "1e-20"),
+        ("extract", "f_ref", "1e17"),
+        ("eval", "gamma", "nan"),
+        ("train", "gamma", "-1"),
         ("train", "C", -1),
         ("synth", "fs", 0),
         ("train", "max_passes", -1),

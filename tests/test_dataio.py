@@ -108,7 +108,7 @@ def test_manifest_errors(tmp_path):
         load_manifest(tmp_path)
     (tmp_path / "manifest.json").write_text(
         '{"fs": 100.0, "mode": "baseband", "records": [{"file": "gone.iq", '
-        '"label": "a", "session_id": "s", "repetition": 1}]}'
+        '"label": "a", "session_id": "s", "repetition": 1, "n_samples": 4}]}'
     )
     manifest = load_manifest(tmp_path)
     with pytest.raises(ManifestError):

@@ -48,11 +48,11 @@ def test_complex_series_rejects_non_finite_sample(bad):
 
 def test_spectrogram_invariants():
     with pytest.raises(ValueError):
-        Spectrogram(-np.ones((2, 3)), np.arange(3.0), np.arange(2.0), 1.0, 0.5)
+        Spectrogram(-np.ones((2, 3)), np.arange(3.0), np.arange(2.0), 1.0)
     with pytest.raises(ValueError):
-        Spectrogram(np.ones((2, 3)), np.array([0.0, 0.0, 1.0]), np.arange(2.0), 1.0, 0.5)
+        Spectrogram(np.ones((2, 3)), np.array([0.0, 0.0, 1.0]), np.arange(2.0), 1.0)
     with pytest.raises(ValueError):
-        Spectrogram(np.ones((2, 3)), np.arange(4.0), np.arange(2.0), 1.0, 0.5)
+        Spectrogram(np.ones((2, 3)), np.arange(4.0), np.arange(2.0), 1.0)
 
 
 # --- second derivative ------------------------------------------------------
