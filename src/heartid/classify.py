@@ -140,7 +140,7 @@ def _smo(
         i = int(np.argmax(up_v))
         j = int(np.argmin(low_v))
         m_up, m_low = up_v[i], low_v[j]
-        converged = bool(m_up - m_low <= tol)  # a numpy bool breaks save_model
+        converged = bool(m_up - m_low <= tol)  # a Python bool, which JSON can serialize
         if converged or it >= max_iter:
             break
 
@@ -221,7 +221,6 @@ class SvmModel:
     machines: list[BinaryMachine]
     kernel: str
     gamma: float
-    C: float
     standardizer: Standardizer
 
 
@@ -253,7 +252,7 @@ def train_multiclass(
         machines.append(
             train_binary_svm(Xs, y, kernel, C, gamma_val, tol, max_passes, K=K)
         )
-    return SvmModel(classes, machines, kernel, gamma_val, C, std)
+    return SvmModel(classes, machines, kernel, gamma_val, std)
 
 
 def predict(model: SvmModel, X: np.ndarray):
@@ -472,59 +471,3 @@ def session_grouped_cv(
     report.params = {"kernel": kernel, "C": C, "gamma": str(gamma), "k_folds": len(folds)}
     return report
 
-
-# --- model persistence ------------------------------------------------------
-
-def save_model(model: SvmModel, path, manifest_hash: str | None = None) -> None:
-    """Serialize a trained model (JSON) with optional provenance hash."""
-    payload = {
-        "kernel": model.kernel,
-        "gamma": model.gamma,
-        "C": model.C,
-        "classes": [str(c) for c in model.classes],
-        "standardizer": {
-            "mean": model.standardizer.mean.tolist(),
-            "std": model.standardizer.std.tolist(),
-        },
-        "machines": [
-            {
-                "support_vectors": m.support_vectors.tolist(),
-                "dual_coef": m.dual_coef.tolist(),
-                "bias": m.bias,
-                "converged": m.converged,
-                "n_iter": m.n_iter,
-            }
-            for m in model.machines
-        ],
-        "training_manifest_hash": manifest_hash,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-
-
-def load_model(path) -> SvmModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    machines = [
-        BinaryMachine(
-            support_vectors=np.asarray(m["support_vectors"], dtype=np.float64),
-            dual_coef=np.asarray(m["dual_coef"], dtype=np.float64),
-            bias=float(m["bias"]),
-            converged=bool(m["converged"]),
-            n_iter=int(m["n_iter"]),
-        )
-        for m in payload["machines"]
-    ]
-    std = Standardizer(
-        np.asarray(payload["standardizer"]["mean"], dtype=np.float64),
-        np.asarray(payload["standardizer"]["std"], dtype=np.float64),
-    )
-    return SvmModel(
-        classes=payload["classes"],
-        machines=machines,
-        kernel=payload["kernel"],
-        gamma=float(payload["gamma"]),
-        C=float(payload["C"]),
-        standardizer=std,
-    )

@@ -1,4 +1,4 @@
-"""Command-line front end: synth, extract, train, eval, project, report.
+"""Command-line front end: synth, extract, eval, project, report.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal failure.
 Option precedence is flags > --config JSON file > built-in defaults; the
@@ -71,15 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", type=float, default=0.1)
     p.add_argument("--log-energies", action="store_true")
 
-    p = sub.add_parser("train", help="fit a multiclass SVM on a feature CSV")
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--kernel", default="rbf", choices=classify.KERNELS)
-    p.add_argument("--C", type=float, default=10.0)
-    p.add_argument("--gamma", type=_gamma_arg, default="scale")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-passes", type=int, default=10)
-
     p = sub.add_parser("eval", help="session-grouped cross-validation report")
     p.add_argument("--features", required=True)
     p.add_argument("--report", required=True, help="output report JSON")
@@ -118,7 +109,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         try:
             with open(known.config) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
             raise PipelineError(f"cannot read config {known.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise PipelineError(f"config {known.config} must map subcommands to options")
@@ -245,26 +236,6 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    table = dataio.read_features(args.features)
-    model = classify.train_multiclass(
-        table.values,
-        table.labels,
-        kernel=args.kernel,
-        C=args.C,
-        gamma=args.gamma,
-        tol=args.tol,
-        max_passes=args.max_passes,
-    )
-    classify.save_model(model, args.out, manifest_hash=dataio.file_sha256(args.features))
-    n_sv = sum(m.support_vectors.shape[0] for m in model.machines)
-    print(
-        f"trained {len(model.classes)}-class model on {table.n_rows} rows "
-        f"({n_sv} support vectors) -> {args.out}"
-    )
-    return 0
-
-
 def cmd_eval(args) -> int:
     table = dataio.read_features(args.features)
     data = classify.LabeledDataset(table.values, table.labels, table.sessions)
@@ -356,7 +327,7 @@ def cmd_report(args) -> int:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise PipelineError(f"cannot read report {path}: {exc}") from exc
         if not isinstance(payload, dict) or not {"accuracy_pct", "macro_auc"} <= payload.keys():
             raise PipelineError(f"{path} is not an eval report: needs accuracy_pct and macro_auc")
@@ -393,7 +364,6 @@ def cmd_report(args) -> int:
 COMMANDS = {
     "synth": cmd_synth,
     "extract": cmd_extract,
-    "train": cmd_train,
     "eval": cmd_eval,
     "project": cmd_project,
     "report": cmd_report,

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,13 +139,16 @@ def load_manifest(data_dir) -> dict:
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path}: not a JSON object")
     for key in ("fs", "mode", "records"):
         if key not in manifest:
             raise ManifestError(f"{path}: missing required key {key!r}")
     fs, mode = manifest["fs"], manifest["mode"]
-    if isinstance(fs, bool) or not isinstance(fs, (int, float)) or not 0 < fs < math.inf:
+    if (isinstance(fs, bool) or not isinstance(fs, (int, float))
+            or not 0 < fs <= sys.float_info.max):  # an int can exceed the float range
         raise ManifestError(f"{path}: key 'fs' is {fs!r}, not a positive finite number")
     if mode not in ("baseband", "cube"):
         raise ManifestError(f"{path}: key 'mode' is {mode!r}, not 'baseband' or 'cube'")
@@ -158,12 +161,33 @@ def load_manifest(data_dir) -> dict:
                    if not isinstance(record, dict) or k not in record]
         if missing:
             raise ManifestError(f"{path}: records[{i}] lacks {', '.join(missing)}")
-        size = record[size_key]
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        bad = _bad_record_key(record, size_key)
+        if bad:
+            key, expected = bad
             raise ManifestError(
-                f"{path}: records[{i}] key {size_key!r} is {size!r}, not a positive int"
+                f"{path}: records[{i}] key {key!r} is {record[key]!r:.60}, not {expected}"
             )
     return manifest
+
+
+def _bad_record_key(record: dict, size_key: str) -> tuple[str, str] | None:
+    """The first (key, expectation) a record's value fails, or None.
+
+    ``file`` must name a file inside the dataset directory, as ``save_dataset``
+    writes it: a bare name, so no record reads outside the dataset.
+    """
+    file = record["file"]
+    if not isinstance(file, str) or file in ("", ".", "..") or Path(file).name != file:
+        return "file", "a file name without a directory part"
+    for key in ("label", "session_id"):
+        if not isinstance(record[key], str) or not record[key]:
+            return key, "a non-empty string"
+    repetition, size = record["repetition"], record[size_key]
+    if isinstance(repetition, bool) or not isinstance(repetition, int):
+        return "repetition", "an int"
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        return size_key, "a positive int"
+    return None
 
 
 def load_record(data_dir, manifest: dict, record: dict) -> Measurement:
@@ -185,14 +209,6 @@ def load_record(data_dir, manifest: dict, record: dict) -> Measurement:
     return Measurement(
         signal, record["label"], record["session_id"], record["repetition"]
     )
-
-
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 # --- feature CSV ------------------------------------------------------------
@@ -235,54 +251,77 @@ def write_features(path, rows: list[dict], n_values: int) -> None:
             )
 
 
-def _number(path, line: list[str], header: list[str], j: int, parse=float):
-    """Cell ``j`` of a feature row as a finite number, or an error naming it."""
+def _number(path, line: list[str], header: list[str], j: int, parse=float, bound=math.inf):
+    """Cell ``j`` of a feature row as a number of magnitude below ``bound``, or an IoError."""
     try:
         value = parse(line[j])
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise IoError(f"{path}: sample {line[0]} column {header[j]}: {line[j]!r} is not finite")
+    if not abs(value) < bound:
+        raise IoError(f"{path}: sample {line[0]} column {header[j]}: {line[j]!r} is not "
+                      f"a number below {bound:g} in magnitude")
     return value
 
 
+def _check_squares_fit(path, sample_ids: list[str], header: list[str], values: np.ndarray):
+    """Raise IoError naming the first feature too large for float64 sums of squares.
+
+    Standardization sums squared deviations over the rows, and kernels and
+    t-SNE sum squared differences over the columns.  Each term is at most
+    ``(2 * limit)**2`` when every ``|value| <= limit``, so with
+    ``4 * max(shape) * limit**2`` equal to the largest float64 no sum overflows.
+    """
+    limit = math.sqrt(np.finfo(np.float64).max / (4 * max(values.shape)))
+    too_large = np.abs(values) > limit
+    if too_large.any():
+        i, j = np.argwhere(too_large)[0]
+        raise IoError(f"{path}: sample {sample_ids[i]} column {header[5 + j]}: "
+                      f"{values[i, j]:g} exceeds {limit:.4g}, above which sums of "
+                      f"squared features can overflow")
+
+
 def read_features(path) -> FeatureTable:
-    """Parse a feature CSV; a ragged row or a non-finite cell is an IoError."""
+    """Parse a feature CSV; a ragged row or a non-finite or too large cell is an IoError."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"feature file {path} does not exist")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IoError(f"{path}: empty feature file") from None
-        if header[: len(FEATURE_META_COLUMNS)] != FEATURE_META_COLUMNS:
-            raise IoError(f"{path}: unexpected header {header[:5]}")
-        sample_ids, labels, sessions, segments, kinds, values = [], [], [], [], [], []
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != len(header):
-                raise IoError(
-                    f"{path}: sample {line[0]} has {len(line)} cells, header {len(header)}"
-                )
-            sample_ids.append(line[0])
-            labels.append(line[1])
-            sessions.append(line[2])
-            segments.append(_number(path, line, header, 3, int))
-            kinds.append(line[4])
-            values.append([_number(path, line, header, j) for j in range(5, len(line))])
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IoError(f"{path}: empty feature file") from None
+            if header[: len(FEATURE_META_COLUMNS)] != FEATURE_META_COLUMNS:
+                raise IoError(f"{path}: unexpected header {header[:5]}")
+            sample_ids, labels, sessions, segments, kinds, values = [], [], [], [], [], []
+            for line in reader:
+                if not line:
+                    continue
+                if len(line) != len(header):
+                    raise IoError(
+                        f"{path}: sample {line[0]} has {len(line)} cells, header {len(header)}"
+                    )
+                sample_ids.append(line[0])
+                labels.append(line[1])
+                sessions.append(line[2])
+                segments.append(_number(path, line, header, 3, int, 2**63))
+                kinds.append(line[4])
+                values.append([_number(path, line, header, j) for j in range(5, len(line))])
+    except (csv.Error, UnicodeDecodeError) as exc:  # e.g. an oversized field
+        raise IoError(f"{path}: unreadable CSV ({exc})") from exc
     if not values:
         raise IoError(f"{path}: no feature rows")
     kind_set = set(kinds)
     if len(kind_set) != 1:
         raise IoError(f"{path}: mixed feature kinds {sorted(kind_set)}")
+    values = np.asarray(values, dtype=np.float64)
+    _check_squares_fit(path, sample_ids, header, values)
     return FeatureTable(
         sample_ids=sample_ids,
         labels=np.asarray(labels),
         sessions=np.asarray(sessions),
         segments=np.asarray(segments, dtype=int),
         kind=kind_set.pop(),
-        values=np.asarray(values, dtype=np.float64),
+        values=values,
     )

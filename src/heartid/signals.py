@@ -30,8 +30,9 @@ from .errors import (
 def _check_series(samples: np.ndarray, fs: float) -> None:
     if samples.ndim != 1 or samples.size == 0:
         raise InvalidParameter("samples must be a nonempty 1-D array")
-    if not 0 < fs < math.inf:
-        raise InvalidParameter(f"sampling rate must be positive and finite, got {fs}")
+    # the second derivative scales by fs**2, so the square must be finite too
+    if not (0 < fs < math.inf and fs * fs < math.inf):
+        raise InvalidParameter(f"sampling rate must be positive with a finite square, got {fs}")
 
 
 def check_finite(samples: np.ndarray) -> None:

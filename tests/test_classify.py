@@ -11,10 +11,8 @@ from heartid.classify import (
     SvmModel,
     _smo,
     kernel_matrix,
-    load_model,
     metrics,
     predict,
-    save_model,
     session_folds,
     session_grouped_cv,
     standardize_fit_transform,
@@ -220,7 +218,7 @@ def test_smo_budget_ending_at_convergence_counts_as_converged():
     with warnings.catch_warnings():
         warnings.simplefilter("error", NoConvergence)
         exact_alpha, exact_bias, exact_converged, exact_iter = _smo(K, y, 10.0, 1e-3, n_iter)
-    assert exact_converged is True  # a Python bool, which save_model can serialize
+    assert exact_converged is True  # a Python bool, not a numpy.bool_
     assert exact_iter == n_iter
     assert np.array_equal(exact_alpha, alpha) and exact_bias == bias
 
@@ -431,19 +429,3 @@ def test_metrics_confusion_consistency():
 def test_metrics_length_mismatch():
     with pytest.raises(LengthMismatch):
         metrics(["a", "b"], ["a"])
-
-
-# --- persistence ----------------------------------------------------------------
-
-def test_model_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    X, labels = blobs(rng, [(0, 0), (3, 0), (0, 3)], 8)
-    model = train_multiclass(X, labels)
-    path = tmp_path / "model.json"
-    save_model(model, path, manifest_hash="abc123")
-    loaded = load_model(path)
-    probe = rng.standard_normal((10, 2))
-    p1, s1 = predict(model, probe)
-    p2, s2 = predict(loaded, probe)
-    assert np.array_equal([str(x) for x in p1], [str(x) for x in p2])
-    assert np.max(np.abs(s1 - s2)) <= 1e-12

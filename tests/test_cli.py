@@ -126,16 +126,6 @@ def test_extract_ignores_radar_entry_of_older_manifests(cube_dataset, tmp_path, 
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_train_writes_model_with_provenance(prop_csv, tmp_path):
-    model_path = tmp_path / "model.json"
-    assert main(["train", "--features", str(prop_csv), "--out", str(model_path)]) == 0
-    payload = json.loads(model_path.read_text())
-    assert len(payload["machines"]) == 6
-    from heartid.dataio import file_sha256
-
-    assert payload["training_manifest_hash"] == file_sha256(prop_csv)
-
-
 def test_eval_report_and_confusion(prop_csv, tmp_path):
     report_path = tmp_path / "report.json"
     conf_path = tmp_path / "conf.csv"
@@ -198,9 +188,12 @@ def test_report_summary(prop_csv, tmp_path):
     assert summary_csv.read_text().splitlines()[0] == "method,accuracy_pct,macro_auc"
 
 
-def test_usage_error_exits_1():
+def test_usage_error_exits_1(prop_csv, tmp_path):
     assert main(["extract", "--data"]) == 1  # missing value
     assert main(["bogus-command"]) == 1
+    # the model-writing subcommand is gone; its name is no longer a choice
+    assert main(["train", "--features", str(prop_csv), "--out", str(tmp_path / "m.json")]) == 1
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_data_error_exits_2(tmp_path):
@@ -274,6 +267,7 @@ def test_report_missing_key_exits_2(prop_csv, tmp_path, missing):
         {"synth": {"mode": "bogus"}},
         {"extract": {"k_prime": [1]}},
         {"project": {"method": "umap"}},
+        {"train": {"C": 1.0}},  # a section for the removed subcommand
     ],
 )
 def test_config_unknown_keys_exit_2(small_dataset, tmp_path, config):
@@ -315,9 +309,9 @@ def test_config_flag_true_same_as_command_line_flag(small_dataset, tmp_path):
 @pytest.mark.parametrize(
     "entry",
     [{"fs": "100"}, {"fs": -5}, {"fs": True}, {"fs": float("inf")}, {"fs": float("nan")},
-     {"mode": "fmcw"}, {"records": 5}, {"records": []}],
-    ids=["fs_string", "fs_negative", "fs_bool", "fs_inf", "fs_nan", "mode_unknown",
-         "records_int", "records_empty"],
+     {"fs": 10**400}, {"mode": "fmcw"}, {"records": 5}, {"records": []}],
+    ids=["fs_string", "fs_negative", "fs_bool", "fs_inf", "fs_nan", "fs_int_beyond_float",
+         "mode_unknown", "records_int", "records_empty"],
 )
 def test_extract_bad_manifest_fs_or_mode_exits_2(cube_dataset, tmp_path, capsys, entry):
     bad = _relinked(cube_dataset, tmp_path / "bad", entry)
@@ -346,6 +340,55 @@ def test_extract_bad_record_size_exits_2(request, tmp_path, capsys, dataset, siz
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("file", 5), ("file", None), ("file", ""), ("file", "."), ("file", ".."),
+        ("file", "/etc/hostname"), ("file", "sub/p1_d1am_r1.iq"), ("file", "OUTSIDE"),
+        ("label", [1]), ("label", ""), ("label", 1), ("session_id", None),
+        ("session_id", ""), ("repetition", "x"), ("repetition", True), ("repetition", 1.0),
+    ],
+)
+def test_extract_bad_record_entry_exits_2(small_dataset, tmp_path, capsys, key, value):
+    records = json.loads((small_dataset / "manifest.json").read_text())["records"]
+    if value == "OUTSIDE":  # a real record file, reached through the parent directory
+        value = f"../{small_dataset.name}/{records[1]['file']}"
+    records[1][key] = value
+    bad = _relinked(small_dataset, tmp_path / "bad", {"records": records})
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["extract", "--data", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad / "manifest.json") in err and f"records[1] key {key!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"5", b"null", b'"records"', b"\xff\xfe{}"],
+                         ids=["int", "null", "string", "not_utf8"])
+def test_extract_manifest_not_a_json_object_exits_2(tmp_path, capsys, content):
+    (tmp_path / "manifest.json").write_bytes(content)
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["extract", "--data", str(tmp_path), "--out", str(out)]) == 2
+    assert str(tmp_path / "manifest.json") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "report"])
+def test_json_file_not_utf8_exits_2(prop_csv, tmp_path, capsys, where):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    if where == "config":
+        argv = ["--config", str(bad), "eval", "--features", str(prop_csv),
+                "--report", str(tmp_path / "r.json")]
+    else:
+        argv = ["report", str(bad), "--out", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_import_skips_slow_scipy_modules():
     src = str(Path(heartid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -358,7 +401,7 @@ def test_cli_import_skips_slow_scipy_modules():
 
 # --- bad input at the file and parameter boundaries ------------------------------
 
-@pytest.mark.parametrize("command", ["eval", "train", "project"])
+@pytest.mark.parametrize("command", ["eval", "project"])
 @pytest.mark.parametrize("cell", ["nan", "-inf", "0.5x", None])
 def test_bad_feature_cell_exits_2(prop_csv, tmp_path, capsys, command, cell):
     lines = prop_csv.read_text().splitlines()
@@ -370,13 +413,91 @@ def test_bad_feature_cell_exits_2(prop_csv, tmp_path, capsys, command, cell):
     lines[3] = ",".join(row)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    out = {"eval": "--report", "train": "--out", "project": "--out"}[command]
+    out = {"eval": "--report", "project": "--out"}[command]
     capsys.readouterr()
     assert main([command, "--features", str(bad), out, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and f"sample {row[0]}" in err
     assert cell is None or "column c7" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "project"])
+@pytest.mark.parametrize("damage", ["oversized_cell", "not_utf8"])
+def test_unreadable_feature_csv_exits_2(prop_csv, tmp_path, capsys, command, damage):
+    text = prop_csv.read_bytes()
+    if damage == "oversized_cell":  # beyond the csv module's 131072-character field limit
+        text = text.replace(b",prop,", b",prop" + b"0" * 200_000 + b",", 1)
+    else:
+        text = b"\xff\xfe" + text
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    out = {"eval": "--report", "project": "--out"}[command]
+    capsys.readouterr()
+    assert main([command, "--features", str(bad), out, str(tmp_path / "out")]) == 2
+    assert f"{bad}: unreadable CSV" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "pca", "tsne"])
+@pytest.mark.parametrize(
+    "damage,column",
+    [("all_1e308", "c0"), ("cell_1e308", "c7"), ("column_1e200", "c7"), ("cell_-1e153", "c7")],
+)
+def test_overflowing_feature_exits_2(prop_csv, tmp_path, capsys, command, damage, column):
+    lines = [line.split(",") for line in prop_csv.read_text().splitlines()]
+    for i, row in enumerate(lines[1:], start=1):
+        if damage == "all_1e308":
+            row[5:] = ["1e308"] * (len(row) - 5)
+        elif damage == "column_1e200":
+            row[5 + 7] = "1e200"
+        elif i == 3:
+            row[5 + 7] = damage.split("_")[1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(",".join(row) for row in lines) + "\n")
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--features", str(bad), "--report", str(out)]
+    else:
+        argv = ["project", "--features", str(bad), "--out", str(out), "--method", command,
+                "--perplexity", "8", "--iterations", "60"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"column {column}:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "pca", "tsne"])
+def test_largest_accepted_features_stay_finite(prop_csv, tmp_path, command):
+    # every cell just inside the bound, alternating sign by row: the worst case
+    # for the squared sums, 4 * 96 columns * bound**2 = the largest float64
+    lines = [line.split(",") for line in prop_csv.read_text().splitlines()]
+    bound = np.sqrt(np.finfo(np.float64).max / (4 * (len(lines[0]) - 5)))
+    for i, row in enumerate(lines[1:]):
+        row[5:] = [f"{(-1) ** i * 0.99 * bound:.17g}"] * (len(row) - 5)
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(",".join(row) for row in lines) + "\n")
+    out = tmp_path / "out"
+    if command == "eval":
+        assert main(["eval", "--features", str(big), "--report", str(out)]) == 0
+        assert np.isfinite(json.loads(out.read_text())["macro_auc"])
+    else:
+        assert main(["project", "--features", str(big), "--out", str(out), "--method",
+                     command, "--perplexity", "8", "--iterations", "60"]) == 0
+        points = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(2, 3))
+        assert np.isfinite(points).all()
+
+
+@pytest.mark.parametrize("index", ["1" + "0" * 400, "9223372036854775808", "1e3"])
+def test_bad_segment_index_exits_2(prop_csv, tmp_path, capsys, index):
+    lines = [line.split(",") for line in prop_csv.read_text().splitlines()]
+    lines[3][3] = index
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(",".join(row) for row in lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--features", str(bad), "--report", str(tmp_path / "r.json")]) == 2
+    assert f"{bad}: sample {lines[3][0]} column segment_index:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["truncated", "empty", "no_file"])
@@ -414,10 +535,10 @@ def test_extract_record_not_matching_its_file_exits_2(tmp_path, capsys, damage):
         ("extract", "f_prime", "1e-20"),
         ("extract", "f_ref", "1e17"),
         ("eval", "gamma", "nan"),
-        ("train", "gamma", "-1"),
-        ("train", "C", -1),
+        ("eval", "gamma", "-1"),
+        ("eval", "C", -1),
         ("synth", "fs", 0),
-        ("train", "max_passes", -1),
+        ("eval", "max_passes", -1),
         ("eval", "tol", "nan"),
         ("project", "perplexity", "nan"),
     ],
@@ -427,7 +548,6 @@ def test_invalid_parameter_exits_2(
 ):
     files = {
         "extract": ["--data", str(small_dataset), "--out", str(tmp_path / "f.csv")],
-        "train": ["--features", str(prop_csv), "--out", str(tmp_path / "m.json")],
         "eval": ["--features", str(prop_csv), "--report", str(tmp_path / "r.json")],
         "project": ["--features", str(prop_csv), "--out", str(tmp_path / "p.csv"),
                     "--method", "tsne"],

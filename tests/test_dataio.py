@@ -8,7 +8,6 @@ from heartid.cohort import Schedule, default_cohort, generate_cohort
 from heartid.dataio import (
     FeatureTable,
     _profile_to_dict,
-    file_sha256,
     load_manifest,
     load_record,
     read_cube,
@@ -155,11 +154,3 @@ def test_feature_csv_validation(tmp_path):
     path.write_text("sample_id,label,session_id,segment_index,kind,c0\n")
     with pytest.raises(IoError):
         read_features(path)  # no rows
-
-
-def test_file_sha256(tmp_path):
-    p = tmp_path / "a.bin"
-    p.write_bytes(b"hello")
-    assert file_sha256(p) == (
-        "2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824"
-    )

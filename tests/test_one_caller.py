@@ -1,0 +1,74 @@
+"""Every public module-level name in ``src/heartid`` has a caller in ``src/``.
+
+A name counts as used when a module other than its own reaches it by
+``module.name`` or ``from .module import name``, or when its own module names
+it outside its definition.  Docstrings and tests do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import heartid
+
+SRC = Path(heartid.__file__).resolve().parent
+
+# name -> why it stays without a caller in src/
+ALLOWED = {
+    "cepstrum.mel_energies": "the quadrature block that acceptance criterion 5 "
+                             "and perfbench/tracer.py measure",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(name, defining statement) for each public module-level function, class or constant."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            targets = [stmt.target.id]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("_"):
+                yield name, stmt
+
+
+def _uses(module: str, stmt: ast.stmt) -> set[tuple[str, str]]:
+    """(module, name) pairs that ``stmt`` of ``module`` references."""
+    uses = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            uses.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            uses.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.removeprefix("heartid.")
+            uses.update((source, alias.name) for alias in node.names)
+    return uses
+
+
+def _names_without_caller() -> list[str]:
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses_by_stmt = {
+        (module, id(stmt)): _uses(module, stmt)
+        for module, tree in modules.items()
+        for stmt in tree.body
+    }
+    return [
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        for name, stmt in _definitions(tree)
+        if not any((module, name) in uses for key, uses in uses_by_stmt.items()
+                   if key != (module, id(stmt)))
+    ]
+
+
+def test_every_public_name_has_a_caller_in_src():
+    assert [name for name in _names_without_caller() if name not in ALLOWED] == []
+
+
+def test_allowlist_is_not_stale():
+    # an entry that gained a caller, or whose definition is gone, should leave the list
+    assert set(ALLOWED) <= set(_names_without_caller())

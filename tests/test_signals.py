@@ -289,3 +289,11 @@ def test_stft_errors():
         stft_magnitude(x, 0.001, 0.1)
     with pytest.raises(InvalidParameter):
         stft_magnitude(x, float("nan"), 0.1)
+
+
+@pytest.mark.parametrize("fs", [0.0, -1.0, np.inf, np.nan, 1e155, 1e300])
+def test_series_rejects_rate_without_finite_square(fs):
+    # the second derivative multiplies by fs**2; 1e155 squared overflows
+    for series in (RealSeries, ComplexSeries):
+        with pytest.raises(InvalidParameter, match="sampling rate"):
+            series(np.ones(10), fs)
