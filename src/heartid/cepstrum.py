@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import AxisMismatch, EmptyInput, InvalidParameter, KPrimeTooLarge
+from .errors import InvalidParameter, PipelineError
 from .signals import (
     ComplexSeries,
     Spectrogram,
@@ -126,13 +126,13 @@ def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
 def _check_axis(freqs: np.ndarray, bank: MelBank) -> None:
     nyq = bank.nyquist
     if freqs.max() > nyq * (1 + 1e-9) or freqs.min() < -nyq * (1 + 1e-9):
-        raise AxisMismatch(
+        raise PipelineError(
             f"frequency axis [{freqs.min():g}, {freqs.max():g}] exceeds the "
             f"bank Nyquist {nyq:g} Hz"
         )
     df = float(np.median(np.diff(freqs))) if freqs.size > 1 else nyq
     if nyq - freqs.max() > 1.5 * df:
-        raise AxisMismatch(
+        raise PipelineError(
             f"frequency axis stops at {freqs.max():g} Hz, well short of the "
             f"bank Nyquist {nyq:g} Hz"
         )
@@ -191,7 +191,7 @@ def dct2(m) -> np.ndarray:
     """Unnormalized DCT-II: C_k = sum_n m_n cos(pi k (n + 1/2) / N)."""
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
-        raise EmptyInput("DCT input must be nonempty")
+        raise PipelineError("DCT input must be nonempty")
     # scipy's unnormalized type-II transform is exactly twice this convention.
     return scipy.fft.dct(m, type=2, norm=None) / 2.0
 
@@ -231,7 +231,7 @@ def _cepstra(
     from a per-settings cache instead of being rebuilt for every signal.
     """
     if not 0 < k_prime < cfg.n_filters:
-        raise KPrimeTooLarge(
+        raise InvalidParameter(
             f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
         )
 

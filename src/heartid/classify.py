@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    LengthMismatch,
-    NoConvergence,
-    SingleClass,
-    TooFewRows,
-    TooFewSessions,
-)
+from .errors import InvalidParameter, NoConvergence, PipelineError
 from .signals import check_finite
 
 KERNELS = ("linear", "rbf")
@@ -51,7 +43,7 @@ class Standardizer:
 def standardize_fit_transform(X: np.ndarray) -> tuple[Standardizer, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
-        raise TooFewRows("standardization needs at least two rows")
+        raise PipelineError("standardization needs at least two rows")
     std = Standardizer(X.mean(axis=0), X.std(axis=0))
     return std, std.transform(X)
 
@@ -190,7 +182,7 @@ def train_binary_svm(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not (np.any(y > 0) and np.any(y < 0)):
-        raise SingleClass("training labels must contain both classes")
+        raise PipelineError("training labels must contain both classes")
     if not C > 0:
         raise InvalidParameter(f"C must be positive, got {C}")
     if not 0 < tol < np.inf:
@@ -240,7 +232,7 @@ def train_multiclass(
     labels = np.asarray(labels)
     classes = sorted(np.unique(labels).tolist())
     if len(classes) < 2:
-        raise SingleClass("need at least two classes")
+        raise PipelineError("need at least two classes")
     X = np.asarray(X, dtype=np.float64)
     check_finite(X)
     std, Xs = standardize_fit_transform(X)
@@ -263,7 +255,7 @@ def predict(model: SvmModel, X: np.ndarray):
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.standardizer.mean.size:
-        raise DimensionMismatch(
+        raise PipelineError(
             f"expected {model.standardizer.mean.size} feature dims, "
             f"got {X.shape[1] if X.ndim == 2 else X.shape}"
         )
@@ -295,13 +287,13 @@ class LabeledDataset:
         labels = np.asarray(self.labels)
         sessions = np.asarray(self.sessions)
         if not features.shape[0] == labels.size == sessions.size:
-            raise LengthMismatch("features, labels and sessions disagree in length")
+            raise PipelineError("features, labels and sessions disagree in length")
         classes = np.unique(labels)
         if classes.size < 2:
-            raise SingleClass("dataset must contain at least two classes")
+            raise PipelineError("dataset must contain at least two classes")
         for cls in classes:
             if np.unique(sessions[labels == cls]).size < 2:
-                raise TooFewSessions(
+                raise PipelineError(
                     f"class {cls!r} appears in fewer than two sessions"
                 )
         object.__setattr__(self, "features", features)
@@ -376,7 +368,7 @@ def metrics(true_labels, predicted_labels, scores=None, classes=None) -> EvalRep
     true_labels = np.asarray(true_labels)
     predicted_labels = np.asarray(predicted_labels)
     if true_labels.size != predicted_labels.size:
-        raise LengthMismatch("true and predicted labels differ in length")
+        raise PipelineError("true and predicted labels differ in length")
     if classes is None:
         classes = sorted(np.unique(np.concatenate([true_labels, predicted_labels])).tolist())
     k = len(classes)
@@ -396,7 +388,7 @@ def metrics(true_labels, predicted_labels, scores=None, classes=None) -> EvalRep
     if scores is not None:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (true_labels.size, k):
-            raise LengthMismatch("scores must be (n_samples, n_classes)")
+            raise PipelineError("scores must be (n_samples, n_classes)")
         aucs = []
         for cls in classes:
             i = index[cls]
@@ -419,7 +411,7 @@ def session_folds(sessions) -> list[tuple[str, np.ndarray]]:
     sessions = np.asarray(sessions)
     uniq = sorted(np.unique(sessions).tolist())
     if len(uniq) < 2:
-        raise TooFewSessions("grouped cross-validation needs at least two sessions")
+        raise PipelineError("grouped cross-validation needs at least two sessions")
     return [(s, np.flatnonzero(sessions == s)) for s in uniq]
 
 

@@ -140,7 +140,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 def _config_value(where: str, action: argparse.Action, value):
     """A config value parsed as the command line parses the same text; bad values raise.
 
-    A flag (an option that takes no argument) accepts only a JSON boolean.
+    A flag (an option that takes no argument) accepts only a JSON boolean, and
+    an option without a ``type`` only a JSON string.
     """
     if action.nargs == 0:
         if not isinstance(value, bool):
@@ -148,6 +149,8 @@ def _config_value(where: str, action: argparse.Action, value):
         return value
     if value is None and action.default is None:
         return None
+    if action.type is None and not isinstance(value, str):
+        raise PipelineError(f"{where}: {value!r:.40} is not a JSON string")
     try:
         value = action.type(str(value)) if action.type else value
     except ValueError as exc:
@@ -331,9 +334,21 @@ def cmd_report(args) -> int:
             raise PipelineError(f"cannot read report {path}: {exc}") from exc
         if not isinstance(payload, dict) or not {"accuracy_pct", "macro_auc"} <= payload.keys():
             raise PipelineError(f"{path} is not an eval report: needs accuracy_pct and macro_auc")
+        params = payload.get("params", {})
+        if not isinstance(params, dict):
+            raise PipelineError(f"{path}: key 'params' is {params!r:.40}, not an object")
+        kind = params.get("kind", Path(path).stem)
+        if not isinstance(kind, str):
+            raise PipelineError(f"{path}: key 'params.kind' is {kind!r:.40}, not a string")
+        for key in ("accuracy_pct", "macro_auc"):
+            value = payload[key]
+            # NaN passes, as eval can write it; a bool is no number, nor an int past float range
+            is_int = type(value) is int and abs(value) <= sys.float_info.max
+            if not (isinstance(value, float) or is_int):
+                raise PipelineError(f"{path}: key {key!r} is {value!r:.40}, not a number")
         entries.append(
             {
-                "kind": payload.get("params", {}).get("kind", Path(path).stem),
+                "kind": kind,
                 "accuracy_pct": payload["accuracy_pct"],
                 "macro_auc": payload["macro_auc"],
                 "file": str(path),

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidDuration,
-    InvalidProfile,
-    NonDivisibleLength,
-    ScheduleEmpty,
-)
+from .errors import InvalidParameter
 from .radar import C_LIGHT, DataCube, RadarConfig
 from .signals import ComplexSeries, RealSeries
 
@@ -65,20 +60,20 @@ class PersonProfile:
 
     def __post_init__(self):
         if not 0.7 <= self.heart_rate_hz <= 2.0:
-            raise InvalidProfile(f"heart rate {self.heart_rate_hz} outside 0.7-2.0 Hz")
+            raise InvalidParameter(f"heart rate {self.heart_rate_hz} outside 0.7-2.0 Hz")
         if not 0.1 <= self.resp_rate_hz <= 0.5:
-            raise InvalidProfile(f"resp rate {self.resp_rate_hz} outside 0.1-0.5 Hz")
+            raise InvalidParameter(f"resp rate {self.resp_rate_hz} outside 0.1-0.5 Hz")
         if not 1e-5 <= self.heart_amp_m <= 5e-4:
-            raise InvalidProfile(f"heart amplitude {self.heart_amp_m} outside 1e-5-5e-4 m")
+            raise InvalidParameter(f"heart amplitude {self.heart_amp_m} outside 1e-5-5e-4 m")
         if not 1e-3 <= self.resp_amp_m <= 1e-2:
-            raise InvalidProfile(f"resp amplitude {self.resp_amp_m} outside 1e-3-1e-2 m")
+            raise InvalidParameter(f"resp amplitude {self.resp_amp_m} outside 1e-3-1e-2 m")
         if self.hrv_std < 0:
-            raise InvalidProfile("beat-period jitter must be nonnegative")
+            raise InvalidParameter("beat-period jitter must be nonnegative")
         if not self.pulse_template:
-            raise InvalidProfile("pulse template must have at least one lobe")
+            raise InvalidParameter("pulse template must have at least one lobe")
         for lobe in self.pulse_template:
             if not (np.isfinite(lobe.amplitude) and lobe.width > 0):
-                raise InvalidProfile("pulse template lobes must be finite with width > 0")
+                raise InvalidParameter("pulse template lobes must be finite with width > 0")
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,9 @@ def displacement(
     Deterministic given the seed.
     """
     if not 0 < duration < np.inf:
-        raise InvalidDuration(f"duration must be positive and finite, got {duration}")
+        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
+    if not duration * fs < np.iinfo(np.intp).max // 8:  # the longest float64 array
+        raise InvalidParameter(f"duration {duration} s at fs {fs} Hz is too many samples")
     rng = np.random.default_rng(seed)
     n = int(round(duration * fs))
     t = np.arange(n) / fs
@@ -162,6 +159,8 @@ def _add_noise(x: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
     """
     if snr_db is None:
         return x
+    if not snr_db >= -300:  # keeps the noise finite in the complex64 samples datasets store
+        raise InvalidParameter(f"snr_db must be at least -300 dB, got {snr_db}")
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
     buf = np.empty(x.shape)
@@ -211,7 +210,7 @@ def render_cube(
     """
     r = range_m + d.samples  # (slow,)
     if np.any(r >= cfg.max_range):
-        raise InvalidDuration(
+        raise InvalidParameter(
             f"target range {r.max():g} m exceeds the unambiguous "
             f"span {cfg.max_range:g} m"
         )
@@ -291,10 +290,10 @@ def generate_cohort(
     consumes them one by one holds one at a time.
     """
     if len(profiles) < 2:
-        raise InvalidProfile("a cohort needs at least two profiles")
+        raise InvalidParameter("a cohort needs at least two profiles")
     schedule = schedule or Schedule()
     if schedule.days < 1 or schedule.repetitions < 1:
-        raise ScheduleEmpty("schedule must contain at least one session and repetition")
+        raise InvalidParameter("schedule must contain at least one session and repetition")
     return (
         simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs, mode)[0]
         for profile in profiles
@@ -310,23 +309,25 @@ def segment(m: Measurement, seg_len: float) -> list[Measurement]:
     inherited by every segment.
     """
     if not seg_len > 0:  # also rejects NaN; an infinite length divides nothing
-        raise NonDivisibleLength(f"segment length must be positive, got {seg_len}")
+        raise InvalidParameter(f"segment length must be positive, got {seg_len}")
     n_seg = m.duration / seg_len
+    n = m.signal.n_slow if m.is_cube else len(m.signal)
+    if not n_seg <= n:  # also keeps an infinite count away from round()
+        raise InvalidParameter(f"segment length {seg_len} s is shorter than one sample")
     if abs(n_seg - round(n_seg)) > 1e-9 or round(n_seg) < 1:
-        raise NonDivisibleLength(
+        raise InvalidParameter(
             f"segment length {seg_len} s does not divide {m.duration} s"
         )
     n_seg = int(round(n_seg))
+    step = n // n_seg
     if m.is_cube:
         cube: DataCube = m.signal
-        step = cube.n_slow // n_seg
         parts = [
             DataCube(cube.values[i * step : (i + 1) * step], cube.config)
             for i in range(n_seg)
         ]
     else:
         series: ComplexSeries = m.signal
-        step = len(series) // n_seg
         parts = [
             ComplexSeries(
                 series.samples[i * step : (i + 1) * step],

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import squared_distances
-from .errors import DegenerateInput, InvalidParameter, PerplexityTooLarge
+from .errors import InvalidParameter, PipelineError
 
 MACHINE_EPS = np.finfo(np.float64).eps
 PERPLEXITY_TOL = 1e-4  # bits of entropy
@@ -52,7 +52,7 @@ def pca2(X: np.ndarray, labels=None) -> Projection2D:
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 3 or X.shape[1] < 2:
-        raise DegenerateInput("PCA needs at least 3 rows and 2 dimensions")
+        raise PipelineError("PCA needs at least 3 rows and 2 dimensions")
     centered = X - X.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     axes = vt[:2]
@@ -132,8 +132,12 @@ def tsne2(
     n = X.shape[0]
     if not 0 < perplexity < np.inf:
         raise InvalidParameter(f"perplexity must be positive and finite, got {perplexity}")
+    if perplexity < 1:  # its target entropy would be below 0 bits, which no row reaches
+        raise InvalidParameter(f"perplexity must be at least 1, got {perplexity}")
+    if iterations < 0 or seed < 0:
+        raise InvalidParameter(f"iterations {iterations} and seed {seed} must be non-negative")
     if n <= 3 * perplexity:
-        raise PerplexityTooLarge(
+        raise InvalidParameter(
             f"{n} rows cannot support perplexity {perplexity} (need > 3x)"
         )
     learning_rate = max(n / EARLY_EXAGGERATION, 50.0)

@@ -1,8 +1,19 @@
 """Exception types raised across the pipeline.
 
 Everything deriving from :class:`PipelineError` is a data/validation problem
-(the CLI maps these to exit code 2); unexpected internal failures propagate
-as ordinary exceptions.
+(the CLI maps these to exit code 2 and prints only the message); unexpected
+internal failures propagate as ordinary exceptions.  One type per cause a
+caller can act on:
+
+- :class:`InvalidParameter`: a setting the caller chose is out of range
+  (hop, duration, segment length, profile, perplexity, K', ...);
+- :class:`NonFiniteSample`: a NaN or infinite sample or feature value;
+- :class:`ManifestError`: a dataset manifest or record that is malformed;
+- :class:`IoError`: a data or feature file that cannot be read or parsed;
+- :class:`PipelineError` itself: the data cannot support the operation
+  (too short, too few rows, classes or sessions, mismatched shapes).
+
+The message names the cause, so every raise passes a non-empty one.
 """
 
 
@@ -14,86 +25,16 @@ class InvalidParameter(PipelineError, ValueError):
     """A setting outside its valid range (still a ``ValueError`` for callers)."""
 
 
-# --- series / STFT ---------------------------------------------------------
-
-class SeriesTooShort(PipelineError):
-    pass
-
-
-class ZeroSample(PipelineError):
-    pass
-
-
-class WindowTooLong(SeriesTooShort):
-    """The series is shorter than one STFT window."""
-
-
-class InvalidHop(PipelineError):
-    pass
-
-
 class NonFiniteSample(PipelineError, ValueError):
     """A NaN or infinite sample (still a ``ValueError`` for callers)."""
 
 
-# --- filter bank / cepstra -------------------------------------------------
-
-class AxisMismatch(PipelineError):
-    pass
+class ManifestError(PipelineError):
+    """A dataset manifest or one of its records is malformed."""
 
 
-class EmptyInput(PipelineError):
-    pass
-
-
-class KPrimeTooLarge(PipelineError):
-    pass
-
-
-class DimensionMismatch(PipelineError):
-    pass
-
-
-# --- radar front end -------------------------------------------------------
-
-class DegenerateCube(PipelineError):
-    pass
-
-
-# --- synthesis -------------------------------------------------------------
-
-class InvalidDuration(PipelineError):
-    pass
-
-
-class ScheduleEmpty(PipelineError):
-    pass
-
-
-class NonDivisibleLength(PipelineError):
-    pass
-
-
-class InvalidProfile(PipelineError):
-    pass
-
-
-# --- classification --------------------------------------------------------
-
-class TooFewRows(PipelineError):
-    pass
-
-
-class SingleClass(PipelineError):
-    pass
-
-
-class TooFewSessions(PipelineError):
-    pass
-
-
-class LengthMismatch(PipelineError):
-    pass
+class IoError(PipelineError):
+    """A data or feature file cannot be read or parsed."""
 
 
 class NoConvergence(UserWarning):
@@ -103,23 +44,3 @@ class NoConvergence(UserWarning):
     still returned (and flagged), so evaluation runs are never aborted by a
     hard training instance.
     """
-
-
-# --- embedding -------------------------------------------------------------
-
-class DegenerateInput(PipelineError):
-    pass
-
-
-class PerplexityTooLarge(PipelineError):
-    pass
-
-
-# --- file formats ----------------------------------------------------------
-
-class ManifestError(PipelineError):
-    pass
-
-
-class IoError(PipelineError):
-    pass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCube, InvalidParameter
+from .errors import InvalidParameter, PipelineError
 from .signals import ComplexSeries, check_finite
 
 C_LIGHT = 299_792_458.0  # speed of light in vacuum, m/s (exact by the SI definition)
@@ -61,7 +61,7 @@ class DataCube:
 
     Every sample must be finite: a NaN or infinity raises
     :class:`NonFiniteSample` naming its (slow, element, fast) index.  A cube
-    with no slow-time sample raises :class:`DegenerateCube`.
+    with no slow-time sample raises :class:`PipelineError`.
     """
 
     values: np.ndarray
@@ -73,7 +73,7 @@ class DataCube:
         if values.ndim != 3 or values.shape[1:] != axes:
             raise ValueError(f"cube of shape {values.shape} is not (slow, {axes[0]}, {axes[1]})")
         if values.shape[0] == 0:
-            raise DegenerateCube(f"cube of shape {values.shape} has no slow-time sample")
+            raise PipelineError(f"cube of shape {values.shape} has no slow-time sample")
         check_finite(values)
         object.__setattr__(self, "values", values)
 
@@ -139,7 +139,7 @@ def beamform(profiles: np.ndarray, cfg: RadarConfig) -> BeamformResult:
     """
     n_slow, n_elem, n_range = profiles.shape
     if n_slow == 0:
-        raise DegenerateCube(f"profiles of shape {profiles.shape} have no slow-time sample")
+        raise PipelineError(f"profiles of shape {profiles.shape} have no slow-time sample")
     weights = BeamformResult.weights
 
     # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H

@@ -17,14 +17,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    InvalidHop,
-    InvalidParameter,
-    NonFiniteSample,
-    SeriesTooShort,
-    WindowTooLong,
-    ZeroSample,
-)
+from .errors import InvalidParameter, NonFiniteSample, PipelineError
 
 
 def _check_series(samples: np.ndarray, fs: float) -> None:
@@ -143,7 +136,7 @@ def second_derivative(x: RealSeries) -> RealSeries:
     """
     s = x.samples
     if s.size < 3:
-        raise SeriesTooShort(f"need at least 3 samples, got {s.size}")
+        raise PipelineError(f"need at least 3 samples, got {s.size}")
     return RealSeries(second_difference(s, x.fs), x.fs)
 
 
@@ -151,7 +144,7 @@ def complex_second_derivative(s: ComplexSeries) -> ComplexSeries:
     """Second derivative applied independently to the real and imaginary parts."""
     a = s.samples
     if a.size < 3:
-        raise SeriesTooShort(f"need at least 3 samples, got {a.size}")
+        raise PipelineError(f"need at least 3 samples, got {a.size}")
     return ComplexSeries(second_difference(a, s.fs), s.fs, s.t0 + 1.0 / s.fs)
 
 
@@ -165,10 +158,10 @@ def phase_unwrapped(s: ComplexSeries) -> RealSeries:
 
     Successive differences are brought into (-pi, pi] by adding multiples of
     2*pi; the first output sample is the principal value, so it always lies in
-    (-pi, pi].  Raises :class:`ZeroSample` where the phase is undefined.
+    (-pi, pi].  Raises :class:`PipelineError` where the phase is undefined.
     """
     if np.any(s.samples == 0):
-        raise ZeroSample("phase undefined: signal contains an exact zero")
+        raise PipelineError("phase undefined: signal contains an exact zero")
     return RealSeries(np.unwrap(np.angle(s.samples)), s.fs)
 
 
@@ -207,16 +200,16 @@ def stft_magnitude(x: RealSeries | ComplexSeries, window_len: float, hop: float)
     if not (math.isfinite(window_len * x.fs) and math.isfinite(hop * x.fs)):
         raise InvalidParameter(f"window {window_len} s and hop {hop} s must be finite")
     if hop <= 0:
-        raise InvalidHop(f"hop must be positive, got {hop}")
+        raise InvalidParameter(f"hop must be positive, got {hop}")
     n = x.samples.size
     n_win = _n_samples(window_len, x.fs)
-    n_hop = _n_samples(hop, x.fs)
+    n_hop = min(_n_samples(hop, x.fs), n)  # past the end there is one frame either way
     if n_hop < 1:
-        raise InvalidHop(f"hop {hop} s is below one sample at fs={x.fs}")
+        raise InvalidParameter(f"hop {hop} s is below one sample at fs={x.fs}")
     if n_win < 1:
         raise InvalidParameter(f"window {window_len} s is below one sample at fs={x.fs}")
     if n_win > n:
-        raise WindowTooLong(
+        raise PipelineError(
             f"window of {n_win} samples does not fit a signal of {n} samples"
         )
 

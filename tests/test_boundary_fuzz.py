@@ -2,11 +2,14 @@
 
 One family of examples changes one record, or one top-level key, of a small
 valid dataset manifest; ``extract`` must then write one row per record,
-carrying that record's label and session.  The other changes one cell of a
+carrying that record's label and session.  Another changes one cell of a
 feature CSV; ``eval`` must report finite metrics and ``project`` must keep
-each row's label.
+each row's label.  A third sets one option of one subcommand in a
+``--config`` file (exit 0, 1 or 2), and a fourth changes one field of an
+eval report read by ``report``, which must print nothing when it fails.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from heartid.cli import main
+from heartid.cli import build_parser, main
 from heartid.dataio import RECORD_KEYS
 
 PATH_LIKE = ["", ".", "..", "/", "../x.iq", "/etc/hostname", "a/b.iq", "a\\b.iq", "x.iq/",
@@ -145,3 +148,82 @@ def test_eval_and_project_of_mutated_feature_csv_exit_0_or_2(feature_csv, capsys
                 points = list(csv.reader(fh))[1:]
             assert [p[1] for p in points] == [r[1] for r in rows[1:] if r]
             assert all(math.isfinite(float(v)) for p in points for v in p[2:])
+
+
+SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+OPTIONS = {
+    name: sorted(a.dest for a in sub._actions if a.dest != "help")
+    for name, sub in SUBCOMMANDS.items()
+}
+
+
+@pytest.fixture(scope="module")
+def eval_report(feature_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_report") / "r.json"
+    assert main(["eval", "--features", str(feature_csv), "--report", str(out)]) == 0
+    return out
+
+
+def _argv(command: str, tmp: Path, dataset, feature_csv, eval_report) -> list[str]:
+    """Every output path, and every size that allocates or loops, set by a flag.
+
+    A flag overrides the config, so a fuzzed count never runs and a fuzzed path
+    is never written, yet ``--config`` still parses every value.
+    """
+    return {
+        "synth": ["--out", str(tmp / "ds"), "--days", "1", "--repetitions", "1",
+                  "--duration", "4", "--fs", "20"],
+        "extract": ["--data", str(dataset), "--out", str(tmp / "f.csv"), "--n-filters", "64"],
+        "eval": ["--features", str(feature_csv), "--report", str(tmp / "r.json"),
+                 "--confusion", str(tmp / "c.csv"), "--max-passes", "10"],
+        "project": ["--features", str(feature_csv), "--out", str(tmp / "p.csv"),
+                    "--svg", str(tmp / "p.svg"), "--iterations", "30"],
+        "report": [str(eval_report), "--out", str(tmp / "s.json"), "--csv", str(tmp / "s.csv")],
+    }[command]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_option_exits_0_1_or_2(
+    dataset, feature_csv, eval_report, capsys, data
+):
+    command = data.draw(st.sampled_from(sorted(OPTIONS)), label="command")
+    option = data.draw(st.sampled_from([*OPTIONS[command], "bogus"]), label="option")
+    value = data.draw(VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "conf.json"
+        config.write_text(json.dumps({command: {option: value}}))
+        argv = _argv(command, tmp, dataset, feature_csv, eval_report)
+        rc = main(["--config", str(config), command, *argv])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), err
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_report_of_mutated_eval_report_exits_0_or_2(eval_report, capsys, data):
+    payload = json.loads(eval_report.read_text())
+    target = payload["params"] if data.draw(st.booleans(), label="in_params") else payload
+    key = data.draw(st.sampled_from([*target, "extra"]), label="key")
+    if data.draw(st.booleans(), label="delete"):
+        target.pop(key, None)
+    else:
+        target[key] = data.draw(VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        report, summary = tmp / "r.json", tmp / "s.json"
+        report.write_text(json.dumps(payload))
+        rc = main(["report", str(report), "--out", str(summary), "--csv", str(tmp / "s.csv")])
+        out, err = capsys.readouterr()
+        assert rc in (0, 2), err
+        assert summary.exists() == (rc == 0)
+        if rc == 2:
+            assert out == ""
+            return
+        methods = json.loads(summary.read_text())["methods"]
+    assert [m["kind"] for m in methods] == [payload.get("params", {}).get("kind", "r")]

@@ -19,16 +19,7 @@ from heartid.classify import (
     train_binary_svm,
     train_multiclass,
 )
-from heartid.errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    LengthMismatch,
-    NonFiniteSample,
-    NoConvergence,
-    SingleClass,
-    TooFewRows,
-    TooFewSessions,
-)
+from heartid.errors import InvalidParameter, NoConvergence, NonFiniteSample, PipelineError
 
 
 # --- oracles -----------------------------------------------------------------
@@ -115,7 +106,7 @@ def test_standardize_moments():
 
 
 def test_standardize_too_few_rows():
-    with pytest.raises(TooFewRows):
+    with pytest.raises(PipelineError, match="at least two rows"):
         standardize_fit_transform(np.ones((1, 3)))
 
 
@@ -186,7 +177,7 @@ def test_smo_kkt_conditions_hold():
 
 
 def test_smo_single_class_rejected():
-    with pytest.raises(SingleClass):
+    with pytest.raises(PipelineError, match="must contain both classes"):
         train_binary_svm(np.ones((4, 2)), np.ones(4))
 
 
@@ -291,7 +282,7 @@ def test_predict_dim_mismatch():
     rng = np.random.default_rng(7)
     X, labels = blobs(rng, [(0, 0), (3, 3)], 5)
     model = train_multiclass(X, labels)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(PipelineError, match="expected 2 feature dims, got 5"):
         predict(model, np.ones((2, 5)))
 
 
@@ -325,13 +316,13 @@ def toy_dataset(n_sessions=4, n_per=3, n_classes=3, spread=0.3, seed=0):
 
 
 def test_dataset_invariants():
-    with pytest.raises(SingleClass):
+    with pytest.raises(PipelineError, match="at least two classes"):
         LabeledDataset(np.ones((4, 2)), ["a"] * 4, ["s1", "s1", "s2", "s2"])
-    with pytest.raises(TooFewSessions):
+    with pytest.raises(PipelineError, match="appears in fewer than two sessions"):
         LabeledDataset(
             np.ones((4, 2)), ["a", "a", "b", "b"], ["s1", "s1", "s1", "s2"]
         )
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineError, match="disagree in length"):
         LabeledDataset(np.ones((4, 2)), ["a", "b"], ["s1", "s2", "s1", "s2"])
 
 
@@ -355,7 +346,7 @@ def test_session_folds_partition():
 
 
 def test_session_folds_too_few():
-    with pytest.raises(TooFewSessions):
+    with pytest.raises(PipelineError, match="needs at least two sessions"):
         session_folds(["s1"] * 5)
 
 
@@ -427,5 +418,5 @@ def test_metrics_confusion_consistency():
 
 
 def test_metrics_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PipelineError, match="differ in length"):
         metrics(["a", "b"], ["a"])

@@ -307,6 +307,105 @@ def test_config_flag_true_same_as_command_line_flag(small_dataset, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("eval", "confusion", 9),
+        ("project", "svg", 5),
+        ("report", "csv", 3.5),
+        ("synth", "dataset_id", [1, 2]),
+        ("report", "out", {"a": 1}),
+        ("eval", "confusion", True),  # last: at fd 1 it would close the test's stdout
+    ],
+)
+def test_config_untyped_option_takes_only_a_json_string(
+    prop_csv, tmp_path, capsys, command, option, value
+):
+    report = tmp_path / "r.json"
+    assert main(["eval", "--features", str(prop_csv), "--report", str(report)]) == 0
+    argv = {
+        "synth": ["--out", str(tmp_path / "ds"), "--days", "1", "--repetitions", "1",
+                  "--duration", "5"],
+        "eval": ["--features", str(prop_csv), "--report", str(tmp_path / "r2.json")],
+        "project": ["--features", str(prop_csv), "--out", str(tmp_path / "p.csv")],
+        "report": [str(report)],
+    }[command]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({command: {option: value}}))
+    capsys.readouterr()
+    assert main(["--config", str(config), command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"config {config}: {command} {option}: " in captured.err
+    assert "is not a JSON string" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "r.json"]
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("params", 5, "key 'params' is 5, not an object"),
+        ("accuracy_pct", "x", "key 'accuracy_pct' is 'x', not a number"),
+        ("accuracy_pct", [1], "key 'accuracy_pct' is [1], not a number"),
+        ("accuracy_pct", True, "key 'accuracy_pct' is True, not a number"),
+        ("accuracy_pct", 10**400, "key 'accuracy_pct' is 1000"),
+        ("macro_auc", None, "key 'macro_auc' is None, not a number"),
+        ("kind", [1, 2], "key 'params.kind' is [1, 2], not a string"),
+    ],
+    ids=["params_int", "accuracy_str", "accuracy_list", "accuracy_bool", "accuracy_huge_int",
+         "auc_null", "kind_list"],
+)
+def test_report_bad_field_exits_2(prop_csv, tmp_path, capsys, key, value, message):
+    report = tmp_path / "r.json"
+    assert main(["eval", "--features", str(prop_csv), "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    (payload["params"] if key == "kind" else payload)[key] = value
+    report.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", str(report), "--csv", str(tmp_path / "s.csv")]) == 2
+    captured = capsys.readouterr()
+    assert f"{report}: {message}" in captured.err and captured.out == ""
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_report_accepts_nan_metric(prop_csv, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["eval", "--features", str(prop_csv), "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    payload["macro_auc"] = float("nan")
+    report.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "nan"
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("synth", ["--duration", "1e300"], "duration 1e+300 s at fs 100.0 Hz is too many samples"),
+        ("synth", ["--fs", "1e300"], "duration 5.0 s at fs 1e+300 Hz is too many samples"),
+        ("synth", ["--snr-db", "-3083"], "snr_db must be at least -300 dB, got -3083.0"),
+        ("extract", ["--segment", "5e-324"], "segment length 5e-324 s is shorter than one sample"),
+        ("project", ["--seed", "-1"], "iterations 60 and seed -1 must be non-negative"),
+        ("project", ["--iterations", "-5"], "iterations -5 and seed 0 must be non-negative"),
+        ("project", ["--perplexity", "0.5"], "perplexity must be at least 1, got 0.5"),
+    ],
+)
+def test_out_of_range_setting_exits_2_naming_it(
+    small_dataset, prop_csv, tmp_path, capsys, command, flags, message
+):
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--out", str(out), "--days", "1", "--repetitions", "1", "--duration", "5"],
+        "extract": ["--data", str(small_dataset), "--out", str(out)],
+        "project": ["--features", str(prop_csv), "--out", str(out), "--method", "tsne",
+                    "--perplexity", "8", "--iterations", "60"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "entry",
     [{"fs": "100"}, {"fs": -5}, {"fs": True}, {"fs": float("inf")}, {"fs": float("nan")},
      {"fs": 10**400}, {"mode": "fmcw"}, {"records": 5}, {"records": []}],

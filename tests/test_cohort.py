@@ -19,12 +19,7 @@ from heartid.cohort import (
     segment,
     simulate_measurement,
 )
-from heartid.errors import (
-    InvalidDuration,
-    InvalidProfile,
-    NonDivisibleLength,
-    ScheduleEmpty,
-)
+from heartid.errors import InvalidParameter
 from heartid.radar import C_LIGHT, RadarConfig
 from heartid.signals import RealSeries, phase_unwrapped
 
@@ -48,17 +43,17 @@ def make_profile(**overrides):
 # --- profiles ----------------------------------------------------------------
 
 def test_profile_validation():
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidParameter, match="heart rate 2.5 outside"):
         make_profile(heart_rate_hz=2.5)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidParameter, match="resp rate 0.05 outside"):
         make_profile(resp_rate_hz=0.05)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidParameter, match="heart amplitude 0.001 outside"):
         make_profile(heart_amp_m=1e-3)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidParameter, match="resp amplitude 0.05 outside"):
         make_profile(resp_amp_m=5e-2)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidParameter, match="at least one lobe"):
         make_profile(pulse_template=())
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidParameter, match="lobes must be finite"):
         make_profile(pulse_template=(GaussPulse(np.inf, 0.1, 0.05),))
 
 
@@ -121,8 +116,12 @@ def test_displacement_spectral_line_at_heart_rate(profile, seed):
 
 
 def test_displacement_invalid_duration():
-    with pytest.raises(InvalidDuration):
+    with pytest.raises(InvalidParameter, match="duration must be positive"):
         displacement(make_profile(), duration=0.0)
+    with pytest.raises(InvalidParameter, match="duration 1e\\+300 s at fs 100.0 Hz is too many"):
+        displacement(make_profile(), duration=1e300)
+    with pytest.raises(InvalidParameter, match="duration 60.0 s at fs 1e\\+300 Hz is too many"):
+        displacement(make_profile(), fs=1e300)
 
 
 def test_displacement_deterministic():
@@ -162,6 +161,14 @@ def test_render_noise_scales_with_snr():
         s = render_baseband(d, CFG, snr_db=snr, seed=8)
         noise_power = np.mean(np.abs(s.samples - 1.0) ** 2)
         assert abs(noise_power - 10 ** (-snr / 10)) <= 0.05 * 10 ** (-snr / 10)
+
+
+@pytest.mark.parametrize("snr_db", [-3083.0, -400.0, float("nan")])
+def test_render_rejects_noise_a_dataset_cannot_store(snr_db):
+    # -3083 dB overflowed 10**(-snr/10); -400 dB wrote infinite complex64 samples
+    d = RealSeries(np.zeros(100), 100.0)
+    with pytest.raises(InvalidParameter, match="snr_db must be at least -300 dB"):
+        render_baseband(d, CFG, snr_db=snr_db)
 
 
 def _reference_noise(x, snr_db, seed):
@@ -283,9 +290,9 @@ def test_cohort_renders_only_as_iterated(monkeypatch):
 
 
 def test_cohort_requires_two_profiles_and_schedule():
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidParameter, match="at least two profiles"):
         generate_cohort(default_cohort()[:1])
-    with pytest.raises(ScheduleEmpty):
+    with pytest.raises(InvalidParameter, match="at least one session"):
         generate_cohort(default_cohort(), Schedule(days=0))
 
 
@@ -324,7 +331,7 @@ def test_segment_full_length_is_identity():
 
 def test_segment_non_divisible_length():
     m, _ = simulate_measurement(make_profile(), "d1am", 1, duration=60.0, snr_db=None)
-    with pytest.raises(NonDivisibleLength):
+    with pytest.raises(InvalidParameter, match="does not divide"):
         segment(m, 7.0)
 
 

@@ -9,7 +9,7 @@ from heartid.embedding import (
     pca2,
     tsne2,
 )
-from heartid.errors import DegenerateInput, PerplexityTooLarge
+from heartid.errors import InvalidParameter, PipelineError
 
 
 def gaussian_clusters(rng, n_per=30, dims=20, sep=8.0, k=3):
@@ -73,9 +73,9 @@ def test_pca_translation_invariance():
 
 
 def test_pca_degenerate_input():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(PipelineError, match="at least 3 rows and 2 dimensions"):
         pca2(np.ones((2, 5)))
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(PipelineError, match="at least 3 rows and 2 dimensions"):
         pca2(np.ones((5, 1)))
 
 
@@ -127,8 +127,22 @@ def test_tsne_deterministic_given_seed():
 
 
 def test_tsne_perplexity_too_large():
-    with pytest.raises(PerplexityTooLarge):
+    with pytest.raises(InvalidParameter, match="30 rows cannot support perplexity 10.0"):
         tsne2(np.random.default_rng(0).standard_normal((30, 4)), perplexity=10.0)
+
+
+@pytest.mark.parametrize(
+    "setting,match",
+    [
+        ({"perplexity": 0.5}, "perplexity must be at least 1"),
+        ({"iterations": -5}, "iterations -5 and seed 0 must be non-negative"),
+        ({"seed": -1}, "iterations 1000 and seed -1 must be non-negative"),
+    ],
+)
+def test_tsne_rejects_out_of_range_setting(setting, match):
+    X = np.random.default_rng(0).standard_normal((30, 4))
+    with pytest.raises(InvalidParameter, match=match):
+        tsne2(X, **{"perplexity": 5.0, **setting})
 
 
 def test_projection_rejects_bad_points():

@@ -2,7 +2,9 @@
 
 A name counts as used when a module other than its own reaches it by
 ``module.name`` or ``from .module import name``, or when its own module names
-it outside its definition.  Docstrings and tests do not count.
+it outside its definition.  Docstrings and tests do not count.  An exception
+type must also be raised, caught or warned somewhere in ``src/``, and every
+raise of a ``PipelineError`` passes the message that names its cause.
 """
 
 import ast
@@ -72,3 +74,53 @@ def test_every_public_name_has_a_caller_in_src():
 def test_allowlist_is_not_stale():
     # an entry that gained a caller, or whose definition is gone, should leave the list
     assert set(ALLOWED) <= set(_names_without_caller())
+
+
+def _names(node: ast.expr | None) -> set[str]:
+    """Class names that a raise, except or warn argument refers to."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def _is_message(node: ast.expr) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value.strip() != ""
+    return isinstance(node, ast.JoinedStr) and node.values != []
+
+
+def _error_use() -> tuple[set[str], list[str]]:
+    """Error classes that src/ never raises, catches or warns, and the raises of
+    a PipelineError whose first argument is not a non-empty string or f-string."""
+    classes = [s for s in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(s, ast.ClassDef)]
+    pipeline = {"PipelineError"}
+    for cls in classes:  # errors.py defines each base before its subclasses
+        if any(isinstance(b, ast.Name) and b.id in pipeline for b in cls.bases):
+            pipeline.add(cls.name)
+    used, silent = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                used |= _names(node.exc)
+                exc = node.exc
+                if _names(exc) & pipeline and not (
+                    isinstance(exc, ast.Call) and exc.args and _is_message(exc.args[0])
+                ):
+                    silent.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ExceptHandler):
+                used |= _names(node.type)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "warn"):
+                used |= set().union(*map(_names, node.args))
+    return {cls.name for cls in classes} - used, silent
+
+
+def test_every_error_type_is_raised_caught_or_warned():
+    assert _error_use()[0] == set()
+
+
+def test_every_pipeline_error_names_its_cause():
+    assert _error_use()[1] == []

@@ -7,7 +7,7 @@ from scipy.constants import c as C_LIGHT
 from scipy.signal import detrend
 
 from heartid.cohort import default_cohort, displacement, render_cube
-from heartid.errors import DegenerateCube
+from heartid.errors import PipelineError
 from heartid.radar import (
     _COV_BLOCK,
     ANGLE_GRID,
@@ -83,14 +83,14 @@ def test_range_profile_preserves_energy():
 def test_cube_without_slow_time_sample_is_rejected_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateCube, match=r"\(0, 12, 128\)"):
+        with pytest.raises(PipelineError, match=r"cube of shape \(0, 12, 128\) has no slow"):
             DataCube(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG)
 
 
 def test_beamform_without_slow_time_sample_is_rejected_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateCube, match=r"\(0, 12, 128\)"):
+        with pytest.raises(PipelineError, match=r"profiles of shape \(0, 12, 128\) have no"):
             beamform(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG)
 
 
