@@ -293,9 +293,7 @@ class LabeledDataset:
             raise PipelineError("dataset must contain at least two classes")
         for cls in classes:
             if np.unique(sessions[labels == cls]).size < 2:
-                raise PipelineError(
-                    f"class {cls!r} appears in fewer than two sessions"
-                )
+                raise PipelineError(f"class {str(cls)!r} appears in fewer than two sessions")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sessions", sessions)

@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size that numpy accepts but memory cannot hold
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

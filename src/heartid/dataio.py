@@ -40,7 +40,7 @@ def read_iq(path) -> np.ndarray:
     size = os.path.getsize(path)
     if size % 8:
         raise IoError(f"{path}: {size} bytes is not a whole number of I/Q pairs")
-    return np.fromfile(path, dtype="<c8").astype(np.complex128)
+    return np.fromfile(path, dtype="<c8")
 
 
 def write_cube(path, cube: DataCube) -> None:

@@ -77,19 +77,20 @@ def _conditional_probs(dist_sq: np.ndarray, perplexity: float):
         d = np.delete(dist_sq[i], i)
         lo, hi = 0.0, np.inf
         beta = 1.0
-        for _ in range(200):
-            w = np.exp(-beta * (d - d.min()))
-            sum_w = w.sum()
-            p = w / sum_w
-            entropy = -np.sum(p * np.log2(np.maximum(p, MACHINE_EPS)))
-            if abs(entropy - target) <= PERPLEXITY_TOL:
-                break
-            if entropy > target:  # too flat: sharpen
-                lo = beta
-                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == 0.0 else (beta + lo) / 2.0
+        with np.errstate(over="ignore"):  # -beta * d may overflow to -inf: exp is 0 all the same
+            for _ in range(200):
+                w = np.exp(-beta * (d - d.min()))
+                sum_w = w.sum()
+                p = w / sum_w
+                entropy = -np.sum(p * np.log2(np.maximum(p, MACHINE_EPS)))
+                if abs(entropy - target) <= PERPLEXITY_TOL:
+                    break
+                if entropy > target:  # too flat: sharpen
+                    lo = beta
+                    beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
+                else:
+                    hi = beta
+                    beta = beta / 2.0 if lo == 0.0 else (beta + lo) / 2.0
         row = np.insert(p, i, 0.0)
         P[i] = row
     return P

@@ -1,14 +1,14 @@
 """FMCW MIMO front end: range FFT, delay-and-sum beamforming, echo selection.
 
 A :class:`DataCube` is indexed (slow time, virtual element, fast time).  The
-fast-time DFT turns beat frequency into range (bin spacing c/(2B)).  The mean
-delay-and-sum power of every (angle, range) cell of the 12-element virtual
-array comes from each range bin's slow-time element covariance, accumulated
-over short slow-time blocks so that no full-size transposed or conjugated
-copy of the range profiles is formed; steering only the strongest cell
-inside a range window yields the slow-time series s(t) that the feature
-pipeline consumes.  The device, its angle grid and its range window are
-fixed; only the slow-time rate varies between datasets.
+fast-time DFT turns beat frequency into range (bin spacing c/(2B)).  One pass
+over the cube, a block of chirps at a time, takes the range FFT, keeps the
+bins inside the range window and adds their slow-time element covariances,
+which give the mean delay-and-sum power of every (angle, range) cell of the
+12-element virtual array; no full-cube FFT, copy or steered cube is formed.
+Steering only the strongest cell yields the slow-time series s(t) that the
+feature pipeline consumes.  The device, its angle grid and its range window
+are fixed; only the slow-time rate varies between datasets.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import InvalidParameter, PipelineError
 from .signals import ComplexSeries, check_finite
@@ -59,7 +60,8 @@ class RadarConfig:
 class DataCube:
     """Raw dechirped samples, indexed (slow time, virtual element, fast time).
 
-    Every sample must be finite: a NaN or infinity raises
+    complex64 values, as a cube file holds them, are kept; others become
+    complex128.  Every sample must be finite: a NaN or infinity raises
     :class:`NonFiniteSample` naming its (slow, element, fast) index.  A cube
     with no slow-time sample raises :class:`PipelineError`.
     """
@@ -68,7 +70,9 @@ class DataCube:
     config: RadarConfig
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        if values.dtype != np.complex64:
+            values = values.astype(np.complex128, copy=False)
         axes = (RadarConfig.n_virtual, RadarConfig.n_fast)
         if values.ndim != 3 or values.shape[1:] != axes:
             raise ValueError(f"cube of shape {values.shape} is not (slow, {axes[0]}, {axes[1]})")
@@ -86,13 +90,20 @@ class DataCube:
         return self.n_slow / self.config.fs_slow
 
 
-def range_profile(cube: DataCube) -> np.ndarray:
-    """Per-chirp, per-element fast-time DFT, shape (slow, element, range bin).
+# the range bins inside RANGE_WINDOW, 13-72 of the device's 128
+_WINDOW = slice(int(np.searchsorted(RadarConfig.range_axis, RANGE_WINDOW[0])),
+                int(np.searchsorted(RadarConfig.range_axis, RANGE_WINDOW[1], side="right")))
 
-    Scaled by 1/sqrt(n_fast) so each chirp's energy is preserved.
+
+def range_profile(values: np.ndarray) -> np.ndarray:
+    """Per-chirp, per-element fast-time DFT of cube samples, shape (slow, element, range bin).
+
+    Computed on a complex128 copy, scaled by 1/sqrt(n_fast) to keep each chirp's energy.
     """
-    profiles = np.fft.fft(cube.values, axis=2)
-    profiles /= np.sqrt(cube.config.n_fast)
+    profiles = scipy.fft.fft(np.array(values, dtype=np.complex128), axis=2, overwrite_x=True)
+    # the values of ``/= sqrt(n_fast)``, which numpy computes as a product with
+    # 1/sqrt(n_fast), at an eighth of the cost of its complex division
+    profiles.view(np.float64)[...] *= 1.0 / np.sqrt(RadarConfig.n_fast)
     return profiles
 
 
@@ -110,10 +121,11 @@ def steering_weights(angles_deg: np.ndarray) -> np.ndarray:
 class BeamformResult:
     """Power map over (angle, range) with on-demand access to steered series.
 
-    ``beamform`` computes the map from the per-range element covariances
-    (n_virtual x n_virtual, averaged over slow time), so no steered sample is
+    Both cover only the range bins inside ``RANGE_WINDOW``: ``profiles`` is
+    (slow, element, window bin) and ``power`` is (n_angles, window bin).  The
+    map comes from per-range element covariances, so no steered sample is
     formed for it; :meth:`steered_series` forms only the requested cell's
-    slow-time series from the kept range profiles and the grid's weights.
+    slow-time series from the kept profiles and the grid's weights.
     """
 
     profiles: np.ndarray
@@ -123,33 +135,32 @@ class BeamformResult:
     angles_deg = ANGLE_GRID
     weights = steering_weights(ANGLE_GRID)
 
-    def steered_series(self, angle_idx: int, range_idx: int) -> np.ndarray:
-        return self.profiles[:, :, range_idx] @ self.weights[angle_idx]
+    def steered_series(self, angle_idx: int, window_idx: int) -> np.ndarray:
+        return self.profiles[:, :, window_idx] @ self.weights[angle_idx]
 
 
-def beamform(profiles: np.ndarray, cfg: RadarConfig) -> BeamformResult:
-    """Steer the virtual array over the fixed grid ``ANGLE_GRID``.
+def beamform(cube: DataCube) -> BeamformResult:
+    """Steer the virtual array over the fixed grid ``ANGLE_GRID`` inside ``RANGE_WINDOW``.
 
-    Returns the slow-time-mean power map, shape (n_angles, n_range); the
-    result also carries the steering weights needed to reconstruct any
-    cell's complex series.  Each range bin's element covariance is summed
-    over blocks of ``_COV_BLOCK`` chirps, each copied once into a small
-    contiguous (range, element, slow) array for BLAS, then divided by the
-    number of chirps.
+    One pass over the cube in blocks of ``_COV_BLOCK`` chirps: each block's
+    range profile is cut to the window bins and stored, and a contiguous
+    (range, element, slow) copy of the cut gives BLAS the per-range element
+    covariances, summed over blocks and divided by the number of chirps.
     """
-    n_slow, n_elem, n_range = profiles.shape
-    if n_slow == 0:
-        raise PipelineError(f"profiles of shape {profiles.shape} have no slow-time sample")
+    n_slow, n_elem = cube.n_slow, RadarConfig.n_virtual
     weights = BeamformResult.weights
+    profiles = np.empty((n_slow, n_elem, _WINDOW.stop - _WINDOW.start), dtype=np.complex128)
 
     # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H
-    cov = np.zeros((n_range, n_elem, n_elem), dtype=np.complex128)
+    cov = np.zeros((profiles.shape[2], n_elem, n_elem), dtype=np.complex128)
     for s0 in range(0, n_slow, _COV_BLOCK):
-        blk = np.ascontiguousarray(profiles[s0:s0 + _COV_BLOCK].transpose(2, 1, 0))
+        window = range_profile(cube.values[s0:s0 + _COV_BLOCK])[:, :, _WINDOW]
+        profiles[s0:s0 + _COV_BLOCK] = window
+        blk = np.ascontiguousarray(window.transpose(2, 1, 0))
         cov += blk @ blk.conj().transpose(0, 2, 1)
     cov /= n_slow
     power = np.einsum("rai,ai->ar", weights[None] @ cov, weights.conj()).real
-    return BeamformResult(profiles, cfg, power)
+    return BeamformResult(profiles, cube.config, power)
 
 
 @dataclass(frozen=True)
@@ -164,24 +175,18 @@ class EchoSelection:
 
 
 def select_echo(result: BeamformResult) -> EchoSelection:
-    """Pick the (angle, range) cell with maximal mean power inside ``RANGE_WINDOW``.
+    """Pick the (angle, range) cell of maximal mean power; the map covers ``RANGE_WINDOW``.
 
     The returned slow-time series is the s(t) handed to feature extraction.
     If the winning cell's mean power falls below ``LOW_SNR_POWER`` the
     selection is flagged ``low_snr`` (the series is still returned).
     """
-    ranges = result.config.range_axis
-    lo, hi = RANGE_WINDOW
-    bin_idx = np.flatnonzero((ranges >= lo) & (ranges <= hi))
-    window_power = result.power[:, bin_idx]
-    a, r = np.unravel_index(np.argmax(window_power), window_power.shape)
-    range_idx = int(bin_idx[r])
-    series = result.steered_series(int(a), range_idx)
-    peak = float(window_power[a, r])
+    a, r = np.unravel_index(np.argmax(result.power), result.power.shape)
+    peak = float(result.power[a, r])
     return EchoSelection(
-        series=ComplexSeries(series, result.config.fs_slow),
+        series=ComplexSeries(result.steered_series(int(a), int(r)), result.config.fs_slow),
         angle_deg=float(result.angles_deg[a]),
-        range_m=float(ranges[range_idx]),
+        range_m=float(result.config.range_axis[_WINDOW][r]),
         power=peak,
         low_snr=peak < LOW_SNR_POWER,
     )
@@ -189,4 +194,4 @@ def select_echo(result: BeamformResult) -> EchoSelection:
 
 def extract_slow_time(cube: DataCube) -> EchoSelection:
     """Full front-end pass: range FFT, beamform, select the target echo."""
-    return select_echo(beamform(range_profile(cube), cube.config))
+    return select_echo(beamform(cube))

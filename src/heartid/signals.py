@@ -30,8 +30,10 @@ def _check_series(samples: np.ndarray, fs: float) -> None:
 
 def check_finite(samples: np.ndarray) -> None:
     """Raise :class:`NonFiniteSample` naming the index of the first NaN or infinity."""
-    finite = np.isfinite(samples)
-    if not finite.all():
+    # a real view of contiguous complex samples is tested several times faster
+    fast = samples.dtype.kind == "c" and samples.flags.c_contiguous
+    if not np.isfinite(samples.ravel().view(samples.real.dtype) if fast else samples).all():
+        finite = np.isfinite(samples)
         bad = np.unravel_index(np.argmin(finite), samples.shape)
         where = tuple(int(i) for i in bad)
         raise NonFiniteSample(

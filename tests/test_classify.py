@@ -318,7 +318,7 @@ def toy_dataset(n_sessions=4, n_per=3, n_classes=3, spread=0.3, seed=0):
 def test_dataset_invariants():
     with pytest.raises(PipelineError, match="at least two classes"):
         LabeledDataset(np.ones((4, 2)), ["a"] * 4, ["s1", "s1", "s2", "s2"])
-    with pytest.raises(PipelineError, match="appears in fewer than two sessions"):
+    with pytest.raises(PipelineError, match="^class 'a' appears in fewer than two sessions$"):
         LabeledDataset(
             np.ones((4, 2)), ["a", "a", "b", "b"], ["s1", "s1", "s1", "s2"]
         )

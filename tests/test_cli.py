@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +237,20 @@ def test_extract_non_finite_sample_exits_2(tmp_path, capsys, mode):
     if mode == "cube":  # 123 = element 0, fast-time bin 123 of the first chirp
         assert RadarConfig.n_fast > 123
         assert sample_id in err and "index (0, 0, 123) " in err
+        assert "; 1 of 614400 are not finite" in err  # 400 x 12 x 128 complex64 samples
     else:
         assert sample_id in err and "index 123 " in err
+
+
+@pytest.mark.parametrize("duration, mode", [("1e15", "baseband"), ("1e12", "cube")])
+def test_size_beyond_memory_exits_2(tmp_path, capsys, duration, mode):
+    # a valid array length far beyond memory: numpy refuses the allocation up front
+    argv = ["synth", "--out", str(tmp_path / "ds"), "--days", "1", "--repetitions", "1",
+            "--duration", duration, "--mode", mode]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: synth: Unable to allocate ")
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.mark.parametrize("missing", ["accuracy_pct", "macro_auc"])
@@ -579,11 +592,16 @@ def test_largest_accepted_features_stay_finite(prop_csv, tmp_path, command):
     big.write_text("\n".join(",".join(row) for row in lines) + "\n")
     out = tmp_path / "out"
     if command == "eval":
-        assert main(["eval", "--features", str(big), "--report", str(out)]) == 0
+        argv = ["eval", "--features", str(big), "--report", str(out)]
+    else:
+        argv = ["project", "--features", str(big), "--out", str(out), "--method", command,
+                "--perplexity", "8", "--iterations", "60"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would end the run with exit 3
+        assert main(argv) == 0
+    if command == "eval":
         assert np.isfinite(json.loads(out.read_text())["macro_auc"])
     else:
-        assert main(["project", "--features", str(big), "--out", str(out), "--method",
-                     command, "--perplexity", "8", "--iterations", "60"]) == 0
         points = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(2, 3))
         assert np.isfinite(points).all()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from heartid.errors import PipelineError
 from heartid.radar import (
     _COV_BLOCK,
     ANGLE_GRID,
+    LOW_SNR_POWER,
+    RANGE_WINDOW,
     BeamformResult,
     DataCube,
     RadarConfig,
@@ -23,6 +26,10 @@ from heartid.radar import (
 from heartid.signals import RealSeries, phase_unwrapped
 
 CFG = RadarConfig()
+# the range bins the echo is searched in
+WINDOW_BINS = np.flatnonzero(
+    (CFG.range_axis >= RANGE_WINDOW[0]) & (CFG.range_axis <= RANGE_WINDOW[1])
+)
 
 
 def still_target_cube(range_m, angle_deg=0.0, n_slow=64, snr_db=None, seed=0):
@@ -43,7 +50,7 @@ def test_radar_config_defaults_consistent():
 def test_range_profile_point_target_bin():
     # beat-frequency arithmetic: bin = round(R / (c / 2B))
     cube = still_target_cube(1.5)
-    prof = range_profile(cube)
+    prof = range_profile(cube.values)
     power = np.abs(prof).mean(axis=(0, 1))
     expected_bin = round(1.5 / (C_LIGHT / (2 * CFG.bandwidth)))
     assert expected_bin == 36
@@ -52,14 +59,14 @@ def test_range_profile_point_target_bin():
 
 def test_range_profile_zero_cube():
     cube = DataCube(np.zeros((8, CFG.n_virtual, CFG.n_fast), complex), CFG)
-    assert np.all(range_profile(cube) == 0)
+    assert np.all(range_profile(cube.values) == 0)
 
 
 def test_range_profile_two_targets_two_peaks():
     c1 = still_target_cube(1.0)
     c2 = still_target_cube(2.5)
     cube = DataCube(c1.values + c2.values, CFG)
-    power = np.abs(range_profile(cube)).mean(axis=(0, 1))
+    power = np.abs(range_profile(cube.values)).mean(axis=(0, 1))
     b1 = round(1.0 / CFG.range_bin_spacing)
     b2 = round(2.5 / CFG.range_bin_spacing)
     # each expected bin is the local maximum of its neighborhood
@@ -74,7 +81,8 @@ def test_range_profile_preserves_energy():
         (16, CFG.n_virtual, CFG.n_fast)
     )
     cube = DataCube(values, CFG)
-    prof = range_profile(cube)
+    prof = range_profile(cube.values)
+    assert np.array_equal(cube.values, values)  # the FFT works on a copy
     e_in = np.sum(np.abs(values) ** 2, axis=2)
     e_out = np.sum(np.abs(prof) ** 2, axis=2)
     assert np.max(np.abs(e_in - e_out)) <= 1e-9 * np.max(e_in)
@@ -90,32 +98,34 @@ def test_cube_without_slow_time_sample_is_rejected_without_warning():
 def test_beamform_without_slow_time_sample_is_rejected_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PipelineError, match=r"profiles of shape \(0, 12, 128\) have no"):
-            beamform(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG)
+        # beamform takes a DataCube, so an empty cube is stopped before it
+        with pytest.raises(PipelineError, match=r"cube of shape \(0, 12, 128\) has no slow"):
+            beamform(DataCube(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG))
 
 
 # --- beamforming ------------------------------------------------------------
 
 def test_beamform_broadside_target():
     cube = still_target_cube(1.5, angle_deg=0.0)
-    result = beamform(range_profile(cube), CFG)
+    result = beamform(cube)
     a, r = np.unravel_index(np.argmax(result.power), result.power.shape)
     assert result.angles_deg[a] == 0.0
 
 
 def test_beamform_off_axis_target_within_one_step():
     cube = still_target_cube(1.5, angle_deg=20.0)
-    result = beamform(range_profile(cube), CFG)
+    result = beamform(cube)
     a, _ = np.unravel_index(np.argmax(result.power), result.power.shape)
     assert abs(result.angles_deg[a] - 20.0) <= 1.0
 
 
 def test_beamform_steering_gain_is_element_count():
     cube = still_target_cube(1.5, angle_deg=0.0)
-    prof = range_profile(cube)
-    result = beamform(prof, CFG)
+    prof = range_profile(cube.values)
+    result = beamform(cube)
     bin_idx = round(1.5 / CFG.range_bin_spacing)
-    steered_power = result.power[np.flatnonzero(ANGLE_GRID == 0.0)[0], bin_idx]
+    window_idx = int(np.flatnonzero(WINDOW_BINS == bin_idx)[0])
+    steered_power = result.power[np.flatnonzero(ANGLE_GRID == 0.0)[0], window_idx]
     single_power = np.mean(np.abs(prof[:, 0, bin_idx]) ** 2)
     assert abs(steered_power - CFG.n_virtual * single_power) <= 0.05 * steered_power
 
@@ -137,8 +147,10 @@ def test_beamform_power_matches_materialized_steering(n_slow, scale, angles):
     # the given grid angles against weights steered to those angles alone
     rng = np.random.default_rng(n_slow)
     shape = (n_slow, CFG.n_virtual, CFG.n_fast)
-    profiles = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    result = beamform(profiles, CFG)
+    values = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    result = beamform(DataCube(values, CFG))
+    profiles = range_profile(values)[:, :, WINDOW_BINS]
+    assert np.array_equal(result.profiles, profiles)
     if angles is None:
         power, reference = result.power, materialized_power(profiles, result.weights)
     else:
@@ -164,19 +176,27 @@ def _two_target_cube(far_m):
     return DataCube(near.values + far.values, CFG)
 
 
-@pytest.mark.parametrize(
-    "make_cube",
-    [
-        lambda: still_target_cube(1.5, angle_deg=0.0),
-        lambda: still_target_cube(1.5, angle_deg=20.0, snr_db=10.0, seed=3),
-        _displacement_cube,
-        lambda: _two_target_cube(4.0),  # the far target lies outside RANGE_WINDOW
-        lambda: _two_target_cube(2.5),
-    ],
-    ids=["broadside", "off_axis_noisy", "displacement", "far_target_outside", "two_targets"],
-)
+def _noise_cube():
+    rng = np.random.default_rng(1)
+    noise = 0.05 * (
+        rng.standard_normal((128, CFG.n_virtual, CFG.n_fast))
+        + 1j * rng.standard_normal((128, CFG.n_virtual, CFG.n_fast))
+    )
+    return DataCube(noise, CFG)
+
+
+CUBES = {
+    "broadside": lambda: still_target_cube(1.5, angle_deg=0.0),
+    "off_axis_noisy": lambda: still_target_cube(1.5, angle_deg=20.0, snr_db=10.0, seed=3),
+    "displacement": _displacement_cube,
+    "far_target_outside": lambda: _two_target_cube(4.0),  # far target outside RANGE_WINDOW
+    "two_targets": lambda: _two_target_cube(2.5),
+}
+
+
+@pytest.mark.parametrize("make_cube", CUBES.values(), ids=CUBES.keys())
 def test_select_echo_same_as_with_materialized_map(make_cube):
-    result = beamform(range_profile(make_cube()), CFG)
+    result = beamform(make_cube())
     reference = dataclasses.replace(
         result, power=materialized_power(result.profiles, result.weights)
     )
@@ -197,11 +217,75 @@ def test_select_echo_same_as_with_materialized_map(make_cube):
 def test_front_end_bit_identical_to_out_of_place_profiles(make_cube):
     cube = make_cube()
     reference = np.fft.fft(cube.values, axis=2) / np.sqrt(cube.config.n_fast)
-    assert np.array_equal(range_profile(cube), reference)
+    assert np.array_equal(range_profile(cube.values), reference)
     sel = extract_slow_time(cube)
     r = int(np.flatnonzero(CFG.range_axis == sel.range_m)[0])
     w = BeamformResult.weights[int(np.flatnonzero(ANGLE_GRID == sel.angle_deg)[0])]
     assert np.array_equal(sel.series.samples, reference[:, :, r] @ w)
+
+
+def whole_cube_front_end(cube):
+    """The front end that the single pass replaced, kept as its reference.
+
+    FFT of the whole upcast cube, the covariance map over all range bins and
+    an argmax masked to ``RANGE_WINDOW``; returns (series, angle, range, power).
+    """
+    profiles = np.fft.fft(np.asarray(cube.values, dtype=np.complex128), axis=2)
+    profiles /= np.sqrt(CFG.n_fast)
+    cov = np.zeros((CFG.n_fast, CFG.n_virtual, CFG.n_virtual), dtype=np.complex128)
+    for s0 in range(0, cube.n_slow, _COV_BLOCK):
+        blk = np.ascontiguousarray(profiles[s0:s0 + _COV_BLOCK].transpose(2, 1, 0))
+        cov += blk @ blk.conj().transpose(0, 2, 1)
+    cov /= cube.n_slow
+    w = BeamformResult.weights
+    power = np.einsum("rai,ai->ar", w[None] @ cov, w.conj()).real
+    in_window = np.isin(np.arange(CFG.n_fast), WINDOW_BINS)
+    a, r = np.unravel_index(np.argmax(np.where(in_window, power, -np.inf)), power.shape)
+    return profiles[:, :, r] @ w[a], ANGLE_GRID[a], CFG.range_axis[r], power[a, r]
+
+
+def assert_same_as_whole_cube_front_end(cube):
+    sel = extract_slow_time(cube)
+    series, angle, range_m, power = whole_cube_front_end(cube)
+    assert np.array_equal(sel.series.samples, series)
+    assert sel.angle_deg == angle and sel.range_m == range_m and sel.power == power
+    assert sel.low_snr == (power < LOW_SNR_POWER)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize(
+    "n_slow", [1, _COV_BLOCK - 1, _COV_BLOCK, _COV_BLOCK + 1, 2 * _COV_BLOCK + 1]
+)
+def test_front_end_same_as_whole_cube_at_block_boundaries(n_slow, dtype):
+    cube = still_target_cube(1.5, angle_deg=7.0, n_slow=n_slow, snr_db=10.0, seed=n_slow)
+    assert_same_as_whole_cube_front_end(DataCube(cube.values.astype(dtype), CFG))
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize(
+    "make_cube", [*CUBES.values(), _noise_cube], ids=[*CUBES.keys(), "noise_only"]
+)
+def test_front_end_same_as_whole_cube(make_cube, dtype):
+    cube = DataCube(make_cube().values.astype(dtype), CFG)
+    assert cube.values.dtype == dtype
+    assert_same_as_whole_cube_front_end(cube)
+
+
+def test_cube_keeps_complex64_and_converts_other_values_to_complex128():
+    values = np.ones((2, CFG.n_virtual, CFG.n_fast), dtype=np.complex64)
+    assert DataCube(values, CFG).values is values
+    assert DataCube(values.real, CFG).values.dtype == np.complex128
+    assert DataCube(values.astype(">c8"), CFG).values.dtype == np.complex128
+
+
+def test_front_end_keeps_the_fields_the_benchmark_tracer_reads():
+    # perfbench/tracer.py's echo check reads select_echo's `result` argument and
+    # its config's bin spacing; its beamform counter reads 3-D profiles and the grid
+    assert "result" in inspect.signature(select_echo).parameters
+    result = beamform(still_target_cube(1.5))
+    assert result.config.range_bin_spacing == CFG.range_bin_spacing
+    assert result.profiles.ndim == 3
+    assert np.array_equal(result.angles_deg, ANGLE_GRID)
 
 
 def test_steering_vector_coherent_sum():
@@ -235,19 +319,13 @@ def test_select_echo_prefers_window():
     near = still_target_cube(1.0, angle_deg=-10.0)
     far = still_target_cube(4.0, angle_deg=15.0)  # beyond the 3.0-m window edge
     cube = DataCube(near.values + far.values, CFG)
-    result = beamform(range_profile(cube), CFG)
-    sel = select_echo(result)
+    sel = select_echo(beamform(cube))
     assert abs(sel.range_m - 1.0) <= 2 * CFG.range_bin_spacing
     assert abs(sel.angle_deg - (-10.0)) <= 1.0
 
 
 def test_select_echo_noise_only_sets_low_snr():
-    rng = np.random.default_rng(1)
-    noise = 0.05 * (
-        rng.standard_normal((128, CFG.n_virtual, CFG.n_fast))
-        + 1j * rng.standard_normal((128, CFG.n_virtual, CFG.n_fast))
-    )
-    sel = extract_slow_time(DataCube(noise, CFG))
+    sel = extract_slow_time(_noise_cube())
     assert sel.low_snr
     assert len(sel.series) == 128
 
@@ -255,8 +333,8 @@ def test_select_echo_noise_only_sets_low_snr():
 def test_select_echo_invariant_to_global_scaling():
     cube = still_target_cube(1.5, angle_deg=7.0, snr_db=15.0, seed=2)
     scaled = DataCube((2.0 - 3.0j) * cube.values, CFG)
-    sel_a = select_echo(beamform(range_profile(cube), CFG))
-    sel_b = select_echo(beamform(range_profile(scaled), CFG))
+    sel_a = select_echo(beamform(cube))
+    sel_b = select_echo(beamform(scaled))
     assert sel_a.range_m == sel_b.range_m
     assert sel_a.angle_deg == sel_b.angle_deg
 

@@ -9,6 +9,7 @@ from heartid.signals import (
     RealSeries,
     Spectrogram,
     amplitude,
+    check_finite,
     complex_second_derivative,
     phase_unwrapped,
     second_derivative,
@@ -36,6 +37,33 @@ def test_complex_series_rejects_non_finite_sample(bad):
     with pytest.raises(NonFiniteSample, match="index 7 ") as info:
         ComplexSeries(samples, 100.0)
     assert isinstance(info.value, PipelineError)
+
+
+@pytest.mark.parametrize(
+    "dtype, bad, value",
+    [
+        (np.complex64, complex(np.nan, 0.5), "(nan+0.5j)"),
+        (np.complex64, complex(0.1, np.inf), "(0.10000000149011612+infj)"),
+        (np.complex128, complex(np.nan, 0.5), "(nan+0.5j)"),
+        (np.complex128, complex(0.1, np.inf), "(0.1+infj)"),
+        (np.float64, np.nan, "nan"),
+        (np.float64, -np.inf, "-inf"),
+    ],
+)
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided_view"])
+def test_check_finite_message_names_first_bad_sample(dtype, bad, value, strided):
+    # the message is fixed text: index of the first bad sample, its value, the count
+    samples = 0.1 * np.arange(24.0).reshape(4, 6)
+    samples = (samples if dtype == np.float64 else samples + 0.5j).astype(dtype)
+    samples[2, 3] = samples[3, 5] = bad
+    index, size = "(2, 3)", 24
+    if strided:
+        samples, index, size = samples[:, 1::2], "(2, 1)", 12
+    with pytest.raises(NonFiniteSample) as info:
+        check_finite(samples)
+    assert str(info.value) == (
+        f"non-finite sample at index {index} ({value}); 2 of {size} are not finite"
+    )
 
 
 def test_spectrogram_invariants():
