@@ -19,6 +19,7 @@ import numpy as np
 
 from . import cepstrum, classify, cohort, dataio, embedding, radar
 from .errors import PipelineError
+from .signals import ComplexSeries
 
 PALETTE = [
     "#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377",
@@ -190,7 +191,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _measurement_series(m) -> "object":
+def _measurement_series(m) -> ComplexSeries:
     if m.is_cube:
         return radar.extract_slow_time(m.signal).series
     return m.signal

@@ -5,7 +5,9 @@ mean heart rate, beat-period jitter, a sum-of-Gaussians per-beat displacement
 template (the waveform shape that makes people distinguishable), and a
 respiration component.  Measurements follow a days x (am/pm) x repetitions
 schedule with per-session nuisance variation so cross-validation folds are
-non-trivially distinct.  Everything is a pure function of the seed.
+non-trivially distinct.  Everything is a pure function of the seed.  Records are
+rendered block by block into their stored dtype (complex64 cubes), with float64
+noise added to the real parts of every block before the imaginary parts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ DEFAULT_DURATION = 60.0
 DEFAULT_FS = 100.0
 SESSION_AMP_SIGMA = 0.15  # log-normal spread of the per-session amplitude scale
 SESSION_RATE_DRIFT = 0.05  # per-session heart-rate scale drawn from 1 +/- this
+_RENDER_BLOCK = 2**17  # samples rendered at a time: 85 chirps of a cube
 
 
 def derive_seed(*parts) -> int:
@@ -151,24 +154,34 @@ def displacement(
     return RealSeries(d, fs)
 
 
-def _add_noise(x: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
-    """Add complex circular Gaussian noise ``snr_db`` below unit power to ``x`` in place.
+def _render(shape: tuple, dtype, noiseless, snr_db: float | None, seed: int) -> np.ndarray:
+    """A new ``dtype`` array of ``shape``: ``noiseless(rows, buf)`` plus complex noise.
 
-    The real parts are drawn first, then the imaginary parts, each into one
-    reused float64 buffer; ``x`` is returned.
+    ``noiseless`` writes the complex128 samples of slow-time ``rows``, blocks of
+    about ``_RENDER_BLOCK`` samples, into ``buf``.  Noise 10^(-snr_db/10) below
+    unit power is added in float64 to every block's real parts, then imaginary parts.
     """
-    if snr_db is None:
-        return x
-    if not snr_db >= -300:  # keeps the noise finite in the complex64 samples datasets store
+    if snr_db is not None and not snr_db >= -300:  # keeps complex64 noise finite
         raise InvalidParameter(f"snr_db must be at least -300 dB, got {snr_db}")
+    out = np.empty(shape, dtype)
+    step = max(1, _RENDER_BLOCK // int(np.prod(shape[1:])))
+    # every block reuses these: fresh ones made the allocator return and re-fault their pages
+    block = np.empty((min(step, shape[0]), *shape[1:]), np.complex128)
+    noise = np.empty(block.shape)
+    blocks = [(slice(s0, s0 + step), min(step, shape[0] - s0)) for s0 in range(0, shape[0], step)]
+    if snr_db is None:
+        for rows, n in blocks:
+            out[rows] = noiseless(rows, block[:n])
+        return out
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    buf = np.empty(x.shape)
-    for part in (x.real, x.imag):
-        rng.standard_normal(out=buf)
-        buf *= sigma
-        part += buf
-    return x
+    for part in ("real", "imag"):
+        for rows, n in blocks:
+            buf = rng.standard_normal(out=noise[:n])
+            buf *= sigma
+            buf += getattr(noiseless(rows, block[:n]), part)
+            getattr(out, part)[rows] = buf
+    return out
 
 
 def render_baseband(
@@ -181,12 +194,14 @@ def render_baseband(
 ) -> ComplexSeries:
     """Displacement to unit-amplitude baseband: s(t) = exp(j 4 pi d(t)/lambda).
 
-    Complex circular Gaussian noise is added with power 10^(-snr_db/10)
-    relative to the unit carrier; ``snr_db=None`` renders noiselessly.
+    Complex circular Gaussian noise of power 10^(-snr_db/10) relative to the unit
+    carrier is added by :func:`_render`; ``snr_db=None`` renders noiselessly.
     """
     phase = 4.0 * np.pi * d.samples / cfg.wavelength + phase_offset
-    s = amp_scale * np.exp(1j * phase)
-    return ComplexSeries(_add_noise(s, snr_db, seed), d.fs)
+    s = _render(phase.shape, np.complex128,
+                lambda rows, buf: np.multiply(amp_scale, np.exp(1j * phase[rows]), out=buf),
+                snr_db, seed)
+    return ComplexSeries(s, d.fs)
 
 
 def render_cube(
@@ -199,14 +214,14 @@ def render_cube(
     amp_scale: float = 1.0,
     phase_offset: float = 0.0,
 ) -> DataCube:
-    """Render displacement as a full FMCW data cube (stop-and-go beat model).
+    """Render displacement as a complex64 FMCW data cube (stop-and-go beat model).
 
     Per chirp, the target at R = range_m + d(t) produces a beat tone at
     2 B R / (c T_chirp) with carrier phase 4 pi R / lambda.  That chirp phasor
     is formed once per (slow, fast) sample and steered to each element of
-    the virtual array by its half-wavelength phase factor; noise is then
-    added in place.  Doppler within a chirp is neglected (chest velocity is
-    negligible at this timescale).
+    the virtual array by its half-wavelength phase factor.  Blocks of chirps
+    are rendered in complex128, noised (see :func:`_render`) and stored as the
+    complex64 a cube file holds.  Doppler within a chirp is neglected.
     """
     r = range_m + d.samples  # (slow,)
     if np.any(r >= cfg.max_range):
@@ -217,18 +232,17 @@ def render_cube(
     t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
     f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
     carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
-    elem = (
-        2.0
-        * np.pi
-        * (cfg.element_spacing / cfg.wavelength)
-        * np.sin(np.radians(angle_deg))
-        * np.arange(cfg.n_virtual)
-    )
-    chirp = amp_scale * np.exp(
-        1j * (2.0 * np.pi * f_beat[:, None] * t_fast[None, :] + carrier[:, None])
-    )
-    cube = chirp[:, None, :] * np.exp(1j * elem)[None, :, None]
-    return DataCube(_add_noise(cube, snr_db, seed), cfg)
+    dphi = 2.0 * np.pi * (cfg.element_spacing / cfg.wavelength) * np.sin(np.radians(angle_deg))
+    steer = np.exp(1j * (dphi * np.arange(cfg.n_virtual)))[None, :, None]  # per element
+
+    def noiseless(rows, buf):
+        chirp = amp_scale * np.exp(
+            1j * (2.0 * np.pi * f_beat[rows, None] * t_fast[None, :] + carrier[rows, None])
+        )
+        return np.multiply(chirp[:, None, :], steer, out=buf)
+
+    shape = (r.size, cfg.n_virtual, cfg.n_fast)
+    return DataCube(_render(shape, np.complex64, noiseless, snr_db, seed), cfg)
 
 
 def session_nuisance(

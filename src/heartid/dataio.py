@@ -32,8 +32,8 @@ RECORD_KEYS = ("file", "label", "session_id", "repetition")
 # --- raw I/Q records --------------------------------------------------------
 
 def write_iq(path, samples: np.ndarray) -> None:
-    # "<c8" is one I/Q pair of little-endian float32, real part first
-    np.asarray(samples, dtype=np.complex128).astype("<c8").tofile(path)
+    # "<c8" is one I/Q pair of little-endian float32, real part first; complex64 is not copied
+    np.asarray(samples).astype("<c8", copy=False).tofile(path)
 
 
 def read_iq(path) -> np.ndarray:

@@ -60,10 +60,10 @@ class RadarConfig:
 class DataCube:
     """Raw dechirped samples, indexed (slow time, virtual element, fast time).
 
-    complex64 values, as a cube file holds them, are kept; others become
-    complex128.  Every sample must be finite: a NaN or infinity raises
-    :class:`NonFiniteSample` naming its (slow, element, fast) index.  A cube
-    with no slow-time sample raises :class:`PipelineError`.
+    complex64 values, as cube files and ``cohort.render_cube`` hold them, are
+    kept; others become complex128.  Every sample must be finite: a NaN or
+    infinity raises :class:`NonFiniteSample` naming its (slow, element, fast)
+    index.  A cube with no slow-time sample raises :class:`PipelineError`.
     """
 
     values: np.ndarray

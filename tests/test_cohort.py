@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.signal import detrend
 
 from heartid.cohort import (
+    _RENDER_BLOCK,
     GaussPulse,
     Measurement,
     PersonProfile,
@@ -19,6 +21,7 @@ from heartid.cohort import (
     segment,
     simulate_measurement,
 )
+from heartid.dataio import save_dataset
 from heartid.errors import InvalidParameter
 from heartid.radar import C_LIGHT, RadarConfig
 from heartid.signals import RealSeries, phase_unwrapped
@@ -166,9 +169,16 @@ def test_render_noise_scales_with_snr():
 @pytest.mark.parametrize("snr_db", [-3083.0, -400.0, float("nan")])
 def test_render_rejects_noise_a_dataset_cannot_store(snr_db):
     # -3083 dB overflowed 10**(-snr/10); -400 dB wrote infinite complex64 samples
-    d = RealSeries(np.zeros(100), 100.0)
-    with pytest.raises(InvalidParameter, match="snr_db must be at least -300 dB"):
-        render_baseband(d, CFG, snr_db=snr_db)
+    d = RealSeries(np.zeros(2000), 100.0)  # 20 s: a 23.4-MiB cube
+    for render in (render_baseband, render_cube):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match="snr_db must be at least -300 dB"):
+                render(d, CFG, snr_db=snr_db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{render.__name__} allocated {peak} B before rejecting"
 
 
 def _reference_noise(x, snr_db, seed):
@@ -210,7 +220,7 @@ def test_render_cube_broadside_bit_identical_to_full_phase(snr_db):
     before = d.samples.copy()
     cube = render_cube(d, CFG, snr_db, seed=11, **NUISANCE)
     ref = _reference_cube(d, CFG, snr_db, 11, 0.0, **NUISANCE)
-    assert np.array_equal(cube.values, ref)
+    assert np.array_equal(cube.values, ref.astype(np.complex64))
     assert np.array_equal(d.samples, before)
 
 
@@ -221,8 +231,67 @@ def test_render_cube_off_broadside_matches_full_phase(angle_deg, snr_db):
     before = d.samples.copy()
     cube = render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
     ref = _reference_cube(d, CFG, snr_db, 11, angle_deg, **NUISANCE)
-    assert np.all(np.abs(cube.values - ref) <= 1e-12 * np.abs(ref))
+    # rounding each part to float32 moves a sample by less than one float32 ulp
+    # of |ref|; the phasor and full-phase formulas differ by ~1e-12, far less
+    assert np.all(np.abs(cube.values - ref) <= np.spacing(np.abs(ref).astype(np.float32)))
     assert np.array_equal(d.samples, before)
+
+
+def _unblocked_cube(d, cfg, snr_db, seed, angle_deg, amp_scale, phase_offset, range_m=1.5):
+    """The whole-cube complex128 render that the blocked one replaced, noise added in place."""
+    r = range_m + d.samples
+    t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
+    f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
+    carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
+    elem = (
+        2.0
+        * np.pi
+        * (cfg.element_spacing / cfg.wavelength)
+        * np.sin(np.radians(angle_deg))
+        * np.arange(cfg.n_virtual)
+    )
+    chirp = amp_scale * np.exp(
+        1j * (2.0 * np.pi * f_beat[:, None] * t_fast[None, :] + carrier[:, None])
+    )
+    cube = chirp[:, None, :] * np.exp(1j * elem)[None, :, None]
+    if snr_db is not None:
+        rng = np.random.default_rng(seed)
+        sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+        buf = np.empty(cube.shape)
+        for part in (cube.real, cube.imag):
+            rng.standard_normal(out=buf)
+            buf *= sigma
+            part += buf
+    return cube
+
+
+ROWS = _RENDER_BLOCK // (CFG.n_virtual * CFG.n_fast)  # chirps per rendering block
+
+
+@pytest.mark.parametrize("angle_deg", [0.0, 20.0])
+@pytest.mark.parametrize("snr_db", [20.0, None])
+@pytest.mark.parametrize("n_slow", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+def test_render_cube_bit_identical_to_unblocked_complex128(n_slow, snr_db, angle_deg, tmp_path):
+    d = displacement(make_profile(), duration=n_slow / 100.0, fs=100.0, seed=4)
+    assert d.samples.size == n_slow
+    cube = render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
+    ref = _unblocked_cube(d, CFG, snr_db, 11, angle_deg, **NUISANCE)
+    assert cube.values.dtype == np.complex64
+    assert np.array_equal(cube.values, ref.astype(np.complex64))
+    save_dataset(tmp_path, [Measurement(cube, "t1", "d1am", 1)], [make_profile()], 11, snr_db)
+    assert (tmp_path / "t1_d1am_r1.iq").read_bytes() == ref.astype("<c8").tobytes()
+
+
+def test_render_cube_peak_memory_is_the_cube_plus_one_block():
+    d = displacement(make_profile(), duration=20.0, fs=100.0, seed=4)
+    tracemalloc.start()
+    try:
+        cube = render_cube(d, CFG, 20.0, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 29.3 MiB for the 23.4-MiB cube; the whole-cube complex128 render took 74.3 MiB
+    assert peak <= cube.values.nbytes + 16 * 2**20
 
 
 @pytest.mark.parametrize("snr_db", [5.0, 20.0, None])
