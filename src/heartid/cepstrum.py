@@ -1,13 +1,14 @@
 """Warped-filter-bank cepstral features for heartbeat identification.
 
-The chain implemented here is: second derivative of the slow-time signal,
-magnitude STFT, a low-frequency mel-style triangular filter bank applied
-separately to positive and negative frequencies, incoherent integration over
-the whole measurement, DCT-II, and truncation to the lowest-order
-coefficients.  Complex input yields the two-sided ``comp`` vector (2K'
-coefficients); the amplitude and phase branches are one-sided and yield K'
-coefficients each.  Concatenating all three gives the fused ``prop`` vector
-(4K').  Every feature vector is a plain 1-D float64 array.
+Every branch is one chain of public blocks: ``signals.second_derivative`` of
+the slow-time signal, ``signals.stft_magnitude``, ``mel_energies`` (a
+low-frequency mel-style triangular filter bank applied separately to positive
+and negative frequencies, integrated incoherently over the whole measurement)
+and ``dct2``, truncated to the lowest-order coefficients.  Complex input
+yields the two-sided ``comp`` vector (2K' coefficients); the amplitude and
+phase branches are one-sided and yield K' coefficients each.  Concatenating
+all three gives the fused ``prop`` vector (4K').  Every feature vector is a
+plain 1-D float64 array.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .signals import (
     ComplexSeries,
     Spectrogram,
     amplitude,
-    complex_second_derivative,
     phase_unwrapped,
     second_derivative,
-    stft_freqs,
     stft_magnitude,
 )
 
@@ -138,15 +137,21 @@ def _check_axis(freqs: np.ndarray, bank: MelBank) -> None:
         )
 
 
-def _spectral_sides(bank: MelBank, freqs: np.ndarray, two_sided: bool) -> tuple:
+@functools.lru_cache(maxsize=16)
+def _spectral_sides(centers: bytes, freqs: bytes, two_sided: bool) -> tuple:
     """(mask, grid, filter responses) of each spectral side, positive first.
 
-    For a two-sided axis the filters are applied to the negative half
-    through H_ell(-f).  An even-length DFT axis carries -fs/2 without a +fs/2
+    Keyed by the bytes of the bank edges and of the frequency axis, so each
+    axis is checked against its bank and its responses are built once.  For
+    a two-sided axis the filters are applied to the negative half through
+    H_ell(-f).  An even-length DFT axis carries -fs/2 without a +fs/2
     mirror, so the negative side is restricted to the exact mirror of the
     positive grid: conjugate-symmetric input then yields identical energies
     on both sides.
     """
+    bank = MelBank(np.frombuffer(centers))
+    freqs = np.frombuffer(freqs)
+    _check_axis(freqs, bank)
     pos_mask = freqs >= 0
     sides = [(pos_mask, freqs[pos_mask], bank_response_matrix(bank, freqs[pos_mask]))]
     if two_sided:
@@ -155,10 +160,6 @@ def _spectral_sides(bank: MelBank, freqs: np.ndarray, two_sided: bool) -> tuple:
             (neg_mask, freqs[neg_mask], bank_response_matrix(bank, -freqs[neg_mask]))
         )
     return tuple(sides)
-
-
-def _side_energies(time_integral: np.ndarray, sides: tuple) -> list[np.ndarray]:
-    return [np.trapezoid(h * time_integral[mask], grid, axis=1) for mask, grid, h in sides]
 
 
 def _time_integral(spec: Spectrogram) -> np.ndarray:
@@ -179,11 +180,14 @@ def mel_energies(spec: Spectrogram, bank: MelBank) -> tuple[np.ndarray, np.ndarr
     Returns ``(positive, negative)``: M_{+0} ... M_{+(L-1)} and the mirrored
     M_{-0} ... M_{-(L-1)}, or None for one-sided input.  The zero-indexed
     entries of the two sides are distinct variables, not shared.
+
+    The axis check and the filter responses are cached per bank and
+    frequency axis, so only the first spectrogram on an axis pays for them.
     """
-    _check_axis(spec.freqs, bank)
-    energies = _side_energies(
-        _time_integral(spec), _spectral_sides(bank, spec.freqs, spec.two_sided)
-    )
+    edges = np.asarray(bank.centers, dtype=np.float64)
+    sides = _spectral_sides(edges.tobytes(), spec.freqs.tobytes(), spec.two_sided)
+    integral = _time_integral(spec)
+    energies = [np.trapezoid(h * integral[mask], grid, axis=1) for mask, grid, h in sides]
     return energies[0], energies[1] if spec.two_sided else None
 
 
@@ -201,19 +205,6 @@ def _cached_bank(cfg: MelBankConfig) -> MelBank:
     return build_mel_bank(cfg)
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_sides(cfg: MelBankConfig, fs: float, window_len: float, two_sided: bool) -> tuple:
-    """Validated filter responses on the STFT axis of ``window_len``-second frames."""
-    bank = _cached_bank(cfg)
-    freqs = stft_freqs(fs, window_len, two_sided)
-    _check_axis(freqs, bank)
-    sides = _spectral_sides(bank, freqs, two_sided)
-    for side in sides:
-        for arr in side:
-            arr.flags.writeable = False  # shared by every later call
-    return sides
-
-
 def _cepstra(
     s: ComplexSeries,
     cfg: MelBankConfig,
@@ -225,10 +216,12 @@ def _cepstra(
 ) -> dict[str, np.ndarray]:
     """The requested branch vectors of one signal.
 
-    Each branch chains the public blocks: the second derivative of |s|, of
-    the unwrapped phase or of s itself, ``stft_magnitude``, the time
-    integral of ``mel_energies``, and ``dct2``.  The filter responses come
-    from a per-settings cache instead of being rebuilt for every signal.
+    Each branch is one chain of the public blocks: ``second_derivative`` of
+    |s|, of the unwrapped phase or of s itself, ``stft_magnitude``,
+    ``mel_energies`` and ``dct2``.  The chain is a single expression, so no
+    branch's derivative or spectrogram is alive while the next branch
+    allocates.  The bank comes from a per-settings cache and its responses
+    from ``mel_energies``' per-axis cache, not rebuilt for every signal.
     """
     if not 0 < k_prime < cfg.n_filters:
         raise InvalidParameter(
@@ -240,18 +233,16 @@ def _cepstra(
             energies = np.log(energies + 1e-12)
         return dct2(energies)[:k_prime]
 
+    bank = _cached_bank(cfg)
     out = {}
     for kind in kinds:
-        if kind == "comp":
-            deriv = complex_second_derivative(s)
-        else:
-            deriv = second_derivative(amplitude(s) if kind == "amp" else phase_unwrapped(s))
-        spec = stft_magnitude(deriv, window_len, hop)
-        sides = _cached_sides(cfg, s.fs, spec.window_len, spec.two_sided)
-        cepstra = [cepstrum(e) for e in _side_energies(_time_integral(spec), sides)]
+        positive, negative = mel_energies(stft_magnitude(second_derivative(
+            s if kind == "comp" else amplitude(s) if kind == "amp" else phase_unwrapped(s)
+        ), window_len, hop), bank)
         if kind == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
-            cepstra = [cepstra[1][::-1], cepstra[0]]
-        out[kind] = np.concatenate(cepstra)
+            out[kind] = np.concatenate([cepstrum(negative)[::-1], cepstrum(positive)])
+        else:
+            out[kind] = cepstrum(positive)
     return out
 
 
@@ -274,9 +265,8 @@ def extract_features(
 
     The DCT is applied to the raw integrated energies by default;
     ``log_energies`` switches to log(M + 1e-12) compression first.  The
-    result equals chaining ``second_derivative`` (or
-    ``complex_second_derivative``), ``stft_magnitude``, ``mel_energies`` and
-    ``dct2``.
+    result is the chain ``second_derivative``, ``stft_magnitude``,
+    ``mel_energies`` and ``dct2``, which is exactly what runs.
     """
     if kind not in FEATURE_KINDS:
         raise InvalidParameter(f"kind must be one of {', '.join(FEATURE_KINDS)}, got {kind!r}")

@@ -66,7 +66,7 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: str, gamma: float) -> np
         return A @ B.T
     if kernel == "rbf":
         return np.exp(-gamma * squared_distances(A, B))
-    raise ValueError(f"unknown kernel {kernel!r}")
+    raise InvalidParameter(f"unknown kernel {kernel!r}")
 
 
 def resolve_gamma(gamma, X: np.ndarray) -> float:

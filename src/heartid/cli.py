@@ -273,6 +273,8 @@ def cmd_eval(args) -> int:
 
 
 def _write_svg(path, proj: embedding.Projection2D) -> None:
+    from xml.sax.saxutils import escape  # imports urllib; only --svg pays for it
+
     pts = proj.points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -299,7 +301,7 @@ def _write_svg(path, proj: embedding.Projection2D) -> None:
             continue
         lines.append(
             f'<circle cx="{width - 90}" cy="{20 + 16 * i}" r="4" fill="{color[c]}"/>'
-            f'<text x="{width - 80}" y="{24 + 16 * i}" font-size="12">{c}</text>'
+            f'<text x="{width - 80}" y="{24 + 16 * i}" font-size="12">{escape(c)}</text>'
         )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -125,29 +125,20 @@ class Spectrogram:
         return bool(self.freqs[0] < 0)
 
 
-def second_difference(a: np.ndarray, fs: float) -> np.ndarray:
-    """(a[n+1] - 2 a[n] + a[n-1]) * fs^2 along the last axis, real or complex."""
-    return (a[..., 2:] - 2.0 * a[..., 1:-1] + a[..., :-2]) * fs**2
-
-
-def second_derivative(x: RealSeries) -> RealSeries:
+def second_derivative(x: RealSeries | ComplexSeries) -> RealSeries | ComplexSeries:
     """Central-difference second derivative, endpoints dropped.
 
     y[n] = (x[n+1] - 2 x[n] + x[n-1]) * fs^2, so the output is two samples
-    shorter than the input.
+    shorter than the input.  Complex input is differentiated in its real and
+    imaginary parts alike and keeps its type, starting one sample later.
     """
-    s = x.samples
-    if s.size < 3:
-        raise PipelineError(f"need at least 3 samples, got {s.size}")
-    return RealSeries(second_difference(s, x.fs), x.fs)
-
-
-def complex_second_derivative(s: ComplexSeries) -> ComplexSeries:
-    """Second derivative applied independently to the real and imaginary parts."""
-    a = s.samples
+    a = x.samples
     if a.size < 3:
         raise PipelineError(f"need at least 3 samples, got {a.size}")
-    return ComplexSeries(second_difference(a, s.fs), s.fs, s.t0 + 1.0 / s.fs)
+    y = (a[2:] - 2.0 * a[1:-1] + a[:-2]) * x.fs**2
+    if isinstance(x, ComplexSeries):
+        return ComplexSeries(y, x.fs, x.t0 + 1.0 / x.fs)
+    return RealSeries(y, x.fs)
 
 
 def amplitude(s: ComplexSeries) -> RealSeries:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from heartid.signals import (
     RealSeries,
     Spectrogram,
     amplitude,
-    complex_second_derivative,
     phase_unwrapped,
     second_derivative,
     stft_magnitude,
@@ -366,7 +367,7 @@ def _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies):
         return dct2(np.log(m + 1e-12) if log_energies else m)[:k_prime]
 
     if kind == "comp":
-        spec = stft_magnitude(complex_second_derivative(s), window_len, hop)
+        spec = stft_magnitude(second_derivative(s), window_len, hop)
         positive, negative = mel_energies(spec, bank)
         return np.concatenate([cep(negative)[::-1], cep(positive)])
     base = amplitude(s) if kind == "amp" else phase_unwrapped(s)
@@ -419,7 +420,7 @@ def test_filter_bank_built_once_per_settings(monkeypatch):
         lambda bank, f: responses.append(f.size) or respond(bank, f),
     )
     cepstrum._cached_bank.cache_clear()
-    cepstrum._cached_sides.cache_clear()
+    cepstrum._spectral_sides.cache_clear()
     settings = [MelBankConfig(), MelBankConfig(n_filters=32)]
     for cfg in settings:
         for seed in range(6):
@@ -428,3 +429,20 @@ def test_filter_bank_built_once_per_settings(monkeypatch):
     # (one-sided, two-sided positive, two-sided negative)
     assert builds == settings
     assert len(responses) == 3 * len(settings)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_branch_intermediates_die_with_their_branch():
+    s, cfg = _heartbeat_like(6000, 100.0, 0.0, seed=11), MelBankConfig()
+    extract_all(s, cfg)  # warm the bank and response caches
+    single = max(_traced_peak(lambda: extract_features(s, cfg, kind=kind))
+                 for kind in ("amp", "ph", "comp"))
+    assert _traced_peak(lambda: extract_all(s, cfg)) <= single + 64 * 1024

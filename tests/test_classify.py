@@ -293,6 +293,13 @@ def test_kernel_matrix_of_one_set_is_exactly_symmetric(kernel):
     assert np.array_equal(K, K.T)
 
 
+def test_unknown_kernel_is_a_pipeline_error():
+    rng = np.random.default_rng(7)
+    X, labels = blobs(rng, [(0, 0), (3, 3)], 5)
+    with pytest.raises(PipelineError, match="unknown kernel 'poly'"):
+        train_multiclass(X, labels, kernel="poly")
+
+
 def test_multiclass_rejects_non_finite_feature():
     X = np.random.default_rng(5).standard_normal((40, 4))
     X[7, 2] = np.nan

@@ -4,13 +4,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import heartid
 from heartid.cli import main
-from heartid.dataio import read_features, read_iq, write_iq
+from heartid.dataio import read_features, read_iq, write_features, write_iq
 from heartid.radar import RadarConfig
 
 
@@ -165,6 +166,20 @@ def test_project_pca_row_preservation(prop_csv, tmp_path):
     labels = [line.split(",")[1] for line in lines[1:]]
     assert labels == table.labels.tolist()
     assert svg.read_text().startswith("<svg")
+
+
+def test_project_svg_escapes_labels(tmp_path):
+    features = tmp_path / "odd_labels.csv"
+    rows = [{"sample_id": f"s{i}", "label": label, "session_id": f"d{i % 2}",
+             "segment_index": 0, "kind": "amp", "values": [float(i), float(i * i % 5)]}
+            for i, label in enumerate(['p<1>&', 'q"2'] * 3)]
+    write_features(features, rows, 2)
+    svg = tmp_path / "odd.svg"
+    assert main(["project", "--features", str(features), "--out", str(tmp_path / "p.csv"),
+                 "--svg", str(svg)]) == 0
+    root = ElementTree.parse(svg).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ['p<1>&', 'q"2']
 
 
 def test_project_tsne_deterministic(prop_csv, tmp_path):

@@ -10,7 +10,6 @@ from heartid.signals import (
     Spectrogram,
     amplitude,
     check_finite,
-    complex_second_derivative,
     phase_unwrapped,
     second_derivative,
     stft_magnitude,
@@ -128,7 +127,7 @@ def test_complex_second_derivative_of_tone_has_constant_magnitude():
     fs = 100.0
     f = 3.0
     t = times(10.0, fs)
-    out = complex_second_derivative(ComplexSeries(np.exp(2j * np.pi * f * t), fs))
+    out = second_derivative(ComplexSeries(np.exp(2j * np.pi * f * t), fs))
     mags = np.abs(out.samples)
     # discrete central difference of a tone: magnitude 2 fs^2 (1 - cos(w/fs))
     w = 2 * np.pi * f
@@ -138,15 +137,15 @@ def test_complex_second_derivative_of_tone_has_constant_magnitude():
 
 
 def test_complex_second_derivative_real_input_stays_real():
-    out = complex_second_derivative(
-        ComplexSeries(np.sin(times(2.0, 100.0)) + 0j, 100.0)
-    )
+    out = second_derivative(ComplexSeries(np.sin(times(2.0, 100.0)) + 0j, 100.0, t0=0.5))
     assert np.all(out.samples.imag == 0.0)
+    # complex input stays complex and starts one sample later
+    assert isinstance(out, ComplexSeries) and out.t0 == 0.5 + 1.0 / 100.0
 
 
 def test_complex_second_derivative_of_ramp_is_zero():
     t = times(2.0, 100.0)
-    out = complex_second_derivative(ComplexSeries((3.0 + 2.0j) * t, 100.0))
+    out = second_derivative(ComplexSeries((3.0 + 2.0j) * t, 100.0))
     assert np.max(np.abs(out.samples)) <= 1e-9
 
 
