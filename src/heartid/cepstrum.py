@@ -1,14 +1,15 @@
 """Warped-filter-bank cepstral features for heartbeat identification.
 
-Every branch is one chain of public blocks: ``signals.second_derivative`` of
-the slow-time signal, ``signals.stft_magnitude``, ``mel_energies`` (a
-low-frequency mel-style triangular filter bank applied separately to positive
-and negative frequencies, integrated incoherently over the whole measurement)
-and ``dct2``, truncated to the lowest-order coefficients.  Complex input
-yields the two-sided ``comp`` vector (2K' coefficients); the amplitude and
-phase branches are one-sided and yield K' coefficients each.  Concatenating
-all three gives the fused ``prop`` vector (4K').  Every feature vector is a
-plain 1-D float64 array.
+``extract_features`` is the one entry point.  Each branch it runs is one chain
+of public blocks: ``signals.second_derivative`` of the slow-time signal,
+``signals.stft_magnitude``, ``mel_energies`` (a low-frequency mel-style
+triangular filter bank applied separately to positive and negative
+frequencies, integrated incoherently over the whole measurement) and
+``dct2``, truncated to the lowest-order coefficients.  Complex input yields
+the two-sided ``comp`` vector (2K' coefficients); the amplitude and phase
+branches are one-sided and yield K' coefficients each.  The fused ``prop``
+vector (4K') is one pass over all three branches, concatenated as
+[amp, ph, comp].  Every feature vector is a plain 1-D float64 array.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidParameter, PipelineError
+from .errors import InvalidParameter, NonFiniteSample, PipelineError
 from .signals import (
     ComplexSeries,
     Spectrogram,
@@ -205,47 +206,6 @@ def _cached_bank(cfg: MelBankConfig) -> MelBank:
     return build_mel_bank(cfg)
 
 
-def _cepstra(
-    s: ComplexSeries,
-    cfg: MelBankConfig,
-    kinds: tuple[str, ...],
-    k_prime: int,
-    window_len: float,
-    hop: float,
-    log_energies: bool,
-) -> dict[str, np.ndarray]:
-    """The requested branch vectors of one signal.
-
-    Each branch is one chain of the public blocks: ``second_derivative`` of
-    |s|, of the unwrapped phase or of s itself, ``stft_magnitude``,
-    ``mel_energies`` and ``dct2``.  The chain is a single expression, so no
-    branch's derivative or spectrogram is alive while the next branch
-    allocates.  The bank comes from a per-settings cache and its responses
-    from ``mel_energies``' per-axis cache, not rebuilt for every signal.
-    """
-    if not 0 < k_prime < cfg.n_filters:
-        raise InvalidParameter(
-            f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
-        )
-
-    def cepstrum(energies: np.ndarray) -> np.ndarray:
-        if log_energies:
-            energies = np.log(energies + 1e-12)
-        return dct2(energies)[:k_prime]
-
-    bank = _cached_bank(cfg)
-    out = {}
-    for kind in kinds:
-        positive, negative = mel_energies(stft_magnitude(second_derivative(
-            s if kind == "comp" else amplitude(s) if kind == "amp" else phase_unwrapped(s)
-        ), window_len, hop), bank)
-        if kind == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
-            out[kind] = np.concatenate([cepstrum(negative)[::-1], cepstrum(positive)])
-        else:
-            out[kind] = cepstrum(positive)
-    return out
-
-
 def extract_features(
     s: ComplexSeries,
     cfg: MelBankConfig,
@@ -260,35 +220,40 @@ def extract_features(
     ``comp`` differentiates the complex signal and keeps both spectral sides:
     the result is ordered [C_{-(K'-1)}, ..., C_{-0}, C_{+0}, ..., C_{+(K'-1)}].
     ``amp`` and ``ph`` differentiate |s| or the unwrapped phase and keep the
-    K' lowest-order one-sided coefficients.  ``prop`` is the fused vector of
-    :func:`extract_all`.  Any other kind raises :class:`InvalidParameter`.
+    K' lowest-order one-sided coefficients.  ``prop`` runs all three branches
+    in one pass and returns [amp, ph, comp].  Any other kind, or K' outside
+    0 < K' < L, raises :class:`InvalidParameter`; a vector that overflows
+    float64 raises :class:`NonFiniteSample`.
 
     The DCT is applied to the raw integrated energies by default;
-    ``log_energies`` switches to log(M + 1e-12) compression first.  The
-    result is the chain ``second_derivative``, ``stft_magnitude``,
-    ``mel_energies`` and ``dct2``, which is exactly what runs.
+    ``log_energies`` switches to log(M + 1e-12) compression first.  Each
+    branch is a single expression, so no branch's derivative or spectrogram
+    is alive while the next branch allocates.  The bank comes from a
+    per-settings cache and its responses from ``mel_energies``' per-axis one.
     """
     if kind not in FEATURE_KINDS:
         raise InvalidParameter(f"kind must be one of {', '.join(FEATURE_KINDS)}, got {kind!r}")
-    if kind == "prop":
-        return extract_all(s, cfg, k_prime, window_len, hop, log_energies)["prop"]
-    return _cepstra(s, cfg, (kind,), k_prime, window_len, hop, log_energies)[kind]
+    if not 0 < k_prime < cfg.n_filters:
+        raise InvalidParameter(
+            f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
+        )
 
+    def cepstrum(energies: np.ndarray) -> np.ndarray:
+        if log_energies:
+            energies = np.log(energies + 1e-12)
+        return dct2(energies)[:k_prime]
 
-def extract_all(
-    s: ComplexSeries,
-    cfg: MelBankConfig,
-    k_prime: int = 24,
-    window_len: float = 2.0,
-    hop: float = 0.1,
-    log_energies: bool = False,
-) -> dict[str, np.ndarray]:
-    """All four feature vectors of one signal: ``amp``, ``ph``, ``comp``, ``prop``.
-
-    Each equals ``extract_features`` of that kind.  ``prop`` is the 4K'
-    concatenation [amp, ph, comp].  The three branches share one cached
-    filter bank.
-    """
-    out = _cepstra(s, cfg, ("amp", "ph", "comp"), k_prime, window_len, hop, log_energies)
-    out["prop"] = np.concatenate([out["amp"], out["ph"], out["comp"]])
+    bank = _cached_bank(cfg)
+    parts = []
+    for branch in ("amp", "ph", "comp") if kind == "prop" else (kind,):
+        positive, negative = mel_energies(stft_magnitude(second_derivative(
+            s if branch == "comp" else amplitude(s) if branch == "amp" else phase_unwrapped(s)
+        ), window_len, hop), bank)
+        if branch == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
+            parts.append(cepstrum(negative)[::-1])
+        parts.append(cepstrum(positive))
+    out = np.concatenate(parts)
+    if not np.isfinite(out).all():
+        raise NonFiniteSample(f"{kind} features overflow float64 at fs={s.fs:g} Hz, "
+                              f"window {window_len:g} s, hop {hop:g} s")
     return out

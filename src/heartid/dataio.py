@@ -223,7 +223,6 @@ class FeatureTable:
     sample_ids: list[str]
     labels: np.ndarray
     sessions: np.ndarray
-    segments: np.ndarray
     kind: str
     values: np.ndarray
 
@@ -294,7 +293,7 @@ def read_features(path) -> FeatureTable:
                 raise IoError(f"{path}: empty feature file") from None
             if header[: len(FEATURE_META_COLUMNS)] != FEATURE_META_COLUMNS:
                 raise IoError(f"{path}: unexpected header {header[:5]}")
-            sample_ids, labels, sessions, segments, kinds, values = [], [], [], [], [], []
+            sample_ids, labels, sessions, kinds, values = [], [], [], [], []
             for line in reader:
                 if not line:
                     continue
@@ -305,7 +304,7 @@ def read_features(path) -> FeatureTable:
                 sample_ids.append(line[0])
                 labels.append(line[1])
                 sessions.append(line[2])
-                segments.append(_number(path, line, header, 3, int, 2**63))
+                _number(path, line, header, 3, int, 2**63)  # segment_index
                 kinds.append(line[4])
                 values.append([_number(path, line, header, j) for j in range(5, len(line))])
     except (csv.Error, UnicodeDecodeError) as exc:  # e.g. an oversized field
@@ -321,7 +320,6 @@ def read_features(path) -> FeatureTable:
         sample_ids=sample_ids,
         labels=np.asarray(labels),
         sessions=np.asarray(sessions),
-        segments=np.asarray(segments, dtype=int),
         kind=kind_set.pop(),
         values=values,
     )

@@ -98,7 +98,6 @@ class Spectrogram:
     values: np.ndarray
     freqs: np.ndarray
     frame_times: np.ndarray
-    window_len: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -199,8 +198,8 @@ def stft_magnitude(x: RealSeries | ComplexSeries, window_len: float, hop: float)
     n_hop = min(_n_samples(hop, x.fs), n)  # past the end there is one frame either way
     if n_hop < 1:
         raise InvalidParameter(f"hop {hop} s is below one sample at fs={x.fs}")
-    if n_win < 1:
-        raise InvalidParameter(f"window {window_len} s is below one sample at fs={x.fs}")
+    if n_win < 2:  # one sample has only the 0-Hz bin, so no side of a spectrum
+        raise InvalidParameter(f"window {window_len} s is below two samples at fs={x.fs}")
     if n_win > n:
         raise PipelineError(
             f"window of {n_win} samples does not fit a signal of {n} samples"
@@ -216,4 +215,4 @@ def stft_magnitude(x: RealSeries | ComplexSeries, window_len: float, hop: float)
 
     t0 = getattr(x, "t0", 0.0)
     frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / x.fs
-    return Spectrogram(spec, stft_freqs(x.fs, window_len, two_sided), frame_times, n_win / x.fs)
+    return Spectrogram(spec, stft_freqs(x.fs, window_len, two_sided), frame_times)

@@ -25,9 +25,9 @@ def cohort_features(preset: str, seed: int, snr_db: float, seg_len: float | None
     for m in measurements:
         pieces = cohort.segment(m, seg_len) if seg_len else [m]
         for piece in pieces:
-            feats = cepstrum.extract_all(piece.signal, MEL_CFG)
-            for kind in cepstrum.FEATURE_KINDS:
-                rows[kind].append(feats[kind])
+            prop = cepstrum.extract_features(piece.signal, MEL_CFG, kind="prop")
+            for kind, vec in zip(cepstrum.FEATURE_KINDS, (*np.split(prop, [24, 48]), prop)):
+                rows[kind].append(vec)
             labels.append(piece.label)
             sessions.append(piece.session_id)
     features = {kind: np.stack(rows[kind]) for kind in cepstrum.FEATURE_KINDS}
@@ -114,7 +114,7 @@ def test_criterion_5_numerical_oracles():
     freqs = np.linspace(-50.0, 50.0, 8001)
     bumps = [(1.0, 2.0, 0.9), (0.6, 9.0, 2.5), (0.4, -15.0, 3.0)]
     spec = Spectrogram(
-        _smooth_spectrogram(freqs, frame_times, bumps), freqs, frame_times, 2.0
+        _smooth_spectrogram(freqs, frame_times, bumps), freqs, frame_times
     )
     positive, negative = cepstrum.mel_energies(spec, bank)
     pos = _riemann_oracle(bank, 6.0, bumps, 0.0, 50.0, 40001, 601)

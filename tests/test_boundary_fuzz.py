@@ -2,7 +2,9 @@
 
 One family of examples changes one record, or one top-level key, of a small
 valid dataset manifest; ``extract`` must then write one row per record,
-carrying that record's label and session.  Another changes one cell of a
+carrying that record's label and session.  Another rescales the sampling rate
+and the extraction settings jointly, from 1e-3 Hz to 1e300 Hz; an ``extract``
+that succeeds must write only finite features.  Another changes one cell of a
 feature CSV; ``eval`` must report finite metrics and ``project`` must keep
 each row's label.  A third sets one option of one subcommand in a
 ``--config`` file (exit 0, 1 or 2), and a fourth changes one field of an
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from heartid.cepstrum import FEATURE_KINDS
 from heartid.cli import build_parser, main
 from heartid.dataio import RECORD_KEYS
 
@@ -98,6 +102,45 @@ def test_extract_of_mutated_manifest_exits_0_or_2(dataset, capsys, data):
     assert len(rows) == len(records)
     for row, record in zip(rows, records):
         assert (row[1], row[2]) == (record["label"], record["session_id"])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_extract_at_any_scale_exits_0_or_2_with_finite_features(dataset, capsys, data):
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    edge = math.sqrt(sys.float_info.max)  # the largest rate whose square is finite
+    # half the rates lie within a decade below it, where a spectrum of finite
+    # samples can still overflow float64
+    fs = data.draw(st.one_of(st.floats(-3, 300).map(lambda e: 10.0 ** e),
+                             st.floats(0, 1).map(lambda e: edge / 10.0 ** e)), label="fs")
+    n = manifest["records"][0]["n_samples"] - 2  # the second derivative drops two
+    n_filters = data.draw(st.integers(1, 128), label="n_filters")
+    argv = [
+        "--kind", data.draw(st.sampled_from(FEATURE_KINDS), label="kind"),
+        "--window", repr(data.draw(st.integers(1, n), label="window_samples") / fs),
+        "--hop", repr(data.draw(st.integers(1, n), label="hop_samples") / fs),
+        "--n-filters", str(n_filters),
+        "--k-prime", str(data.draw(st.integers(1, max(1, n_filters - 1)), label="k_prime")),
+        "--f-ref", repr(10.0 ** data.draw(st.floats(-3, 3), label="log10_f_ref")),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ds = tmp / "ds"
+        ds.mkdir()
+        for path in dataset.glob("*.iq"):
+            (ds / path.name).symlink_to(path)
+        (ds / "manifest.json").write_text(json.dumps({**manifest, "fs": fs}))
+        out = tmp / "f.csv"
+        rc = main(["extract", "--data", str(ds), "--out", str(out), *argv])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert not out.exists()
+            return
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+    assert all(math.isfinite(float(v)) for row in rows for v in row[5:])
 
 
 CELLS = st.one_of(

@@ -13,7 +13,6 @@ from heartid.cepstrum import (
     bank_response_matrix,
     build_mel_bank,
     dct2,
-    extract_all,
     extract_features,
     mel_energies,
 )
@@ -127,7 +126,6 @@ def test_mel_energies_zero_spectrogram():
         np.zeros((10, 51)),
         np.linspace(0, 50, 51),
         np.linspace(0, 9, 10),
-        2.0,
     )
     positive, negative = mel_energies(spec, bank)
     assert np.all(positive == 0.0)
@@ -141,7 +139,7 @@ def test_mel_energies_unit_spectrogram_gives_duration():
     t0 = 10.0
     freqs = np.linspace(0, 50, 8001)
     spec = Spectrogram(
-        np.ones((21, freqs.size)), freqs, np.linspace(0, t0, 21), 2.0
+        np.ones((21, freqs.size)), freqs, np.linspace(0, t0, 21)
     )
     positive, _ = mel_energies(spec, bank)
     assert np.max(np.abs(positive - t0)) <= 1e-3 * t0
@@ -191,7 +189,6 @@ def test_mel_energies_match_brute_force_quadrature():
         _smooth_spectrogram(freqs, frame_times, bumps),
         freqs,
         frame_times,
-        2.0,
     )
     positive, negative = mel_energies(spec, bank)
     pos_oracle = _riemann_oracle(bank, duration, bumps, 0.0, 50.0, 40001, 801)
@@ -236,7 +233,7 @@ def test_mel_energies_real_signal_two_sided_symmetry():
 
 def test_mel_energies_axis_mismatch():
     spec = Spectrogram(
-        np.ones((4, 26)), np.linspace(0, 25, 26), np.arange(4.0), 1.0
+        np.ones((4, 26)), np.linspace(0, 25, 26), np.arange(4.0)
     )
     with pytest.raises(PipelineError, match="exceeds the bank Nyquist"):
         mel_energies(spec, build_mel_bank(MelBankConfig(fs=40.0)))  # nyq 20 < 25
@@ -348,13 +345,11 @@ def test_extract_errors(tone_signal):
 
 def test_fuse_concatenation(tone_signal):
     cfg = MelBankConfig()
-    feats = extract_all(tone_signal, cfg)
-    prop = feats["prop"]
+    prop = extract_features(tone_signal, cfg, 24, "prop")
     assert prop.shape == (96,) and prop.dtype == np.float64
-    assert np.array_equal(prop[:24], feats["amp"])
-    assert np.array_equal(prop[24:48], feats["ph"])
-    assert np.array_equal(prop[48:], feats["comp"])
-    assert np.array_equal(extract_features(tone_signal, cfg, 24, "prop"), prop)
+    assert np.array_equal(prop[:24], extract_features(tone_signal, cfg, 24, "amp"))
+    assert np.array_equal(prop[24:48], extract_features(tone_signal, cfg, 24, "ph"))
+    assert np.array_equal(prop[48:], extract_features(tone_signal, cfg, 24, "comp"))
 
 
 # --- single-pass extraction against the public building blocks ---------------
@@ -399,16 +394,13 @@ def test_extraction_bit_identical_to_public_blocks(
     n, cfg, window_len, hop, k_prime, log_energies, t0
 ):
     s = _heartbeat_like(n, cfg.fs, t0, seed=n)
-    feats = extract_all(s, cfg, k_prime, window_len, hop, log_energies)
-    for kind in ("amp", "ph", "comp"):
-        ref = _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
-        single = extract_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
-        assert np.array_equal(feats[kind], ref), kind
-        assert np.array_equal(single, ref), kind
-    assert np.array_equal(
-        feats["prop"],
-        np.concatenate([feats["amp"], feats["ph"], feats["comp"]]),
-    )
+    refs = [_reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
+            for kind in ("amp", "ph", "comp")]
+    for kind, ref in zip(("amp", "ph", "comp"), refs):
+        got = extract_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
+        assert np.array_equal(got, ref), kind
+    prop = extract_features(s, cfg, k_prime, "prop", window_len, hop, log_energies)
+    assert np.array_equal(prop, np.concatenate(refs))
 
 
 def test_filter_bank_built_once_per_settings(monkeypatch):
@@ -424,7 +416,7 @@ def test_filter_bank_built_once_per_settings(monkeypatch):
     settings = [MelBankConfig(), MelBankConfig(n_filters=32)]
     for cfg in settings:
         for seed in range(6):
-            extract_all(_heartbeat_like(1500, cfg.fs, 0.0, seed), cfg)
+            extract_features(_heartbeat_like(1500, cfg.fs, 0.0, seed), cfg, kind="prop")
     # one bank per settings; one response matrix per spectral side
     # (one-sided, two-sided positive, two-sided negative)
     assert builds == settings
@@ -442,7 +434,7 @@ def _traced_peak(fn) -> int:
 
 def test_branch_intermediates_die_with_their_branch():
     s, cfg = _heartbeat_like(6000, 100.0, 0.0, seed=11), MelBankConfig()
-    extract_all(s, cfg)  # warm the bank and response caches
+    extract_features(s, cfg, kind="prop")  # warm the bank and response caches
     single = max(_traced_peak(lambda: extract_features(s, cfg, kind=kind))
                  for kind in ("amp", "ph", "comp"))
-    assert _traced_peak(lambda: extract_all(s, cfg)) <= single + 64 * 1024
+    assert _traced_peak(lambda: extract_features(s, cfg, kind="prop")) <= single + 64 * 1024

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -88,9 +89,9 @@ def test_extract_segment_multiplies_rows(small_dataset, tmp_path):
     out = tmp_path / "seg.csv"
     assert main(["extract", "--data", str(small_dataset), "--out", str(out),
                  "--segment", "5"]) == 0
-    table = read_features(out)
-    assert table.n_rows == 48 * 4
-    assert set(table.segments.tolist()) == {0, 1, 2, 3}
+    assert read_features(out).n_rows == 48 * 4
+    with open(out, newline="") as fh:
+        assert {row["segment_index"] for row in csv.DictReader(fh)} == {"0", "1", "2", "3"}
 
 
 def test_extract_deterministic_bytes(small_dataset, tmp_path):
@@ -255,6 +256,25 @@ def test_extract_non_finite_sample_exits_2(tmp_path, capsys, mode):
         assert "; 1 of 614400 are not finite" in err  # 400 x 12 x 128 complex64 samples
     else:
         assert sample_id in err and "index 123 " in err
+
+
+@pytest.mark.parametrize("kind", ["amp", "ph", "comp", "prop"])
+def test_extract_overflowing_features_exit_2(tmp_path, capsys, kind):
+    # fs^2 is finite, but the STFT of the second derivative overflows to inf, and
+    # inf * 0 in the filter-bank trapezoid gave an all-NaN CSV with exit 0
+    data = tmp_path / "ds"
+    assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
+                 "--duration", "4"]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps({**manifest, "fs": 1e154}))
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["extract", "--data", str(data), "--out", str(out), "--kind", kind,
+                 "--window", "2e-152", "--hop", "1e-153", "--n-filters", "8",
+                 "--k-prime", "4"]) == 2
+    assert not out.exists()
+    assert (f"segment 0: {kind} features overflow float64 at fs=1e+154 Hz, "
+            "window 2e-152 s, hop 1e-153 s") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("duration, mode", [("1e15", "baseband"), ("1e12", "cube")])

@@ -2,7 +2,8 @@
 
 A name counts as used when a module other than its own reaches it by
 ``module.name`` or ``from .module import name``, or when its own module names
-it outside its definition.  Docstrings and tests do not count.  An exception
+it outside its definition.  Docstrings and tests do not count.  Every dataclass
+field and property is read somewhere in ``src/`` as well.  An exception
 type must also be raised, caught or warned somewhere in ``src/``, and every
 raise of a ``PipelineError`` passes the message that names its cause.
 """
@@ -71,6 +72,62 @@ def test_every_public_name_has_a_caller_in_src():
 def test_allowlist_is_not_stale():
     # an entry that gained a caller, or whose definition is gone, should leave the list
     assert set(ALLOWED) <= set(_names_without_caller())
+
+
+# module.Class.field -> why it stays without a reader in src/
+_SOLVER = "read only by perfbench/tracer.py until the eval report carries it"
+_ECHO = "read only by perfbench/tracer.py until an extract provenance file carries it"
+FIELDS_ALLOWED: dict[str, str] = {
+    "classify.BinaryMachine.converged": _SOLVER,
+    "classify.BinaryMachine.n_iter": _SOLVER,
+    "radar.EchoSelection.angle_deg": _ECHO,
+    "radar.EchoSelection.range_m": _ECHO,
+    "radar.EchoSelection.low_snr": _ECHO,
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _fields_without_reader() -> list[str]:
+    """Dataclass fields and properties in src/ whose name src/ never reads.
+
+    A read is an attribute load of the name, or a ``getattr`` with it as a
+    string constant.  The scan matches by name alone, so a read of another
+    class's field of the same name also counts: ``EchoSelection.power`` has
+    no reader, but the reads of ``BeamformResult.power`` hide it.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read, fields = set(), []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (_is_dataclass(node) and isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        fields.append((module, node.name, stmt.target.id))
+                    elif isinstance(stmt, ast.FunctionDef) and any(
+                            isinstance(d, ast.Name) and d.id == "property"
+                            for d in stmt.decorator_list):
+                        fields.append((module, node.name, stmt.name))
+    return [f"{module}.{cls}.{name}" for module, cls, name in fields if name not in read]
+
+
+def test_every_field_and_property_has_a_reader_in_src():
+    assert [name for name in _fields_without_reader() if name not in FIELDS_ALLOWED] == []
+
+
+def test_field_allowlist_is_not_stale():
+    # an entry that gained a reader, or whose field is gone, should leave the list
+    assert set(FIELDS_ALLOWED) <= set(_fields_without_reader())
 
 
 def _names(node: ast.expr | None) -> set[str]:

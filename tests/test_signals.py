@@ -67,11 +67,11 @@ def test_check_finite_message_names_first_bad_sample(dtype, bad, value, strided)
 
 def test_spectrogram_invariants():
     with pytest.raises(ValueError):
-        Spectrogram(-np.ones((2, 3)), np.arange(3.0), np.arange(2.0), 1.0)
+        Spectrogram(-np.ones((2, 3)), np.arange(3.0), np.arange(2.0))
     with pytest.raises(ValueError):
-        Spectrogram(np.ones((2, 3)), np.array([0.0, 0.0, 1.0]), np.arange(2.0), 1.0)
+        Spectrogram(np.ones((2, 3)), np.array([0.0, 0.0, 1.0]), np.arange(2.0))
     with pytest.raises(ValueError):
-        Spectrogram(np.ones((2, 3)), np.arange(4.0), np.arange(2.0), 1.0)
+        Spectrogram(np.ones((2, 3)), np.arange(4.0), np.arange(2.0))
 
 
 # --- second derivative ------------------------------------------------------
@@ -306,6 +306,9 @@ def test_stft_errors():
         stft_magnitude(x, 0.5, 1e-5)
     with pytest.raises(InvalidParameter):
         stft_magnitude(x, 0.001, 0.1)
+    # one sample has only the 0-Hz bin; a complex one read as one-sided
+    with pytest.raises(InvalidParameter, match="below two samples"):
+        stft_magnitude(ComplexSeries(np.ones(100), 100.0), 0.01, 0.1)
     with pytest.raises(InvalidParameter):
         stft_magnitude(x, float("nan"), 0.1)
 
