@@ -56,35 +56,17 @@ class MelBankConfig:
             raise InvalidParameter("frequencies must be positive and finite")
 
 
-@dataclass(frozen=True)
-class MelBank:
-    """Edge/center frequencies of the L triangular filters.
+def build_mel_bank(cfg: MelBankConfig) -> np.ndarray:
+    """The warped filter bank edges f_0 ... f_{L+1}, a read-only float64 array.
 
-    ``centers`` holds f_0 ... f_{L+1}; filter ``ell`` rises on
-    [f_ell, f_{ell+1}) and falls on [f_{ell+1}, f_{ell+2}).  By construction
-    f_0 = 0 and f_{L+1} = fs/2.
-    """
-
-    centers: np.ndarray
-
-    @property
-    def n_filters(self) -> int:
-        return self.centers.size - 2
-
-    @property
-    def nyquist(self) -> float:
-        return float(self.centers[-1])
-
-
-def build_mel_bank(cfg: MelBankConfig) -> MelBank:
-    """Construct the warped filter bank edges.
-
-    The warping constant is m~ = f' / log(f'/f_ref + 1); the mel points are
-    spaced linearly, m_ell = m~ * (ell/(L+1)) * log(1 + fs/(2 f_ref)) for
-    ell = 0 ... L+1, and mapped back through
-    f_ell = f_ref * (exp(m_ell/m~) - 1).  The edges must rise strictly from
-    f_0 = 0 to the Nyquist frequency fs/2 (within 1e-9 relative); settings
-    that miss this, or whose warping is flat, raise :class:`InvalidParameter`.
+    Filter ``ell`` rises on [f_ell, f_{ell+1}) and falls on
+    [f_{ell+1}, f_{ell+2}), so L = ``edges.size - 2``.  The warping constant
+    is m~ = f' / log(f'/f_ref + 1); the mel points are spaced linearly,
+    m_ell = m~ * (ell/(L+1)) * log(1 + fs/(2 f_ref)) for ell = 0 ... L+1, and
+    mapped back through f_ell = f_ref * (exp(m_ell/m~) - 1).  The edges must
+    rise strictly from f_0 = 0 to the Nyquist frequency fs/2 (within 1e-9
+    relative); settings that miss this, or whose warping is flat, raise
+    :class:`InvalidParameter`.
     """
     settings = f"f_ref={cfg.f_ref:g}, f_prime={cfg.f_prime:g} and fs={cfg.fs:g} Hz"
     warp = math.log(cfg.f_prime / cfg.f_ref + 1.0)
@@ -93,23 +75,24 @@ def build_mel_bank(cfg: MelBankConfig) -> MelBank:
     scale = cfg.f_prime / warp
     ell = np.arange(cfg.n_filters + 2, dtype=np.float64)
     mels = scale * (ell / (cfg.n_filters + 1)) * math.log(1.0 + cfg.fs / (2.0 * cfg.f_ref))
-    centers = cfg.f_ref * np.expm1(mels / scale)
+    edges = cfg.f_ref * np.expm1(mels / scale)
     nyq = cfg.fs / 2.0
-    rising = centers[0] == 0.0 and (np.diff(centers) > 0).all()
-    if not (rising and abs(centers[-1] - nyq) <= 1e-9 * nyq):
-        raise InvalidParameter(f"{settings} give edges {centers[0]:g} ... {centers[-1]:g} Hz, "
+    rising = edges[0] == 0.0 and (np.diff(edges) > 0).all()
+    if not (rising and abs(edges[-1] - nyq) <= 1e-9 * nyq):
+        raise InvalidParameter(f"{settings} give edges {edges[0]:g} ... {edges[-1]:g} Hz, "
                                f"not rising strictly from 0 to {nyq:g} Hz")
-    return MelBank(centers)
+    edges.flags.writeable = False  # cached per settings and shared by every caller
+    return edges
 
 
-def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
+def bank_response_matrix(edges: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Every filter response H_ell(f) on a frequency grid, shape (L, len(freqs)).
 
     H_ell rises linearly on [f_ell, f_{ell+1}), falls on [f_{ell+1}, f_{ell+2})
     and is zero elsewhere; the peak value 2/(f_{ell+2} - f_ell) makes every
     filter integrate to 1.
     """
-    c = bank.centers[:, None]
+    c = edges[:, None]
     f_lo, f_mid, f_hi = c[:-2], c[1:-1], c[2:]
     f = np.asarray(freqs, dtype=np.float64)
     return np.where(
@@ -123,8 +106,7 @@ def bank_response_matrix(bank: MelBank, freqs: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_axis(freqs: np.ndarray, bank: MelBank) -> None:
-    nyq = bank.nyquist
+def _check_axis(freqs: np.ndarray, nyq: float) -> None:
     if freqs.max() > nyq * (1 + 1e-9) or freqs.min() < -nyq * (1 + 1e-9):
         raise PipelineError(
             f"frequency axis [{freqs.min():g}, {freqs.max():g}] exceeds the "
@@ -139,7 +121,7 @@ def _check_axis(freqs: np.ndarray, bank: MelBank) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _spectral_sides(centers: bytes, freqs: bytes, two_sided: bool) -> tuple:
+def _spectral_sides(edges: bytes, freqs: bytes, two_sided: bool) -> tuple:
     """(mask, grid, filter responses) of each spectral side, positive first.
 
     Keyed by the bytes of the bank edges and of the frequency axis, so each
@@ -150,15 +132,15 @@ def _spectral_sides(centers: bytes, freqs: bytes, two_sided: bool) -> tuple:
     positive grid: conjugate-symmetric input then yields identical energies
     on both sides.
     """
-    bank = MelBank(np.frombuffer(centers))
+    edges = np.frombuffer(edges)
     freqs = np.frombuffer(freqs)
-    _check_axis(freqs, bank)
+    _check_axis(freqs, float(edges[-1]))
     pos_mask = freqs >= 0
-    sides = [(pos_mask, freqs[pos_mask], bank_response_matrix(bank, freqs[pos_mask]))]
+    sides = [(pos_mask, freqs[pos_mask], bank_response_matrix(edges, freqs[pos_mask]))]
     if two_sided:
         neg_mask = (freqs <= 0) & (freqs >= -freqs.max())
         sides.append(
-            (neg_mask, freqs[neg_mask], bank_response_matrix(bank, -freqs[neg_mask]))
+            (neg_mask, freqs[neg_mask], bank_response_matrix(edges, -freqs[neg_mask]))
         )
     return tuple(sides)
 
@@ -170,9 +152,10 @@ def _time_integral(spec: Spectrogram) -> np.ndarray:
     return np.zeros(spec.freqs.size)
 
 
-def mel_energies(spec: Spectrogram, bank: MelBank) -> tuple[np.ndarray, np.ndarray | None]:
-    """Integrate the spectrogram against each filter over time and frequency.
+def mel_energies(spec: Spectrogram, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Integrate the spectrogram against each filter of the bank ``edges``.
 
+    ``edges`` are f_0 ... f_{L+1} as :func:`build_mel_bank` returns them.
     Both integrals use the trapezoidal rule on the discrete STFT grid, time
     first (trapezoid is linear, so the order is immaterial).  For a two-sided
     spectrogram the filters are applied separately to the positive and
@@ -185,7 +168,7 @@ def mel_energies(spec: Spectrogram, bank: MelBank) -> tuple[np.ndarray, np.ndarr
     The axis check and the filter responses are cached per bank and
     frequency axis, so only the first spectrogram on an axis pays for them.
     """
-    edges = np.asarray(bank.centers, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.float64)
     sides = _spectral_sides(edges.tobytes(), spec.freqs.tobytes(), spec.two_sided)
     integral = _time_integral(spec)
     energies = [np.trapezoid(h * integral[mask], grid, axis=1) for mask, grid, h in sides]
@@ -202,7 +185,7 @@ def dct2(m) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_bank(cfg: MelBankConfig) -> MelBank:
+def _cached_bank(cfg: MelBankConfig) -> np.ndarray:
     return build_mel_bank(cfg)
 
 
@@ -243,15 +226,17 @@ def extract_features(
             energies = np.log(energies + 1e-12)
         return dct2(energies)[:k_prime]
 
-    bank = _cached_bank(cfg)
+    edges = _cached_bank(cfg)
     parts = []
-    for branch in ("amp", "ph", "comp") if kind == "prop" else (kind,):
-        positive, negative = mel_energies(stft_magnitude(second_derivative(
-            s if branch == "comp" else amplitude(s) if branch == "amp" else phase_unwrapped(s)
-        ), window_len, hop), bank)
-        if branch == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
-            parts.append(cepstrum(negative)[::-1])
-        parts.append(cepstrum(positive))
+    # an overflow can only end in a non-finite vector, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for branch in ("amp", "ph", "comp") if kind == "prop" else (kind,):
+            positive, negative = mel_energies(stft_magnitude(second_derivative(
+                s if branch == "comp" else amplitude(s) if branch == "amp" else phase_unwrapped(s)
+            ), window_len, hop), edges)
+            if branch == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
+                parts.append(cepstrum(negative)[::-1])
+            parts.append(cepstrum(positive))
     out = np.concatenate(parts)
     if not np.isfinite(out).all():
         raise NonFiniteSample(f"{kind} features overflow float64 at fs={s.fs:g} Hz, "

@@ -164,17 +164,15 @@ def _smo(
 def train_binary_svm(
     X: np.ndarray,
     y: np.ndarray,
-    kernel: str = "rbf",
+    K: np.ndarray,
     C: float = 10.0,
-    gamma="scale",
     tol: float = 1e-3,
     max_passes: int = 10,
-    K: np.ndarray | None = None,
 ) -> BinaryMachine:
-    """Train one soft-margin binary machine by SMO.
+    """Train one soft-margin binary machine by SMO on the kernel matrix ``K``.
 
-    ``y`` must contain both +1 and -1.  ``K`` may carry a precomputed kernel
-    matrix (shared across one-vs-rest machines); it must be symmetric, as
+    ``y`` must contain both +1 and -1.  ``K`` is the n x n kernel of the rows
+    of ``X`` (shared across one-vs-rest machines); it must be symmetric, as
     ``kernel_matrix(X, X, ...)`` is bit for bit, since SMO reads its rows.
     The iteration budget is ``max_passes * n``; exhausting it raises a
     :class:`NoConvergence` warning and flags the machine, but still returns it.
@@ -183,15 +181,15 @@ def train_binary_svm(
     y = np.asarray(y, dtype=np.float64)
     if not (np.any(y > 0) and np.any(y < 0)):
         raise PipelineError("training labels must contain both classes")
+    if K.shape != (y.size, y.size):
+        raise PipelineError(f"kernel matrix is {K.shape}, not {(y.size, y.size)} "
+                            f"for {y.size} labels")
     if not C > 0:
         raise InvalidParameter(f"C must be positive, got {C}")
     if not 0 < tol < np.inf:
         raise InvalidParameter(f"tol must be positive and finite, got {tol}")
     if not max_passes >= 1:
         raise InvalidParameter(f"max_passes must be at least 1, got {max_passes}")
-    gamma_val = resolve_gamma(gamma, X)
-    if K is None:
-        K = kernel_matrix(X, X, kernel, gamma_val)
     alpha, bias, converged, n_iter = _smo(K, y, C, tol, max_passes * y.size)
     sv = alpha > 1e-8
     return BinaryMachine(
@@ -241,9 +239,7 @@ def train_multiclass(
     machines = []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
-        machines.append(
-            train_binary_svm(Xs, y, kernel, C, gamma_val, tol, max_passes, K=K)
-        )
+        machines.append(train_binary_svm(Xs, y, K, C, tol, max_passes))
     return SvmModel(classes, machines, kernel, gamma_val, std)
 
 
@@ -269,39 +265,6 @@ def predict(model: SvmModel, X: np.ndarray):
 
 
 # --- dataset and evaluation -------------------------------------------------
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Feature matrix with participant labels and session ids per row.
-
-    A non-finite feature raises :class:`NonFiniteSample` naming its (row, column).
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    sessions: np.ndarray
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        check_finite(features)
-        labels = np.asarray(self.labels)
-        sessions = np.asarray(self.sessions)
-        if not features.shape[0] == labels.size == sessions.size:
-            raise PipelineError("features, labels and sessions disagree in length")
-        classes = np.unique(labels)
-        if classes.size < 2:
-            raise PipelineError("dataset must contain at least two classes")
-        for cls in classes:
-            if np.unique(sessions[labels == cls]).size < 2:
-                raise PipelineError(f"class {str(cls)!r} appears in fewer than two sessions")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sessions", sessions)
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
 
 @dataclass
 class EvalReport:
@@ -414,7 +377,9 @@ def session_folds(sessions) -> list[tuple[str, np.ndarray]]:
 
 
 def session_grouped_cv(
-    data: LabeledDataset,
+    features: np.ndarray,
+    labels,
+    sessions,
     kernel: str = "rbf",
     C: float = 10.0,
     gamma="scale",
@@ -423,12 +388,29 @@ def session_grouped_cv(
 ) -> EvalReport:
     """Hold out one session per fold, train on the rest, pool the predictions.
 
+    ``features`` has one row per sample; ``labels`` and ``sessions`` give each
+    row's participant and session.  A non-finite feature raises
+    :class:`NonFiniteSample` naming its (row, column).  The three must agree
+    in length, and there must be at least two classes, each seen in at least
+    two sessions, or :class:`PipelineError` is raised.
+
     Sessions never straddle the train/validation split, so the metrics test
     generalization across measurement periods, not interpolation within one.
     """
-    folds = session_folds(data.sessions)
-    n = data.n_samples
-    classes = sorted(np.unique(data.labels).tolist())
+    features = np.asarray(features, dtype=np.float64)
+    check_finite(features)
+    labels = np.asarray(labels)
+    sessions = np.asarray(sessions)
+    n = features.shape[0]
+    if not n == labels.size == sessions.size:
+        raise PipelineError("features, labels and sessions disagree in length")
+    classes = sorted(np.unique(labels).tolist())
+    if len(classes) < 2:
+        raise PipelineError("dataset must contain at least two classes")
+    for cls in classes:
+        if np.unique(sessions[labels == cls]).size < 2:
+            raise PipelineError(f"class {str(cls)!r} appears in fewer than two sessions")
+    folds = session_folds(sessions)
     pooled_pred = np.empty(n, dtype=object)
     pooled_scores = np.zeros((n, len(classes)))
     per_fold = []
@@ -436,18 +418,18 @@ def session_grouped_cv(
         train_mask = np.ones(n, dtype=bool)
         train_mask[val_idx] = False
         model = train_multiclass(
-            data.features[train_mask],
-            data.labels[train_mask],
+            features[train_mask],
+            labels[train_mask],
             kernel=kernel,
             C=C,
             gamma=gamma,
             tol=tol,
             max_passes=max_passes,
         )
-        pred, scores = predict(model, data.features[val_idx])
+        pred, scores = predict(model, features[val_idx])
         pooled_pred[val_idx] = pred
         pooled_scores[val_idx] = scores
-        fold_acc = 100.0 * float(np.mean(pred == data.labels[val_idx]))
+        fold_acc = 100.0 * float(np.mean(pred == labels[val_idx]))
         per_fold.append(
             {
                 "session": str(session_id),
@@ -456,8 +438,7 @@ def session_grouped_cv(
                 "accuracy_pct": fold_acc,
             }
         )
-    report = metrics(data.labels, pooled_pred, pooled_scores, classes)
+    report = metrics(labels, pooled_pred, pooled_scores, classes)
     report.per_fold = per_fold
     report.params = {"kernel": kernel, "C": C, "gamma": str(gamma), "k_folds": len(folds)}
     return report
-

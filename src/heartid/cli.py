@@ -242,9 +242,10 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     table = dataio.read_features(args.features)
-    data = classify.LabeledDataset(table.values, table.labels, table.sessions)
     report = classify.session_grouped_cv(
-        data,
+        table.values,
+        table.labels,
+        table.sessions,
         kernel=args.kernel,
         C=args.C,
         gamma=args.gamma,

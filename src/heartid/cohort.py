@@ -256,6 +256,11 @@ def session_nuisance(
     return amp_scale, phase_offset, rate_scale
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("baseband", "cube"):
+        raise InvalidParameter(f"mode must be baseband or cube, got {mode!r}")
+
+
 def simulate_measurement(
     profile: PersonProfile,
     session_id: str,
@@ -270,8 +275,7 @@ def simulate_measurement(
 
     The radar is the fixed :class:`RadarConfig` device at slow-time rate ``fs``.
     """
-    if mode not in ("baseband", "cube"):
-        raise ValueError(f"mode must be baseband or cube, got {mode!r}")
+    _check_mode(mode)
     radar = RadarConfig(fs_slow=fs)
     amp_scale, phase_offset, rate_scale = session_nuisance(profile.id, session_id, seed)
     d_seed = derive_seed(seed, "disp", profile.id, session_id, repetition)
@@ -299,15 +303,16 @@ def generate_cohort(
 ) -> Iterator[Measurement]:
     """One measurement per (profile, session, repetition), deterministic in seed.
 
-    The profile count and schedule are checked at call time; each measurement
-    is rendered only when the returned iterator reaches it, so a caller that
-    consumes them one by one holds one at a time.
+    The profile count, schedule and mode are checked at call time; each
+    measurement is rendered only when the returned iterator reaches it, so a
+    caller that consumes them one by one holds one at a time.
     """
     if len(profiles) < 2:
         raise InvalidParameter("a cohort needs at least two profiles")
     schedule = schedule or Schedule()
     if schedule.days < 1 or schedule.repetitions < 1:
         raise InvalidParameter("schedule must contain at least one session and repetition")
+    _check_mode(mode)
     return (
         simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs, mode)[0]
         for profile in profiles

@@ -6,7 +6,8 @@ internal failures propagate as ordinary exceptions.  One type per cause a
 caller can act on:
 
 - :class:`InvalidParameter`: a setting the caller chose is out of range
-  (hop, duration, segment length, profile, perplexity, K', ...);
+  (hop, duration, segment length, profile, perplexity, K', synthesis
+  mode, ...);
 - :class:`NonFiniteSample`: a NaN or infinite sample or feature value;
 - :class:`ManifestError`: a dataset manifest or record that is malformed;
 - :class:`IoError`: a data or feature file that cannot be read or parsed;

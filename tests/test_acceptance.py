@@ -37,8 +37,7 @@ def cohort_features(preset: str, seed: int, snr_db: float, seg_len: float | None
 @lru_cache(maxsize=None)
 def evaluate(preset: str, seed: int, snr_db: float, kind: str, seg_len=None):
     features, labels, sessions = cohort_features(preset, seed, snr_db, seg_len)
-    data = classify.LabeledDataset(features[kind], labels, sessions)
-    return classify.session_grouped_cv(data)
+    return classify.session_grouped_cv(features[kind], labels, sessions)
 
 
 def test_criterion_1_paper_protocol_arithmetic():
@@ -132,9 +131,7 @@ def test_criterion_5_numerical_oracles():
         if abs(y.sum()) == n_pts:
             y[0] = -y[0]
         K = classify.kernel_matrix(X, X, "rbf", gamma)
-        machine = classify.train_binary_svm(
-            X, y, kernel="rbf", C=C, gamma=gamma, tol=1e-4, max_passes=500
-        )
+        machine = classify.train_binary_svm(X, y, K, C=C, tol=1e-4, max_passes=500)
         alpha = np.zeros(n_pts)
         sv_rows = {tuple(v): i for i, v in enumerate(machine.support_vectors)}
         for i in range(n_pts):
@@ -192,8 +189,8 @@ def test_criterion_7_mel_bank_edges():
     ]
     for cfg in configs:
         bank = cepstrum.build_mel_bank(cfg)
-        assert bank.centers[0] == 0.0
-        assert abs(bank.centers[-1] - cfg.fs / 2) <= 1e-9 * (cfg.fs / 2)
+        assert bank[0] == 0.0
+        assert abs(bank[-1] - cfg.fs / 2) <= 1e-9 * (cfg.fs / 2)
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):

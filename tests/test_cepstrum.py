@@ -40,7 +40,17 @@ def naive_dct2(m):
 
 def test_mel_bank_bottom_edge_is_zero():
     bank = build_mel_bank(MelBankConfig())
-    assert bank.centers[0] == 0.0
+    assert bank[0] == 0.0
+
+
+def test_mel_bank_edges_are_read_only_and_cached():
+    cfg = MelBankConfig(n_filters=12)
+    edges = build_mel_bank(cfg)
+    assert edges.dtype == np.float64 and edges.shape == (14,)
+    with pytest.raises(ValueError, match="read-only"):
+        edges[1] = 0.0
+    shared = cepstrum._cached_bank(cfg)
+    assert not shared.flags.writeable and np.array_equal(shared, edges)
 
 
 @pytest.mark.parametrize(
@@ -54,7 +64,7 @@ def test_mel_bank_bottom_edge_is_zero():
 )
 def test_mel_bank_top_edge_is_nyquist(cfg):
     bank = build_mel_bank(cfg)
-    assert abs(bank.centers[-1] - cfg.fs / 2) <= 1e-9 * (cfg.fs / 2)
+    assert abs(bank[-1] - cfg.fs / 2) <= 1e-9 * (cfg.fs / 2)
 
 
 @pytest.mark.parametrize(
@@ -83,7 +93,7 @@ def test_mel_bank_matches_high_precision_oracle():
         for ell in range(cfg.n_filters + 2):
             m_ell = m_tilde * mpmath.mpf(ell) / (cfg.n_filters + 1) * span
             f_ell = f_ref * (mpmath.exp(m_ell / m_tilde) - 1)
-            got = bank.centers[ell]
+            got = bank[ell]
             if f_ell == 0:
                 assert got == 0.0
             else:
@@ -93,7 +103,7 @@ def test_mel_bank_matches_high_precision_oracle():
 def test_filter_response_edges_and_peak():
     bank = build_mel_bank(MelBankConfig())
     for ell in (0, 7, 63):
-        f_lo, f_mid, f_hi = bank.centers[ell : ell + 3]
+        f_lo, f_mid, f_hi = bank[ell : ell + 3]
         at_lo, peak, at_hi, below = bank_response_matrix(
             bank, np.array([f_lo, f_mid, f_hi, f_lo - 1.0])
         )[ell]
@@ -105,8 +115,8 @@ def test_filter_response_edges_and_peak():
 
 def test_filter_response_unit_area():
     bank = build_mel_bank(MelBankConfig())
-    for ell in range(bank.n_filters):
-        f_lo, f_mid, f_hi = bank.centers[ell : ell + 3]
+    for ell in range(bank.size - 2):
+        f_lo, f_mid, f_hi = bank[ell : ell + 3]
         # trapezoid grid containing the breakpoints integrates the
         # piecewise-linear triangle exactly
         grid = np.unique(
@@ -171,7 +181,7 @@ def _riemann_oracle(bank, duration, bumps, f_lo, f_hi, n_f, n_t):
     wt[0] = wt[-1] = 0.5
     h = bank_response_matrix(bank, np.abs(f_fine) if f_lo < 0 else f_fine)
     hw = h * wf[None, :]
-    out = np.zeros(bank.n_filters)
+    out = np.zeros(bank.size - 2)
     for start in range(0, n_t, 128):
         rows = slice(start, min(start + 128, n_t))
         s = _smooth_spectrogram(f_fine, t_fine[rows], bumps)
@@ -214,8 +224,8 @@ def test_mel_energies_tone_concentrates_on_positive_side():
     # energy sits in the filters whose support covers 3 Hz
     covering = [
         ell
-        for ell in range(bank.n_filters)
-        if bank.centers[ell] <= 3.0 < bank.centers[ell + 2]
+        for ell in range(bank.size - 2)
+        if bank[ell] <= 3.0 < bank[ell + 2]
     ]
     top = np.argsort(positive)[-len(covering) :]
     assert set(covering) <= set(top.tolist())

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from heartid.classify import (
     EvalReport,
-    LabeledDataset,
     SvmModel,
     _smo,
     kernel_matrix,
@@ -115,7 +115,7 @@ def test_standardize_too_few_rows():
 def test_smo_symmetric_pair():
     X = np.array([[-1.0], [1.0]])
     y = np.array([-1.0, 1.0])
-    machine = train_binary_svm(X, y, kernel="linear", C=1000.0)
+    machine = train_binary_svm(X, y, kernel_matrix(X, X, "linear", 1.0), C=1000.0)
     assert machine.converged
     assert machine.support_vectors.shape[0] == 2
     assert np.allclose(np.abs(machine.dual_coef), np.abs(machine.dual_coef)[0])
@@ -129,7 +129,7 @@ def test_smo_symmetric_pair():
 def test_smo_xor_with_rbf():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
-    machine = train_binary_svm(X, y, kernel="rbf", C=10.0, gamma=1.0)
+    machine = train_binary_svm(X, y, kernel_matrix(X, X, "rbf", 1.0), C=10.0)
     K = kernel_matrix(X, machine.support_vectors, "rbf", 1.0)
     assert np.array_equal(np.sign(machine.decision(K)), y)
 
@@ -141,7 +141,7 @@ def test_smo_matches_qp_oracle(kernel, gamma):
     y = np.where(labels == 0, -1.0, 1.0)
     C = 5.0
     K = kernel_matrix(X, X, kernel, gamma)
-    machine = train_binary_svm(X, y, kernel=kernel, C=C, gamma=gamma, tol=1e-4)
+    machine = train_binary_svm(X, y, K, C=C, tol=1e-4)
     # reconstruct full alpha from the support set
     alpha = np.zeros(y.size)
     sv = 0
@@ -164,7 +164,7 @@ def test_smo_kkt_conditions_hold():
     X, labels = blobs(rng, [(0.0, 0.0), (2.0, 0.5)], 15, spread=0.7)
     y = np.where(labels == 0, -1.0, 1.0)
     tol = 1e-3
-    machine = train_binary_svm(X, y, kernel="rbf", C=10.0, gamma=0.7, tol=tol)
+    machine = train_binary_svm(X, y, kernel_matrix(X, X, "rbf", 0.7), C=10.0, tol=tol)
     K = kernel_matrix(X, machine.support_vectors, "rbf", 0.7)
     f = machine.decision(K)
     alpha = np.abs(machine.dual_coef)
@@ -178,14 +178,22 @@ def test_smo_kkt_conditions_hold():
 
 def test_smo_single_class_rejected():
     with pytest.raises(PipelineError, match="must contain both classes"):
-        train_binary_svm(np.ones((4, 2)), np.ones(4))
+        train_binary_svm(np.ones((4, 2)), np.ones(4), np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("shape", [(8, 7), (7, 7), (8,), (8, 8, 1)])
+def test_smo_rejects_kernel_not_n_by_n(shape):
+    X = np.random.default_rng(2).standard_normal((8, 2))
+    with pytest.raises(PipelineError, match=rf"kernel matrix is {re.escape(str(shape))}, "
+                                            r"not \(8, 8\) for 8 labels"):
+        train_binary_svm(X, np.array([1.0, -1.0] * 4), np.ones(shape))
 
 
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0, 0.0])
 def test_smo_rejects_gamma_not_positive_and_finite(gamma):
     X = np.random.default_rng(2).standard_normal((8, 2))
     with pytest.raises(InvalidParameter, match="gamma"):
-        train_binary_svm(X, np.array([1.0, -1.0] * 4), gamma=gamma)
+        train_multiclass(X, ["a", "b"] * 4, gamma=gamma)
 
 
 def test_smo_nonconvergence_is_surfaced():
@@ -194,7 +202,7 @@ def test_smo_nonconvergence_is_surfaced():
     y = np.where(rng.random(60) > 0.5, 1.0, -1.0)  # unlearnable labels
     with pytest.warns(NoConvergence):
         machine = train_binary_svm(
-            X, y, kernel="rbf", C=1e6, gamma=0.01, tol=1e-9, max_passes=1
+            X, y, kernel_matrix(X, X, "rbf", 0.01), C=1e6, tol=1e-9, max_passes=1
         )
     assert not machine.converged
 
@@ -319,36 +327,36 @@ def toy_dataset(n_sessions=4, n_per=3, n_classes=3, spread=0.3, seed=0):
                 rows.append(centers[c] + spread * rng.standard_normal(4))
                 labels.append(f"c{c}")
                 sessions.append(f"s{s}")
-    return LabeledDataset(np.array(rows), np.array(labels), np.array(sessions))
+    return np.array(rows), np.array(labels), np.array(sessions)
 
 
 def test_dataset_invariants():
     with pytest.raises(PipelineError, match="at least two classes"):
-        LabeledDataset(np.ones((4, 2)), ["a"] * 4, ["s1", "s1", "s2", "s2"])
+        session_grouped_cv(np.ones((4, 2)), ["a"] * 4, ["s1", "s1", "s2", "s2"])
     with pytest.raises(PipelineError, match="^class 'a' appears in fewer than two sessions$"):
-        LabeledDataset(
+        session_grouped_cv(
             np.ones((4, 2)), ["a", "a", "b", "b"], ["s1", "s1", "s1", "s2"]
         )
     with pytest.raises(PipelineError, match="disagree in length"):
-        LabeledDataset(np.ones((4, 2)), ["a", "b"], ["s1", "s2", "s1", "s2"])
+        session_grouped_cv(np.ones((4, 2)), ["a", "b"], ["s1", "s2", "s1", "s2"])
 
 
 def test_dataset_rejects_non_finite_feature():
     X = np.random.default_rng(5).standard_normal((40, 4))
     X[11, 3] = np.inf
     with pytest.raises(NonFiniteSample, match=r"\(11, 3\)"):
-        LabeledDataset(X, ["a", "b"] * 20, ["s1"] * 20 + ["s2"] * 20)
+        session_grouped_cv(X, ["a", "b"] * 20, ["s1"] * 20 + ["s2"] * 20)
 
 
 def test_session_folds_partition():
-    data = toy_dataset(n_sessions=5)
-    folds = session_folds(data.sessions)
+    X, _, sessions = toy_dataset(n_sessions=5)
+    folds = session_folds(sessions)
     assert len(folds) == 5
     seen = np.concatenate([idx for _, idx in folds])
-    assert sorted(seen.tolist()) == list(range(data.n_samples))
+    assert sorted(seen.tolist()) == list(range(X.shape[0]))
     for session_id, idx in folds:
-        assert set(data.sessions[idx]) == {session_id}
-        train_sessions = set(np.delete(data.sessions, idx))
+        assert set(sessions[idx]) == {session_id}
+        train_sessions = set(np.delete(sessions, idx))
         assert session_id not in train_sessions
 
 
@@ -358,12 +366,12 @@ def test_session_folds_too_few():
 
 
 def test_grouped_cv_fold_sizes_and_pooling():
-    data = toy_dataset(n_sessions=4, n_per=3, n_classes=3)
-    report = session_grouped_cv(data)
+    X, labels, sessions = toy_dataset(n_sessions=4, n_per=3, n_classes=3)
+    report = session_grouped_cv(X, labels, sessions)
     assert len(report.per_fold) == 4
     for fold in report.per_fold:
         assert fold["n_train"] == 27 and fold["n_val"] == 9
-    assert report.confusion.sum() == data.n_samples  # every sample exactly once
+    assert report.confusion.sum() == X.shape[0]  # every sample exactly once
     assert report.accuracy >= 99.0  # easy blobs
 
 

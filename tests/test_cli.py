@@ -269,12 +269,17 @@ def test_extract_overflowing_features_exit_2(tmp_path, capsys, kind):
     (data / "manifest.json").write_text(json.dumps({**manifest, "fs": 1e154}))
     out = tmp_path / "f.csv"
     capsys.readouterr()
-    assert main(["extract", "--data", str(data), "--out", str(out), "--kind", kind,
-                 "--window", "2e-152", "--hop", "1e-153", "--n-filters", "8",
-                 "--k-prime", "4"]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["extract", "--data", str(data), "--out", str(out), "--kind", kind,
+                     "--window", "2e-152", "--hop", "1e-153", "--n-filters", "8",
+                     "--k-prime", "4"]) == 2
     assert not out.exists()
-    assert (f"segment 0: {kind} features overflow float64 at fs=1e+154 Hz, "
-            "window 2e-152 s, hop 1e-153 s") in capsys.readouterr().err
+    # the error line is all the user sees: no numpy RuntimeWarning before it
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: sample p1_d1am_r1 segment 0: {kind} features overflow float64 at "
+        "fs=1e+154 Hz, window 2e-152 s, hop 1e-153 s\n")
 
 
 @pytest.mark.parametrize("duration, mode", [("1e15", "baseband"), ("1e12", "cube")])

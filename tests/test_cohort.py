@@ -365,6 +365,14 @@ def test_cohort_requires_two_profiles_and_schedule():
         generate_cohort(default_cohort(), Schedule(days=0))
 
 
+def test_unknown_mode_rejected_at_call_time():
+    # checked when the generator is made, before any measurement is rendered
+    with pytest.raises(InvalidParameter, match="^mode must be baseband or cube, got 'bogus'$"):
+        generate_cohort(default_cohort(), mode="bogus")
+    with pytest.raises(InvalidParameter, match="got 'bogus'"):
+        simulate_measurement(make_profile(), "d1am", 1, mode="bogus")
+
+
 def test_cube_mode_matches_baseband_phase():
     profile = make_profile()
     kwargs = dict(seed=21, snr_db=20.0, duration=15.0)
