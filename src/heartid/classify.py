@@ -50,13 +50,13 @@ def standardize_fit_transform(X: np.ndarray) -> tuple[Standardizer, np.ndarray]:
 
 # --- kernels ----------------------------------------------------------------
 
-def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """|a_i - b_j|^2 for every row pair, clipped at 0 against rounding."""
-    sq = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+def squared_distances(A: np.ndarray, B: np.ndarray, out=None, work=None) -> np.ndarray:
+    """|a_i - b_j|^2 for every row pair, clipped at 0 against rounding (into ``out``,
+    with ``A @ B.T`` formed in ``work``, when those are given)."""
+    sq = np.add(np.sum(A**2, axis=1)[:, None], np.sum(B**2, axis=1)[None, :], out=out)
+    gram = np.matmul(A, B.T, out=work)
+    gram *= 2.0
+    sq -= gram
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -96,6 +96,7 @@ class BinaryMachine:
     bias: float
     converged: bool
     n_iter: int
+    kkt_gap: float  # max-over-up minus min-over-low violation when SMO stopped
 
     def decision(self, K_sv: np.ndarray) -> np.ndarray:
         """Decision values given kernel columns against the support vectors."""
@@ -108,27 +109,31 @@ def _smo(
     C: float,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, float, bool, int]:
+) -> tuple[np.ndarray, float, bool, int, float]:
     """Maximal-violating-pair SMO on the soft-margin dual.
 
-    Maintains the gradient of the dual objective and repeatedly solves the
-    analytic two-variable subproblem for the pair that most violates the KKT
-    conditions, until max-over-up minus min-over-low falls below ``tol``.
-    The gap is also measured after the last allowed update, so a budget that
-    ends exactly at convergence counts as converged.
+    Repeatedly solves the analytic two-variable subproblem for the pair that
+    most violates the KKT conditions, until max-over-up minus min-over-low
+    (the KKT gap, returned last) falls below ``tol``.  The gap is also
+    measured after the last allowed update, so a budget that ends exactly at
+    convergence counts as converged.
+
+    The state is ``up_v``/``low_v``: the violations ``-y * grad`` (grad being the
+    dual objective's gradient), with -inf/+inf where alpha cannot move up/down.
+    An update subtracts one kernel-row combination from both in reused buffers
+    and re-masks the two alphas it moved.  As y is +-1, sign flips are exact,
+    so this equals rebuilding both from the gradient bit for bit.
     """
     n = y.size
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of (1/2 a'Qa - e'a) at a = 0
     eps = 1e-12
+    pos = y > 0  # at alpha = 0, grad = -1 and the violations are y
+    up_v = np.where(np.where(pos, alpha < C - eps, alpha > eps), y, -np.inf)
+    low_v = np.where(np.where(pos, alpha > eps, alpha < C - eps), y, np.inf)
+    delta, scratch = np.empty(n), np.empty(n)
 
     it = 0
     while True:
-        viol = -y * grad
-        up = ((y > 0) & (alpha < C - eps)) | ((y < 0) & (alpha > eps))
-        low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < C - eps))
-        up_v = np.where(up, viol, -np.inf)
-        low_v = np.where(low, viol, np.inf)
         i = int(np.argmax(up_v))
         j = int(np.argmin(low_v))
         m_up, m_low = up_v[i], low_v[j]
@@ -147,18 +152,27 @@ def _smo(
         d_j = -y[j] * t
         alpha[i] += d_i
         alpha[j] += d_j
-        grad += y * (K[i] * (y[i] * d_i) + K[j] * (y[j] * d_j))
+        np.multiply(K[i], y[i] * d_i, out=delta)
+        delta += np.multiply(K[j], y[j] * d_j, out=scratch)
+        up_v -= delta  # -inf stays -inf, +inf stays +inf
+        low_v -= delta
+        for k, viol in ((i, up_v[i]), (j, low_v[j])):  # i was in up, j in low
+            up = alpha[k] < C - eps if y[k] > 0 else alpha[k] > eps
+            low = alpha[k] > eps if y[k] > 0 else alpha[k] < C - eps
+            up_v[k] = viol if up else -np.inf
+            low_v[k] = viol if low else np.inf
         it += 1
 
+    gap = float(m_up - m_low)
     if not converged:
         warnings.warn(
             NoConvergence(
                 f"SMO stopped after {max_iter} iterations with KKT gap "
-                f"{m_up - m_low:.3e} > tol {tol:g}"
+                f"{gap:.3e} > tol {tol:g}"
             )
         )
     bias = float((m_up + m_low) / 2.0)
-    return alpha, bias, converged, it
+    return alpha, bias, converged, it, gap
 
 
 def train_binary_svm(
@@ -171,16 +185,16 @@ def train_binary_svm(
 ) -> BinaryMachine:
     """Train one soft-margin binary machine by SMO on the kernel matrix ``K``.
 
-    ``y`` must contain both +1 and -1.  ``K`` is the n x n kernel of the rows
-    of ``X`` (shared across one-vs-rest machines); it must be symmetric, as
+    ``y`` must hold +1 and -1, and nothing else.  ``K`` is the n x n kernel of
+    the rows of ``X`` (shared across one-vs-rest machines); it must be symmetric, as
     ``kernel_matrix(X, X, ...)`` is bit for bit, since SMO reads its rows.
     The iteration budget is ``max_passes * n``; exhausting it raises a
     :class:`NoConvergence` warning and flags the machine, but still returns it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise PipelineError("training labels must contain both classes")
+    if not (np.all(np.abs(y) == 1) and np.any(y > 0) and np.any(y < 0)):
+        raise PipelineError("training labels must be +1 or -1 and must contain both classes")
     if K.shape != (y.size, y.size):
         raise PipelineError(f"kernel matrix is {K.shape}, not {(y.size, y.size)} "
                             f"for {y.size} labels")
@@ -190,7 +204,7 @@ def train_binary_svm(
         raise InvalidParameter(f"tol must be positive and finite, got {tol}")
     if not max_passes >= 1:
         raise InvalidParameter(f"max_passes must be at least 1, got {max_passes}")
-    alpha, bias, converged, n_iter = _smo(K, y, C, tol, max_passes * y.size)
+    alpha, bias, converged, n_iter, kkt_gap = _smo(K, y, C, tol, max_passes * y.size)
     sv = alpha > 1e-8
     return BinaryMachine(
         support_vectors=X[sv].copy(),
@@ -198,6 +212,7 @@ def train_binary_svm(
         bias=bias,
         converged=converged,
         n_iter=n_iter,
+        kkt_gap=kkt_gap,
     )
 
 
@@ -396,6 +411,7 @@ def session_grouped_cv(
 
     Sessions never straddle the train/validation split, so the metrics test
     generalization across measurement periods, not interpolation within one.
+    Each ``per_fold`` entry lists its machines' SMO iterations, convergence, SVs and KKT gap.
     """
     features = np.asarray(features, dtype=np.float64)
     check_finite(features)
@@ -436,6 +452,9 @@ def session_grouped_cv(
                 "n_train": int(train_mask.sum()),
                 "n_val": int(val_idx.size),
                 "accuracy_pct": fold_acc,
+                "machines": [{"class": str(c), "n_iter": m.n_iter, "converged": m.converged,
+                              "n_sv": m.support_vectors.shape[0], "kkt_gap": m.kkt_gap}
+                             for c, m in zip(model.classes, model.machines)],
             }
         )
     report = metrics(labels, pooled_pred, pooled_scores, classes)

@@ -270,6 +270,9 @@ def cmd_eval(args) -> int:
             f"  fold {fold['session']}: {fold['accuracy_pct']:.2f}% "
             f"({fold['n_train']}/{fold['n_val']} train/val)"
         )
+    machines = [m for fold in report.per_fold for m in fold["machines"]]
+    print(f"  solver: {sum(not m['converged'] for m in machines)} of {len(machines)} machines "
+          f"hit the iteration budget; largest n_iter {max(m['n_iter'] for m in machines)}")
     return 0
 
 

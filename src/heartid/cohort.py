@@ -27,6 +27,7 @@ DEFAULT_FS = 100.0
 SESSION_AMP_SIGMA = 0.15  # log-normal spread of the per-session amplitude scale
 SESSION_RATE_DRIFT = 0.05  # per-session heart-rate scale drawn from 1 +/- this
 _RENDER_BLOCK = 2**17  # samples rendered at a time: 85 chirps of a cube
+_BEAT_BLOCK = 64  # beats stamped at a time by displacement()
 
 
 def derive_seed(*parts) -> int:
@@ -75,7 +76,8 @@ class PersonProfile:
         if not self.pulse_template:
             raise InvalidParameter("pulse template must have at least one lobe")
         for lobe in self.pulse_template:
-            if not (np.isfinite(lobe.amplitude) and lobe.width > 0):
+            if not (np.all(np.isfinite([lobe.amplitude, lobe.center, lobe.width]))
+                    and lobe.width > 0):
                 raise InvalidParameter("pulse template lobes must be finite with width > 0")
 
 
@@ -120,12 +122,21 @@ def displacement(
 
     Beat onsets are spaced by 1/heart_rate plus Gaussian jitter (hrv_std);
     each beat stamps the profile's Gaussian template, scaled by heart_amp_m.
-    Deterministic given the seed.
+    Deterministic given the seed.  ``fs`` below twice the beat rate
+    ``heart_rate_hz * rate_scale`` raises :class:`InvalidParameter`.
+
+    Beats are stamped ``_BEAT_BLOCK`` at a time, carrying only the next onset,
+    so temporaries do not grow with the duration, bit for bit as a beat loop:
+    a block's jitter is the generator's next scalar draws (nothing draws after
+    the train), ``cumsum`` adds left to right, ``np.add.at`` in (beat, lobe) order.
     """
     if not 0 < duration < np.inf:
         raise InvalidParameter(f"duration must be positive and finite, got {duration}")
     if not duration * fs < np.iinfo(np.intp).max // 8:  # the longest float64 array
         raise InvalidParameter(f"duration {duration} s at fs {fs} Hz is too many samples")
+    rate = profile.heart_rate_hz * rate_scale
+    if not 0 < 2.0 * rate <= fs:  # also bounds the beat count by twice the sample count
+        raise InvalidParameter(f"fs {fs} Hz cannot sample a {rate:g}-Hz heartbeat (needs twice)")
     rng = np.random.default_rng(seed)
     n = int(round(duration * fs))
     t = np.arange(n) / fs
@@ -133,23 +144,24 @@ def displacement(
     resp_phase = rng.uniform(0.0, 2.0 * np.pi)
     d = profile.resp_amp_m * np.sin(2.0 * np.pi * profile.resp_rate_hz * t + resp_phase)
 
-    rate = profile.heart_rate_hz * rate_scale
     period = 1.0 / rate
+    centers, sigmas, amps = np.array([(lobe.center * period, lobe.width * period, lobe.amplitude)
+                                      for lobe in profile.pulse_template]).T
     # Start one beat before t=0 so the record begins mid-rhythm.
     onset = rng.uniform(0.0, period) - period
     heartbeat = np.zeros(n)
     while onset < duration:
-        for lobe in profile.pulse_template:
-            mu = onset + lobe.center * period
-            sigma = lobe.width * period
-            lo = max(0, int(np.floor((mu - 5 * sigma) * fs)))
-            hi = min(n, int(np.ceil((mu + 5 * sigma) * fs)) + 1)
-            if lo < hi:
-                heartbeat[lo:hi] += lobe.amplitude * np.exp(
-                    -0.5 * ((t[lo:hi] - mu) / sigma) ** 2
-                )
-        # max() guards against pathological jitter producing non-advancing beats
-        onset += max(0.25 * period, period + rng.normal(0.0, profile.hrv_std))
+        # maximum() guards against pathological jitter producing non-advancing beats
+        steps = np.maximum(0.25 * period, period + rng.normal(0.0, profile.hrv_std, _BEAT_BLOCK))
+        onsets = np.cumsum(np.concatenate(([onset], steps)))
+        beats, onset = onsets[:-1], onsets[-1]
+        mu = beats[beats < duration, None] + centers  # (beat, lobe)
+        lo = np.clip(np.floor((mu - 5 * sigmas) * fs), 0, n).astype(np.intp)
+        hi = np.clip(np.ceil((mu + 5 * sigmas) * fs) + 1, 0, n).astype(np.intp)
+        b, j, k = np.nonzero(np.arange(max(0, int((hi - lo).max()))) < (hi - lo)[..., None])
+        idx = lo[b, j] + k  # every stamped sample, in (beat, lobe, sample) order
+        x = (t[idx] - mu[b, j]) / sigmas[j]
+        np.add.at(heartbeat, idx, amps[j] * np.exp(-0.5 * x**2))
     d += profile.heart_amp_m * heartbeat
     return RealSeries(d, fs)
 

@@ -68,43 +68,57 @@ def _conditional_probs(dist_sq: np.ndarray, perplexity: float):
     """Per-row Gaussian affinities with bandwidths bisected to the perplexity.
 
     The bisection targets Shannon entropy (bits) equal to log2(perplexity).
-    Returns the row-normalized conditional matrix (diagonal zero).
+    Returns the row-normalized conditional matrix (diagonal zero).  All rows
+    are bisected at once over their shifted off-diagonal distances, each with
+    its own ``beta`` and bracket ``[lo, hi]``; a row leaves at the step where
+    a row-by-row bisection stops, so the two agree bit for bit.
     """
     n = dist_sq.shape[0]
     target = np.log2(perplexity)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    d = dist_sq[off_diagonal].reshape(n, n - 1)
+    d -= d.min(axis=1, keepdims=True)
+    p = np.empty_like(d)  # each row's affinities at its latest step
+    work, plogp = np.empty_like(d), np.empty_like(d)
+    rows = np.arange(n)  # rows still bisecting, with their beta, lo and hi
+    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    with np.errstate(over="ignore"):  # -beta * d may overflow to -inf: exp is 0 all the same
+        for _ in range(200):
+            w = np.take(d, rows, axis=0, out=work[: rows.size])
+            w *= -beta[:, None]
+            np.exp(w, out=w)
+            w /= w.sum(axis=1, keepdims=True)
+            p[rows] = w
+            h = plogp[: rows.size]
+            np.log2(np.maximum(w, MACHINE_EPS, out=h), out=h)
+            entropy = -np.multiply(h, w, out=h).sum(axis=1)
+            flat = entropy > target  # too flat: sharpen
+            lo = np.where(flat, beta, lo)
+            hi = np.where(flat, hi, beta)
+            beta = np.where(flat, np.where(hi == np.inf, beta * 2.0, (beta + hi) / 2.0),
+                            np.where(lo == 0.0, beta / 2.0, (beta + lo) / 2.0))
+            bisecting = ~(np.abs(entropy - target) <= PERPLEXITY_TOL)  # NaN keeps going
+            if not bisecting.any():
+                break
+            rows, beta, lo, hi = rows[bisecting], beta[bisecting], lo[bisecting], hi[bisecting]
     P = np.zeros((n, n))
-    for i in range(n):
-        d = np.delete(dist_sq[i], i)
-        lo, hi = 0.0, np.inf
-        beta = 1.0
-        with np.errstate(over="ignore"):  # -beta * d may overflow to -inf: exp is 0 all the same
-            for _ in range(200):
-                w = np.exp(-beta * (d - d.min()))
-                sum_w = w.sum()
-                p = w / sum_w
-                entropy = -np.sum(p * np.log2(np.maximum(p, MACHINE_EPS)))
-                if abs(entropy - target) <= PERPLEXITY_TOL:
-                    break
-                if entropy > target:  # too flat: sharpen
-                    lo = beta
-                    beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
-                else:
-                    hi = beta
-                    beta = beta / 2.0 if lo == 0.0 else (beta + lo) / 2.0
-        row = np.insert(p, i, 0.0)
-        P[i] = row
+    P[off_diagonal] = p.ravel()
     return P
 
 
-def _student_q(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Student-t kernel of the embedding (diagonal zero) and its normalized Q."""
-    num = 1.0 / (1.0 + squared_distances(Y, Y))
+def _student_q(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
+    """Write the embedding's Student-t kernel (diagonal zero) into the n x n
+    ``num``, and its normalized Q into ``Q``."""
+    squared_distances(Y, Y, out=num, work=Q)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    return num, np.maximum(num / num.sum(), MACHINE_EPS)
+    np.divide(num, num.sum(), out=Q)
+    np.maximum(Q, MACHINE_EPS, out=Q)
 
 
-def _kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
-    _, Q = _student_q(Y)
+def _kl_divergence(P: np.ndarray, Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> float:
+    _student_q(Y, num, Q)
     Pc = np.maximum(P, MACHINE_EPS)
     return float(np.sum(P * np.log(Pc / Q)))
 
@@ -127,7 +141,8 @@ def tsne2(
 
     Standard schedule: early exaggeration (x12) for the first 250 iterations
     with momentum 0.5, then momentum 0.8; adaptive per-coordinate gains;
-    learning rate max(N/12, 50).
+    learning rate max(N/12, 50).  Iterations reuse three n x n buffers with the
+    operations and order of fresh temporaries, so they match those bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -148,14 +163,23 @@ def tsne2(
     Y = 1e-4 * rng.standard_normal((n, 2))
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
+    num, Q, W = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    grad = np.empty_like(Y)
 
     for it in range(iterations):
         scale = EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0
         momentum = 0.5 if it < EXAGGERATION_ITERS else 0.8
-        num, Q = _student_q(Y)
-        W = (scale * P - Q) * num
-        # gradient of KL wrt each point: 4 * sum_j W_ij (y_i - y_j)
-        grad = 4.0 * (np.diag(W.sum(axis=1)) - W) @ Y
+        _student_q(Y, num, Q)
+        np.multiply(P, scale, out=W)
+        W -= Q
+        W *= num
+        # gradient of KL wrt each point: 4 * sum_j W_ij (y_i - y_j), as the
+        # Laplacian 4 * (diag(W.sum(1)) - W) @ Y; W's diagonal is 0
+        row_sums = W.sum(axis=1)
+        np.subtract(0.0, W, out=W)
+        np.fill_diagonal(W, row_sums)
+        W *= 4.0
+        np.matmul(W, Y, out=grad)
         inc = (update * grad) < 0
         gains[inc] += 0.2
         gains[~inc] *= 0.8
@@ -163,7 +187,7 @@ def tsne2(
         update = momentum * update - learning_rate * gains * grad
         Y = Y + update
 
-    kl = _kl_divergence(P, Y)
+    kl = _kl_divergence(P, Y, num, Q)
     return Projection2D(
         Y - Y.mean(axis=0),
         None if labels is None else np.asarray(labels),

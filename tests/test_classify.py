@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference
 from heartid.classify import (
     EvalReport,
     SvmModel,
@@ -13,6 +14,7 @@ from heartid.classify import (
     kernel_matrix,
     metrics,
     predict,
+    resolve_gamma,
     session_folds,
     session_grouped_cv,
     standardize_fit_transform,
@@ -212,14 +214,78 @@ def test_smo_budget_ending_at_convergence_counts_as_converged():
     X, labels = blobs(rng, [(0.0, 0.0), (2.0, 0.5)], 15, spread=0.7)
     y = np.where(labels == 0, -1.0, 1.0)
     K = kernel_matrix(X, X, "rbf", 0.7)
-    alpha, bias, converged, n_iter = _smo(K, y, 10.0, 1e-3, 100 * y.size)
+    alpha, bias, converged, n_iter, _ = _smo(K, y, 10.0, 1e-3, 100 * y.size)
     assert converged and n_iter > 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", NoConvergence)
-        exact_alpha, exact_bias, exact_converged, exact_iter = _smo(K, y, 10.0, 1e-3, n_iter)
+        exact_alpha, exact_bias, exact_converged, exact_iter, _ = _smo(K, y, 10.0, 1e-3, n_iter)
     assert exact_converged is True  # a Python bool, not a numpy.bool_
     assert exact_iter == n_iter
     assert np.array_equal(exact_alpha, alpha) and exact_bias == bias
+
+
+def _smo_problems():
+    """(name, K, y, C, tol, max_iter) of each SMO test above, then paper-sized folds."""
+    rng = np.random.default_rng(3)
+    X, labels = blobs(rng, [(0.0, 0.0), (2.0, 0.5)], 15, spread=0.7)
+    y = np.where(labels == 0, -1.0, 1.0)
+    K = kernel_matrix(X, X, "rbf", 0.7)
+    yield "kkt", K, y, 10.0, 1e-3, 300
+    yield "budget-ends-at-convergence", K, y, 10.0, 1e-3, 45
+    yield "budget-ends-one-short", K, y, 10.0, 1e-3, 44
+    X = np.array([[-1.0], [1.0]])
+    yield "pair", kernel_matrix(X, X, "linear", 1.0), np.array([-1.0, 1.0]), 1000.0, 1e-3, 20
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    yield "xor", kernel_matrix(X, X, "rbf", 1.0), np.array([1.0, 1.0, -1.0, -1.0]), 10.0, 1e-3, 40
+    X, labels = blobs(np.random.default_rng(42), [(0.0, 0.0), (1.5, 1.0)], 10, spread=0.8)
+    y = np.where(labels == 0, -1.0, 1.0)
+    for kernel, gamma in [("linear", 1.0), ("rbf", 0.5)]:
+        yield f"qp-{kernel}", kernel_matrix(X, X, kernel, gamma), y, 5.0, 1e-4, 200
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 2))
+    y = np.where(rng.random(60) > 0.5, 1.0, -1.0)
+    yield "unlearnable", kernel_matrix(X, X, "rbf", 0.01), y, 1e6, 1e-9, 60
+    # one-vs-rest folds of six overlapping classes in 96 dims: paper60 trains
+    # on 270 rows, criterion 4 on 3240; C = 0.5 drives alphas to the box
+    for n, C, machines in [(270, 10.0, range(6)), (270, 0.5, (2,)), (3240, 10.0, (0, 3))]:
+        rng = np.random.default_rng(n)
+        labels = np.repeat(np.arange(6), n // 6)
+        X = 0.2 * rng.standard_normal((6, 96))[labels] + rng.standard_normal((n, 96))
+        _, Xs = standardize_fit_transform(X)
+        K = kernel_matrix(Xs, Xs, "rbf", resolve_gamma("scale", Xs))
+        for cls in machines:
+            yield f"fold{n}-C{C:g}-{cls}", K, np.where(labels == cls, 1.0, -1.0), C, 1e-3, 10 * n
+
+
+def test_smo_bit_identical_to_mask_rebuilding_loop():
+    for name, K, y, C, tol, max_iter in _smo_problems():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoConvergence)
+            fast = _smo(K, y, C, tol, max_iter)
+            ref = loop_reference.smo(K, y, C, tol, max_iter)
+        assert np.array_equal(fast[0], ref[0]), name
+        assert fast[1:] == ref[1:], name  # bias, converged, n_iter, KKT gap
+        assert fast[2] is (fast[4] <= tol), name
+        assert fast[2] is (name not in ("budget-ends-one-short", "unlearnable")), name
+        if name == "fold270-C0.5-2":
+            assert np.sum(fast[0] >= C) > 10, name
+
+
+def test_machine_reports_its_solver_state():
+    rng = np.random.default_rng(3)
+    X, labels = blobs(rng, [(0.0, 0.0), (2.0, 0.5)], 15, spread=0.7)
+    y = np.where(labels == 0, -1.0, 1.0)
+    K = kernel_matrix(X, X, "rbf", 0.7)
+    machine = train_binary_svm(X, y, K)
+    alpha, bias, converged, n_iter, gap = _smo(K, y, 10.0, 1e-3, 10 * y.size)
+    assert (machine.converged, machine.n_iter, machine.kkt_gap) == (converged, n_iter, gap)
+    assert 0 < gap <= 1e-3 and machine.support_vectors.shape[0] == np.sum(alpha > 1e-8)
+
+
+def test_smo_rejects_labels_other_than_plus_minus_one():
+    X = np.random.default_rng(2).standard_normal((4, 2))
+    with pytest.raises(PipelineError, match="must be \\+1 or -1"):
+        train_binary_svm(X, np.array([1.0, -1.0, 2.0, -1.0]), np.eye(4))
 
 
 # --- multiclass ------------------------------------------------------------------
@@ -371,6 +437,10 @@ def test_grouped_cv_fold_sizes_and_pooling():
     assert len(report.per_fold) == 4
     for fold in report.per_fold:
         assert fold["n_train"] == 27 and fold["n_val"] == 9
+        assert [m["class"] for m in fold["machines"]] == ["c0", "c1", "c2"]
+        for m in fold["machines"]:
+            assert m["converged"] is True and 0 < m["n_iter"] <= 10 * 27
+            assert 0 < m["n_sv"] <= 27 and m["kkt_gap"] <= 1e-3
     assert report.confusion.sum() == X.shape[0]  # every sample exactly once
     assert report.accuracy >= 99.0  # easy blobs
 

@@ -149,6 +149,30 @@ def test_eval_report_and_confusion(prop_csv, tmp_path):
     assert report_path.read_bytes() == report2.read_bytes()
 
 
+def test_eval_reports_each_machines_solver_state(prop_csv, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--features", str(prop_csv), "--report", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(report_path.read_text())
+    machines = [m for fold in payload["per_fold"] for m in fold["machines"]]
+    assert len(machines) == 4 * 6
+    assert {tuple(m) for m in machines} == {("class", "n_iter", "converged", "n_sv", "kkt_gap")}
+    assert all(m["converged"] and m["kkt_gap"] <= 1e-3 and m["n_sv"] > 0 for m in machines)
+    largest = max(m["n_iter"] for m in machines)
+    assert out.splitlines()[-1] == (
+        f"  solver: 0 of 24 machines hit the iteration budget; largest n_iter {largest}"
+    )
+
+
+def test_synth_with_far_more_beats_than_samples_exits_2(tmp_path, capsys):
+    # 1e9 s at 1e-6 Hz: about 1e9 beats in 1000 samples, which once ran for minutes
+    argv = ["synth", "--out", str(tmp_path / "ds"), "--days", "1", "--repetitions", "1",
+            "--duration", "1e9", "--fs", "1e-6"]
+    assert main(argv) == 2
+    assert "cannot sample a 0.904027-Hz heartbeat" in capsys.readouterr().err
+
+
 def test_eval_timestamp_flag(prop_csv, tmp_path):
     report_path = tmp_path / "stamped.json"
     assert main(["eval", "--features", str(prop_csv), "--report", str(report_path),
@@ -695,6 +719,7 @@ def test_extract_record_not_matching_its_file_exits_2(tmp_path, capsys, damage):
         ("eval", "gamma", "-1"),
         ("eval", "C", -1),
         ("synth", "fs", 0),
+        ("synth", "fs", 1),  # below twice the fastest session's 1.89-Hz heart rate
         ("eval", "max_passes", -1),
         ("eval", "tol", "nan"),
         ("project", "perplexity", "nan"),

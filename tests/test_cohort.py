@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.signal import detrend
 
+import loop_reference
+from heartid import cohort
 from heartid.cohort import (
     _RENDER_BLOCK,
     GaussPulse,
@@ -56,8 +58,10 @@ def test_profile_validation():
         make_profile(resp_amp_m=5e-2)
     with pytest.raises(InvalidParameter, match="at least one lobe"):
         make_profile(pulse_template=())
-    with pytest.raises(InvalidParameter, match="lobes must be finite"):
-        make_profile(pulse_template=(GaussPulse(np.inf, 0.1, 0.05),))
+    for lobe in (GaussPulse(np.inf, 0.1, 0.05), GaussPulse(1.0, np.nan, 0.05),
+                 GaussPulse(1.0, 0.1, np.inf), GaussPulse(1.0, 0.1, 0.0)):
+        with pytest.raises(InvalidParameter, match="lobes must be finite"):
+            make_profile(pulse_template=(lobe,))
 
 
 def test_presets_are_valid_and_distinct():
@@ -125,6 +129,69 @@ def test_displacement_invalid_duration():
         displacement(make_profile(), duration=1e300)
     with pytest.raises(InvalidParameter, match="duration 60.0 s at fs 1e\\+300 Hz is too many"):
         displacement(make_profile(), fs=1e300)
+
+
+def test_displacement_rejects_fs_below_twice_the_beat_rate():
+    # at 1e-6 Hz a 1e9-s record holds ~1e9 beats in 1000 samples
+    with pytest.raises(InvalidParameter, match="fs 1e-06 Hz cannot sample a 1.25-Hz heartbeat"):
+        displacement(make_profile(), duration=1e9, fs=1e-6)
+    with pytest.raises(InvalidParameter, match="fs 2.5 Hz cannot sample a 1.3125-Hz heartbeat"):
+        displacement(make_profile(), fs=2.5, rate_scale=1.05)
+    for rate_scale in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidParameter, match="cannot sample a"):
+            displacement(make_profile(), rate_scale=rate_scale)
+    assert len(displacement(make_profile(), duration=4.0, fs=2.5)) == 10  # exactly twice
+
+
+@pytest.mark.parametrize("duration", [60.0, 5.0, 0.3])
+@pytest.mark.parametrize("rate_scale", [0.95, 1.0, 1.05])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("preset", [default_cohort, hard_cohort])
+def test_displacement_bit_identical_to_beat_loop(preset, seed, rate_scale, duration):
+    for profile in preset():
+        fast = displacement(profile, duration, 100.0, seed, rate_scale)
+        ref = loop_reference.displacement(profile, duration, 100.0, seed, rate_scale)
+        assert np.array_equal(fast.samples, ref)
+
+
+WIDE = (GaussPulse(1.0, 0.5, 0.3),)  # +-1.5 periods: clipped at sample 0 and at n
+
+
+@pytest.mark.parametrize(
+    "overrides,duration,fs",
+    [
+        ({"hrv_std": 0.0}, 20.0, 100.0),
+        ({}, 0.5, 100.0),  # shorter than one 0.8-s beat
+        ({"pulse_template": WIDE}, 3.0, 100.0),
+        ({"pulse_template": (GaussPulse(1.0, 0.3, 0.05),)}, 20.0, 100.0),  # one lobe
+        ({"pulse_template": (GaussPulse(0.5, -3.0, 0.05), *WIDE)}, 10.0, 100.0),  # a window before 0
+        ({"hrv_std": 0.3}, 30.0, 100.0),  # jitter often hits the quarter-period floor
+        ({}, 20.0, RadarConfig().fs_slow),  # the cube's slow-time rate
+        ({}, 20.0, 2.5),  # exactly twice the beat rate
+        ({}, 3.0, 1000.0),
+    ],
+)
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_displacement_edges_bit_identical_to_beat_loop(monkeypatch, overrides, duration, fs, block):
+    if block is not None:  # blocks of 1 and 3 beats: the generator's unused tail never matters
+        monkeypatch.setattr(cohort, "_BEAT_BLOCK", block)
+    profile = make_profile(**overrides)
+    for seed in range(3):
+        fast = displacement(profile, duration, fs, seed)
+        assert np.array_equal(fast.samples, loop_reference.displacement(profile, duration, fs, seed))
+
+
+def test_displacement_peak_memory_is_its_output_plus_a_constant():
+    d = displacement(make_profile(), duration=10.0, fs=100.0)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        d = displacement(default_cohort()[5], duration=3600.0, fs=100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # t, the respiration temporaries and the heartbeat are each the size of the
+    # 2.9-MB output, as in the beat loop; all 6500 beats in one block took 40.8 MB
+    assert peak <= 4 * d.samples.nbytes + 2**20
 
 
 def test_displacement_deterministic():

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import loop_reference
 import numpy as np
 import pytest
 
@@ -92,6 +95,52 @@ def test_perplexity_bisection_hits_entropy_target():
         assert abs(row.sum() - 1.0) <= 1e-9
         entropy = -np.sum(row * np.log2(np.maximum(row, eps)))
         assert abs(entropy - np.log2(perplexity)) <= 1e-4
+
+
+def _equidistant_neighbours():
+    """Row 0 has three nearest neighbours at one distance: its entropy never
+    falls below log2(3) bits, so at perplexity 2 its bisection runs all 200 steps."""
+    rng = np.random.default_rng(9)
+    near = np.vstack([np.zeros(6), np.eye(6)[:3]])
+    return np.vstack([near, 10.0 + rng.standard_normal((20, 6))])
+
+
+@pytest.mark.parametrize("perplexity", [2.0, 5.0, 7.5])
+def test_conditional_probs_bit_identical_to_row_loop(perplexity):
+    D = squared_distances(*[_equidistant_neighbours()] * 2)
+    cond = _conditional_probs(D, perplexity)
+    assert np.array_equal(cond, loop_reference.conditional_probs(D, perplexity))
+    entropy = -np.sum(cond[0, 1:] * np.log2(np.maximum(cond[0, 1:], np.finfo(float).eps)))
+    assert bool(abs(entropy - np.log2(3)) <= 1e-12) is (perplexity == 2.0)
+
+
+def _clusters_96(n):
+    rng = np.random.default_rng(10)
+    centers = 3.0 * rng.standard_normal((6, 96))
+    return centers[np.arange(n) % 6] + rng.standard_normal((n, 96))
+
+
+@pytest.mark.parametrize("n,perplexity,iterations", [(24, 5.0, 100), (300, 30.0, 1000)])
+def test_tsne_bit_identical_to_loop_with_fresh_temporaries(n, perplexity, iterations):
+    X = _clusters_96(n)
+    P, points, kl = loop_reference.tsne2(X, perplexity, iterations)
+    assert np.array_equal(joint_probabilities(X, perplexity), P)
+    proj = tsne2(X, perplexity, iterations)
+    assert np.array_equal(proj.points, points)
+    assert proj.params["kl"] == kl
+
+
+def test_tsne_peak_memory_no_higher_than_the_loop():
+    X = _clusters_96(300)
+    peaks = []
+    for run in (tsne2, loop_reference.tsne2):
+        tracemalloc.start()
+        try:
+            run(X, 30.0, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_joint_probabilities_symmetric_and_normalized():

@@ -75,11 +75,8 @@ def test_allowlist_is_not_stale():
 
 
 # module.Class.field -> why it stays without a reader in src/
-_SOLVER = "read only by perfbench/tracer.py until the eval report carries it"
 _ECHO = "read only by perfbench/tracer.py until an extract provenance file carries it"
 FIELDS_ALLOWED: dict[str, str] = {
-    "classify.BinaryMachine.converged": _SOLVER,
-    "classify.BinaryMachine.n_iter": _SOLVER,
     "radar.EchoSelection.angle_deg": _ECHO,
     "radar.EchoSelection.range_m": _ECHO,
     "radar.EchoSelection.low_snr": _ECHO,
