@@ -191,10 +191,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _measurement_series(m) -> ComplexSeries:
-    if m.is_cube:
-        return radar.extract_slow_time(m.signal).series
-    return m.signal
+def _record_series(args, manifest: dict, record: dict, base_id: str) -> list[ComplexSeries]:
+    """One record's slow-time series, one per segment.
+
+    A cube record's front end reads its file here, so a bad sample in it is
+    named for the record, as loading names a bad file, whichever segment holds it.
+    """
+    try:
+        measurement = dataio.load_record(args.data, manifest, record)
+    except PipelineError as exc:
+        raise PipelineError(f"sample {base_id}: {exc}") from exc
+    pieces = [measurement] if args.segment is None else cohort.segment(measurement, args.segment)
+    try:
+        return [radar.extract_slow_time(p.signal).series if p.is_cube else p.signal
+                for p in pieces]
+    except PipelineError as exc:
+        raise PipelineError(f"sample {base_id}: {exc}") from exc
 
 
 def cmd_extract(args) -> int:
@@ -209,17 +221,10 @@ def cmd_extract(args) -> int:
     n_values = None
     for record in manifest["records"]:
         base_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
-        try:
-            measurement = dataio.load_record(args.data, manifest, record)
-        except PipelineError as exc:
-            raise PipelineError(f"sample {base_id}: {exc}") from exc
-        pieces = (
-            [measurement] if args.segment is None else cohort.segment(measurement, args.segment)
-        )
-        for seg_idx, piece in enumerate(pieces):
+        for seg_idx, series in enumerate(_record_series(args, manifest, record, base_id)):
             try:
                 values = cepstrum.extract_features(
-                    _measurement_series(piece), cfg, args.k_prime, args.kind,
+                    series, cfg, args.k_prime, args.kind,
                     args.window, args.hop, args.log_energies,
                 )
             except PipelineError as exc:

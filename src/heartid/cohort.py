@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .radar import C_LIGHT, DataCube, RadarConfig
+from .radar import C_LIGHT, Cube, DataCube, RadarConfig
 from .signals import ComplexSeries, RealSeries
 
 DEFAULT_DURATION = 60.0
@@ -83,9 +83,9 @@ class PersonProfile:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One recorded sample: the rendered signal plus its bookkeeping labels."""
+    """One recorded sample: the rendered or loaded signal plus its bookkeeping labels."""
 
-    signal: ComplexSeries | DataCube
+    signal: ComplexSeries | Cube
     label: str
     session_id: str
     repetition: int
@@ -96,7 +96,7 @@ class Measurement:
 
     @property
     def is_cube(self) -> bool:
-        return isinstance(self.signal, DataCube)
+        return not isinstance(self.signal, ComplexSeries)
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,8 @@ def displacement(
         idx = lo[b, j] + k  # every stamped sample, in (beat, lobe, sample) order
         x = (t[idx] - mu[b, j]) / sigmas[j]
         np.add.at(heartbeat, idx, amps[j] * np.exp(-0.5 * x**2))
-    d += profile.heart_amp_m * heartbeat
+    heartbeat *= profile.heart_amp_m  # in place: no fourth output-sized array
+    d += heartbeat
     return RealSeries(d, fs)
 
 
@@ -337,7 +338,8 @@ def segment(m: Measurement, seg_len: float) -> list[Measurement]:
     """Split a measurement into contiguous non-overlapping segments.
 
     ``seg_len`` must divide the duration exactly; labels and session are
-    inherited by every segment.
+    inherited by every segment.  A cube's segments are slow-time ranges of
+    it (:meth:`~heartid.radar.Cube.slow_range`), so a cube file is not read here.
     """
     if not seg_len > 0:  # also rejects NaN; an infinite length divides nothing
         raise InvalidParameter(f"segment length must be positive, got {seg_len}")
@@ -352,11 +354,7 @@ def segment(m: Measurement, seg_len: float) -> list[Measurement]:
     n_seg = int(round(n_seg))
     step = n // n_seg
     if m.is_cube:
-        cube: DataCube = m.signal
-        parts = [
-            DataCube(cube.values[i * step : (i + 1) * step], cube.config)
-            for i in range(n_seg)
-        ]
+        parts = [m.signal.slow_range(i * step, (i + 1) * step) for i in range(n_seg)]
     else:
         series: ComplexSeries = m.signal
         parts = [

@@ -2,7 +2,8 @@
 
 Raw signals are little-endian float32 interleaved I/Q.  Cubes use the same
 encoding with fast time as the fastest-varying index, then element, then slow
-time.  A dataset directory holds ``manifest.json`` plus one raw file per
+time; a cube file is read a block of chirps at a time by :class:`CubeFile`,
+never whole.  A dataset directory holds ``manifest.json`` plus one raw file per
 measurement; features travel as CSV with a mandatory header.
 """
 
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from .cohort import Measurement, PersonProfile
 from .errors import IoError, ManifestError
 from .radar import DataCube, RadarConfig
-from .signals import ComplexSeries
+from .signals import ComplexSeries, find_non_finite, non_finite_sample
 
 MANIFEST_NAME = "manifest.json"
 RECORD_KEYS = ("file", "label", "session_id", "repetition")
@@ -36,10 +37,16 @@ def write_iq(path, samples: np.ndarray) -> None:
     np.asarray(samples).astype("<c8", copy=False).tofile(path)
 
 
-def read_iq(path) -> np.ndarray:
+def _iq_count(path) -> int:
+    """The number of I/Q pairs in the file at ``path``; a partial pair raises IoError."""
     size = os.path.getsize(path)
     if size % 8:
         raise IoError(f"{path}: {size} bytes is not a whole number of I/Q pairs")
+    return size // 8
+
+
+def read_iq(path) -> np.ndarray:
+    _iq_count(path)
     return np.fromfile(path, dtype="<c8")
 
 
@@ -48,13 +55,80 @@ def write_cube(path, cube: DataCube) -> None:
     write_iq(path, cube.values)
 
 
-def read_cube(path, config: RadarConfig, n_slow: int) -> DataCube:
-    flat = read_iq(path)
-    shape = (n_slow, config.n_virtual, config.n_fast)
-    if flat.size != math.prod(shape):
-        raise IoError(f"{path}: {flat.size} samples, expected {math.prod(shape)} "
+@dataclass(frozen=True)
+class CubeFile:
+    """Chirps ``start`` to ``start + n_slow`` of a cube file, read a block at a time.
+
+    It holds no samples: :meth:`blocks` reads them, so a pass over a cube
+    record holds one block, and :meth:`slow_range` names a segment of the file.
+    """
+
+    path: Path
+    config: RadarConfig
+    n_slow: int
+    start: int = 0
+
+    @property
+    def duration(self) -> float:
+        return self.n_slow / self.config.fs_slow
+
+    def slow_range(self, start: int, stop: int) -> CubeFile:
+        return dataclasses.replace(self, start=self.start + start, n_slow=stop - start)
+
+    def blocks(self, size: int) -> Iterator[np.ndarray]:
+        """The chirps in blocks of ``size``, each read on one open handle into one buffer.
+
+        A block is valid until the next is read: a fresh array per block made
+        the allocator return and re-fault its pages.  A block that comes up
+        short (the file shrank after :func:`read_cube`) raises :class:`IoError`.
+        A NaN or infinity raises :class:`NonFiniteSample` naming its (slow,
+        element, fast) index in the file and how many of the whole file's
+        samples are not finite.
+        """
+        shape = (self.config.n_virtual, self.config.n_fast)
+        chirp = math.prod(shape)
+        buf = np.empty(min(size, self.n_slow) * chirp, dtype="<c8")
+        with open(self.path, "rb") as fh:
+            fh.seek(8 * chirp * self.start)
+            for s0 in range(self.start, self.start + self.n_slow, size):
+                n = min(size, self.start + self.n_slow - s0)
+                block = buf[:fh.readinto(buf[:n * chirp].view(np.uint8)) // 8]
+                if block.size != n * chirp:
+                    raise IoError(f"{self.path}: read {block.size} of the {n * chirp} samples "
+                                  f"from chirp {s0}; the file shrank after its size was checked")
+                block = block.reshape(n, *shape)
+                found = find_non_finite(block)
+                if found is not None:
+                    s, e, f = np.unravel_index(found[0], block.shape)
+                    raise non_finite_sample((s0 + s, e, f), block[s, e, f],
+                                            *_count_non_finite(fh, size * chirp))
+                yield block
+
+
+def _count_non_finite(fh, count: int) -> tuple[int, int]:
+    """(non-finite samples, all samples) of the whole file ``fh``, read ``count`` at a time."""
+    fh.seek(0)
+    bad = total = 0
+    while (part := np.fromfile(fh, dtype="<c8", count=count)).size:
+        found = find_non_finite(part)
+        bad += found[1] if found else 0
+        total += part.size
+    return bad, total
+
+
+def read_cube(path, config: RadarConfig, n_slow: int) -> CubeFile:
+    """The cube file at ``path`` as a :class:`CubeFile`, after checking only its size.
+
+    A file that does not hold exactly ``n_slow`` chirps raises :class:`IoError`
+    here, before any sample is read; the samples, and their finiteness, are
+    read block by block in the pass over the returned cube.
+    """
+    n = _iq_count(path)
+    expected = n_slow * config.n_virtual * config.n_fast
+    if n != expected:
+        raise IoError(f"{path}: {n} samples, expected {expected} "
                       f"({n_slow} x {config.n_virtual} x {config.n_fast})")
-    return DataCube(flat.reshape(shape), config)
+    return CubeFile(Path(path), config, n_slow)
 
 
 # --- dataset directories ----------------------------------------------------
@@ -191,16 +265,19 @@ def _bad_record_key(record: dict, size_key: str) -> tuple[str, str] | None:
 
 
 def load_record(data_dir, manifest: dict, record: dict) -> Measurement:
-    """Materialize one manifest record, whose file must match its size entry.
+    """One manifest record, whose file must match its size entry.
 
-    Cubes use the fixed radar at the manifest's ``fs``; an older ``radar`` entry is ignored.
+    A baseband record is read whole.  A cube record is only size-checked: its
+    signal is a :class:`CubeFile` that the front end reads block by block.
+    Cubes use the fixed radar at the manifest's ``fs``; an older ``radar``
+    entry is ignored.
     """
     path = Path(data_dir) / record["file"]
     if not path.exists():
         raise ManifestError(f"manifest references missing file {path}")
     if manifest["mode"] == "cube":
         radar = RadarConfig(fs_slow=manifest["fs"])
-        signal: ComplexSeries | DataCube = read_cube(path, radar, record["n_slow"])
+        signal: ComplexSeries | CubeFile = read_cube(path, radar, record["n_slow"])
     else:
         samples = read_iq(path)
         if samples.size != record["n_samples"]:

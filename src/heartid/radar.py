@@ -1,19 +1,23 @@
 """FMCW MIMO front end: range FFT, delay-and-sum beamforming, echo selection.
 
-A :class:`DataCube` is indexed (slow time, virtual element, fast time).  The
+A :class:`Cube` is indexed (slow time, virtual element, fast time) and is
+reached a block of chirps at a time: a :class:`DataCube` holds its samples in
+memory, ``dataio.CubeFile`` reads them from a cube file block by block.  The
 fast-time DFT turns beat frequency into range (bin spacing c/(2B)).  One pass
-over the cube, a block of chirps at a time, takes the range FFT, keeps the
-bins inside the range window and adds their slow-time element covariances,
-which give the mean delay-and-sum power of every (angle, range) cell of the
-12-element virtual array; no full-cube FFT, copy or steered cube is formed.
-Steering only the strongest cell yields the slow-time series s(t) that the
-feature pipeline consumes.  The device, its angle grid and its range window
-are fixed; only the slow-time rate varies between datasets.
+over the cube's blocks takes the range FFT, keeps the bins inside the range
+window and adds their slow-time element covariances, which give the mean
+delay-and-sum power of every (angle, range) cell of the 12-element virtual
+array; no whole cube is read, and no full-cube FFT, copy or steered cube is
+formed.  Steering only the strongest cell yields the slow-time series s(t)
+that the feature pipeline consumes.  The device, its angle grid and its range
+window are fixed; only the slow-time rate varies between datasets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 import scipy.fft
@@ -56,9 +60,26 @@ class RadarConfig:
             raise InvalidParameter(f"slow-time rate {self.fs_slow} is not positive and finite")
 
 
+class Cube(Protocol):
+    """Samples indexed (slow time, virtual element, fast time), read in slow-time blocks."""
+
+    config: RadarConfig
+    n_slow: int
+    duration: float
+
+    def blocks(self, size: int) -> Iterator[np.ndarray]:
+        """The samples in order, ``size`` chirps at a time (fewer in the last block).
+
+        A block may be a buffer that the next block overwrites.
+        """
+
+    def slow_range(self, start: int, stop: int) -> Cube:
+        """Chirps ``start`` to ``stop`` as a cube of their own, reading nothing."""
+
+
 @dataclass(frozen=True)
 class DataCube:
-    """Raw dechirped samples, indexed (slow time, virtual element, fast time).
+    """Raw dechirped samples in memory, indexed (slow time, virtual element, fast time).
 
     complex64 values, as cube files and ``cohort.render_cube`` hold them, are
     kept; others become complex128.  Every sample must be finite: a NaN or
@@ -88,6 +109,12 @@ class DataCube:
     @property
     def duration(self) -> float:
         return self.n_slow / self.config.fs_slow
+
+    def blocks(self, size: int) -> Iterator[np.ndarray]:
+        return (self.values[s0:s0 + size] for s0 in range(0, self.n_slow, size))
+
+    def slow_range(self, start: int, stop: int) -> DataCube:
+        return DataCube(self.values[start:stop], self.config)
 
 
 # the range bins inside RANGE_WINDOW, 13-72 of the device's 128
@@ -139,13 +166,14 @@ class BeamformResult:
         return self.profiles[:, :, window_idx] @ self.weights[angle_idx]
 
 
-def beamform(cube: DataCube) -> BeamformResult:
+def beamform(cube: Cube) -> BeamformResult:
     """Steer the virtual array over the fixed grid ``ANGLE_GRID`` inside ``RANGE_WINDOW``.
 
-    One pass over the cube in blocks of ``_COV_BLOCK`` chirps: each block's
-    range profile is cut to the window bins and stored, and a contiguous
-    (range, element, slow) copy of the cut gives BLAS the per-range element
-    covariances, summed over blocks and divided by the number of chirps.
+    One pass over the cube's blocks of ``_COV_BLOCK`` chirps, from memory or
+    from its file: each block's range profile is cut to the window bins and
+    stored, and a contiguous (range, element, slow) copy of the cut gives BLAS
+    the per-range element covariances, summed over blocks and divided by the
+    number of chirps.
     """
     n_slow, n_elem = cube.n_slow, RadarConfig.n_virtual
     weights = BeamformResult.weights
@@ -153,9 +181,9 @@ def beamform(cube: DataCube) -> BeamformResult:
 
     # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H
     cov = np.zeros((profiles.shape[2], n_elem, n_elem), dtype=np.complex128)
-    for s0 in range(0, n_slow, _COV_BLOCK):
-        window = range_profile(cube.values[s0:s0 + _COV_BLOCK])[:, :, _WINDOW]
-        profiles[s0:s0 + _COV_BLOCK] = window
+    for i, block in enumerate(cube.blocks(_COV_BLOCK)):
+        window = range_profile(block)[:, :, _WINDOW]
+        profiles[i * _COV_BLOCK:(i + 1) * _COV_BLOCK] = window
         blk = np.ascontiguousarray(window.transpose(2, 1, 0))
         cov += blk @ blk.conj().transpose(0, 2, 1)
     cov /= n_slow
@@ -192,6 +220,6 @@ def select_echo(result: BeamformResult) -> EchoSelection:
     )
 
 
-def extract_slow_time(cube: DataCube) -> EchoSelection:
+def extract_slow_time(cube: Cube) -> EchoSelection:
     """Full front-end pass: range FFT, beamform, select the target echo."""
     return select_echo(beamform(cube))

@@ -4,19 +4,35 @@ Each function is the straightforward Python loop that the library's batched
 numpy replaced, kept verbatim so tests can demand ``np.array_equal`` between
 the two: the beat-by-beat displacement train, SMO with per-iteration masks,
 per-row perplexity bisection, and t-SNE with fresh temporaries (its distance
-formula, Student-t kernel and KL included).
+formula, Student-t kernel and KL included).  ``read_cube`` is the whole-file
+cube reader that the front end's block reads replaced.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from heartid.dataio import read_iq
 from heartid.embedding import (
     EARLY_EXAGGERATION,
     EXAGGERATION_ITERS,
     MACHINE_EPS,
     PERPLEXITY_TOL,
 )
+from heartid.errors import IoError
+from heartid.radar import DataCube
+
+
+def read_cube(path, config, n_slow) -> DataCube:
+    """The whole cube file in memory, checked finite by ``DataCube`` before any pass."""
+    flat = read_iq(path)
+    shape = (n_slow, config.n_virtual, config.n_fast)
+    if flat.size != math.prod(shape):
+        raise IoError(f"{path}: {flat.size} samples, expected {math.prod(shape)} "
+                      f"({n_slow} x {config.n_virtual} x {config.n_fast})")
+    return DataCube(flat.reshape(shape), config)
 
 
 def displacement(profile, duration, fs, seed=0, rate_scale=1.0) -> np.ndarray:

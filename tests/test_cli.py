@@ -7,10 +7,12 @@ import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
+import loop_reference
 import numpy as np
 import pytest
 
 import heartid
+from heartid import dataio, radar
 from heartid.cli import main
 from heartid.dataio import read_features, read_iq, write_features, write_iq
 from heartid.radar import RadarConfig
@@ -127,6 +129,94 @@ def test_extract_ignores_radar_entry_of_older_manifests(cube_dataset, tmp_path, 
     assert main(["extract", "--data", str(cube_dataset), "--out", str(a)]) == 0
     assert main(["extract", "--data", str(old), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- cube files, read block by block in the pass -------------------------------
+
+def _with_own_copy(dataset, out, index):
+    """``out`` relinks ``dataset`` but holds its own copy of record ``index``; returns its path."""
+    _relinked(dataset, out, {})
+    record = json.loads((dataset / "manifest.json").read_text())["records"][index]
+    path = out / record["file"]
+    path.unlink()
+    path.write_bytes((dataset / record["file"]).read_bytes())
+    return path, f"{record['label']}_{record['session_id']}_r{record['repetition']}"
+
+
+# 1-s and 2-s segments start at chirps 100, 200 and 300 of 400, inside 64-chirp blocks
+SEGMENTS = {"whole": [], "2s": ["--segment", "2", "--window", "1"],
+            "1s": ["--segment", "1", "--window", "0.5"]}
+
+
+@pytest.mark.parametrize("segment", SEGMENTS.values(), ids=SEGMENTS.keys())
+def test_extract_of_cube_files_same_bytes_as_whole_cube_reads(cube_dataset, tmp_path,
+                                                              monkeypatch, segment):
+    streamed, whole = tmp_path / "streamed.csv", tmp_path / "whole.csv"
+    assert main(["extract", "--data", str(cube_dataset), "--out", str(streamed), *segment]) == 0
+    monkeypatch.setattr(dataio, "read_cube", loop_reference.read_cube)
+    assert main(["extract", "--data", str(cube_dataset), "--out", str(whole), *segment]) == 0
+    assert streamed.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("segment", [[], SEGMENTS["2s"]], ids=["whole", "2s"])
+def test_extract_non_finite_sample_in_last_block_exits_2(cube_dataset, tmp_path, capsys,
+                                                         monkeypatch, segment):
+    path, sample_id = _with_own_copy(cube_dataset, tmp_path / "ds", 4)
+    samples = read_iq(path).reshape(400, RadarConfig.n_virtual, RadarConfig.n_fast)
+    samples[390, 5, 7] = np.nan  # the last block holds chirps 384-399
+    samples[399, 11, 127] = np.inf
+    write_iq(path, samples)
+    out = tmp_path / "f.csv"
+    errors = []
+    for read_cube in (dataio.read_cube, loop_reference.read_cube):
+        monkeypatch.setattr(dataio, "read_cube", read_cube)
+        capsys.readouterr()
+        assert main(["extract", "--data", str(tmp_path / "ds"), "--out", str(out),
+                     *segment]) == 2
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    # the text of the whole-cube check: first index in the file, count over the file
+    assert errors[0] == errors[1] == (
+        f"error: sample {sample_id}: non-finite sample at index (390, 5, 7) ((nan+0j)); "
+        "2 of 614400 are not finite\n")
+
+
+@pytest.mark.parametrize("delta", [-8, 8], ids=["one_sample_short", "one_sample_long"])
+def test_extract_cube_file_of_wrong_size_exits_2_before_any_fft(cube_dataset, tmp_path, capsys,
+                                                               monkeypatch, delta):
+    path, sample_id = _with_own_copy(cube_dataset, tmp_path / "ds", 0)
+    os.truncate(path, os.path.getsize(path) + delta)
+    ffts = []
+    range_profile = radar.range_profile
+    monkeypatch.setattr(radar, "range_profile", lambda v: ffts.append(len(v)) or range_profile(v))
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["extract", "--data", str(tmp_path / "ds"), "--out", str(out)]) == 2
+    assert ffts == [] and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: sample {sample_id}: {path}: {614400 + delta // 8} samples, expected 614400 "
+        "(400 x 12 x 128)\n")
+
+
+def test_extract_cube_file_shrinking_during_the_pass_exits_2(cube_dataset, tmp_path, capsys,
+                                                             monkeypatch):
+    path, sample_id = _with_own_copy(cube_dataset, tmp_path / "ds", 1)
+    load_record = dataio.load_record
+
+    def load_then_shrink(data_dir, manifest, record):
+        measurement = load_record(data_dir, manifest, record)
+        if Path(data_dir) / record["file"] == path:  # the copy, not a linked original
+            os.truncate(path, 8 * 1000)
+        return measurement
+
+    monkeypatch.setattr(dataio, "load_record", load_then_shrink)
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["extract", "--data", str(tmp_path / "ds"), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: sample {sample_id}: {path}: read 1000 of the 98304 samples from chirp 0; "
+        "the file shrank after its size was checked\n")
 
 
 def test_eval_report_and_confusion(prop_csv, tmp_path):

@@ -1,6 +1,9 @@
 import json
+import os
+import tracemalloc
 from itertools import chain
 
+import loop_reference
 import numpy as np
 import pytest
 
@@ -18,8 +21,8 @@ from heartid.dataio import (
     write_features,
     write_iq,
 )
-from heartid.errors import IoError, ManifestError
-from heartid.radar import DataCube, RadarConfig
+from heartid.errors import IoError, ManifestError, NonFiniteSample
+from heartid.radar import _COV_BLOCK, DataCube, RadarConfig, beamform, extract_slow_time
 
 
 def test_iq_roundtrip_is_exact_at_float32(tmp_path):
@@ -57,7 +60,7 @@ def test_cube_roundtrip_and_axis_order(tmp_path):
     path = tmp_path / "c.iq"
     write_cube(path, cube)
     back = read_cube(path, cfg, n_slow=3)
-    assert np.array_equal(back.values, values)
+    assert np.array_equal(np.concatenate([b.copy() for b in back.blocks(2)]), values)
     # fastest-varying index is fast time: first 2 * n_fast floats are slow=0, elem=0
     raw = np.fromfile(path, dtype="<f4")
     n = 2 * cfg.n_fast
@@ -65,6 +68,107 @@ def test_cube_roundtrip_and_axis_order(tmp_path):
     assert np.array_equal(raw[1:n:2], values[0, 0].imag)
     with pytest.raises(IoError):
         read_cube(path, cfg, n_slow=5)
+
+
+# --- cube files, read block by block ----------------------------------------
+
+CFG = RadarConfig()
+CHIRP = CFG.n_virtual * CFG.n_fast  # samples per slow-time row
+
+
+def _cube_file(path, n_slow, seed=0):
+    """A noisy complex64 cube file of ``n_slow`` chirps with an echo at one cell."""
+    rng = np.random.default_rng(seed)
+    shape = (n_slow, CFG.n_virtual, CFG.n_fast)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values[:, :, 30] += 40.0 * np.exp(0.7j * np.arange(CFG.n_virtual))
+    write_iq(path, values.astype(np.complex64))
+    return path
+
+
+def assert_same_front_end(streamed, whole):
+    a, b = beamform(streamed), beamform(whole)
+    assert np.array_equal(a.profiles, b.profiles) and np.array_equal(a.power, b.power)
+    sa, sb = extract_slow_time(streamed), extract_slow_time(whole)
+    assert np.array_equal(sa.series.samples, sb.series.samples)
+    assert (sa.angle_deg, sa.range_m, sa.power) == (sb.angle_deg, sb.range_m, sb.power)
+
+
+@pytest.mark.parametrize("n_slow", [1, _COV_BLOCK - 1, _COV_BLOCK, _COV_BLOCK + 1,
+                                    2 * _COV_BLOCK + 1, 400])
+def test_streamed_front_end_bit_identical_to_whole_cube(tmp_path, n_slow):
+    path = _cube_file(tmp_path / "c.iq", n_slow, seed=n_slow)
+    assert_same_front_end(read_cube(path, CFG, n_slow),
+                          loop_reference.read_cube(path, CFG, n_slow))
+
+
+@pytest.mark.parametrize("start, stop", [(0, 50), (50, 100), (37, 400), (350, 400),
+                                         (399, 400), (100, 229)])
+def test_cube_file_slow_range_bit_identical_to_whole_cube_slice(tmp_path, start, stop):
+    # ranges that start and end mid-block: the blocks fall where the in-memory slice puts them
+    path = _cube_file(tmp_path / "c.iq", 400)
+    streamed = read_cube(path, CFG, 400).slow_range(start, stop)
+    whole = loop_reference.read_cube(path, CFG, 400).slow_range(start, stop)
+    assert streamed.n_slow == whole.n_slow == stop - start
+    assert streamed.duration == whole.duration
+    assert_same_front_end(streamed, whole)
+
+
+# bytes: one sample short or long, one chirp short, half an I/Q pair long
+@pytest.mark.parametrize("delta", [-8, 8, -8 * CHIRP, 4])
+def test_cube_file_of_wrong_size_raises_before_reading(tmp_path, delta):
+    path = _cube_file(tmp_path / "c.iq", 70)
+    os.truncate(path, os.path.getsize(path) + delta)
+    with pytest.raises(IoError, match="expected 107520 |not a whole number of I/Q pairs"):
+        read_cube(path, CFG, 70)
+
+
+def test_cube_file_shrinking_during_the_pass_raises_io_error(tmp_path):
+    path = _cube_file(tmp_path / "c.iq", 200)
+    cube = read_cube(path, CFG, 200)  # the size is checked here
+    os.truncate(path, 8 * (150 * CHIRP + 3))
+    with pytest.raises(IoError, match=f"read {22 * CHIRP + 3} of the {_COV_BLOCK * CHIRP} "
+                                      "samples from chirp 128; the file shrank after its "
+                                      "size was checked"):
+        beamform(cube)
+    with pytest.raises(IoError, match=f"read 3 of the {50 * CHIRP} samples from chirp 150"):
+        beamform(cube.slow_range(150, 200))
+
+
+@pytest.mark.parametrize("start, stop", [(0, 400), (300, 400), (385, 391)])
+def test_cube_file_non_finite_sample_names_file_index_and_whole_count(tmp_path, start, stop):
+    # NaNs in the last block only: the first named by its index in the file, all counted
+    path = _cube_file(tmp_path / "c.iq", 400)
+    samples = read_iq(path).reshape(400, CFG.n_virtual, CFG.n_fast)
+    samples[390, 5, 7] = complex(np.nan, 1.0)
+    samples[399, 11, 127] = complex(0.0, -np.inf)
+    write_iq(path, samples)
+    with pytest.raises(NonFiniteSample) as whole:
+        loop_reference.read_cube(path, CFG, 400)
+    with pytest.raises(NonFiniteSample) as streamed:
+        beamform(read_cube(path, CFG, 400).slow_range(start, stop))
+    assert str(streamed.value) == str(whole.value) == (
+        "non-finite sample at index (390, 5, 7) ((nan+1j)); 2 of 614400 are not finite")
+
+
+def test_cube_front_end_peak_memory_is_its_result_plus_a_few_blocks(tmp_path):
+    # a 20-s record: 24.6 MB of complex64 on disk; beamform keeps 23 MB of profiles
+    n_slow = 2000
+    path = tmp_path / "c.iq"
+    np.full(n_slow * CHIRP, 1.0 + 1.0j, dtype="<c8").tofile(path)
+    cube_bytes = os.path.getsize(path)
+    first_chirp = beamform(read_cube(path, CFG, n_slow).slow_range(0, 1))  # warms the caches
+    profile_bytes = n_slow * first_chirp.profiles[0].nbytes
+    tracemalloc.start()
+    try:
+        extract_slow_time(read_cube(path, CFG, n_slow))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block read, its complex128 FFT and two covariance operands: 4.6 MiB
+    # beside the profiles; the whole-cube read held the cube too, 49.2 MiB in all
+    block_bytes = _COV_BLOCK * CHIRP * 8
+    assert peak - profile_bytes <= 8 * block_bytes < cube_bytes / 3
 
 
 def test_dataset_roundtrip(tmp_path):

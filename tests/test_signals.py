@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from heartid.errors import InvalidParameter, NonFiniteSample, PipelineError
 from heartid.signals import (
+    _FINITE_SLAB,
     ComplexSeries,
     RealSeries,
     Spectrogram,
@@ -63,6 +66,52 @@ def test_check_finite_message_names_first_bad_sample(dtype, bad, value, strided)
     assert str(info.value) == (
         f"non-finite sample at index {index} ({value}); 2 of {size} are not finite"
     )
+
+
+def _brute_force_message(samples):
+    finite = np.isfinite(samples)
+    bad = np.unravel_index(np.argmin(finite), samples.shape)
+    where = tuple(int(i) for i in bad)
+    return (f"non-finite sample at index {where[0] if len(where) == 1 else where} "
+            f"({samples[bad]}); {samples.size - int(finite.sum())} of {samples.size} "
+            "are not finite")
+
+
+# flat indices on both sides of slab edges; a complex slab holds half as many samples
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.float64])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided_view"])
+@pytest.mark.parametrize("bad", [[0], [_FINITE_SLAB // 2 - 1], [_FINITE_SLAB // 2],
+                                 [_FINITE_SLAB - 1, _FINITE_SLAB, 3 * _FINITE_SLAB + 5],
+                                 [4 * _FINITE_SLAB - 1]])
+def test_check_finite_in_slabs_same_as_whole_array_mask(dtype, strided, bad):
+    samples = np.ones(8 * _FINITE_SLAB, dtype=dtype)
+    if strided:
+        samples = samples.reshape(-1, 2)[:, 0].reshape(-1, 16)  # 2-D, every other sample
+    np.put(samples, bad, np.nan)
+    with pytest.raises(NonFiniteSample) as info:
+        check_finite(samples)
+    assert str(info.value) == _brute_force_message(samples)
+
+
+@pytest.mark.parametrize("case", ["finite", "last_is_nan", "strided"])
+def test_check_finite_of_a_cube_allocates_under_one_mib(case):
+    # a 20-s cube record: 24.6 MB of complex64; a whole-cube mask took 6.1 MB
+    cube = np.ones((2000, 12, 128 * (2 if case == "strided" else 1)), dtype=np.complex64)
+    if case == "strided":
+        cube = cube[:, :, ::2]
+    cube[-1, -1, -1] = np.nan if case == "last_is_nan" else 1.0
+    check_finite(cube[:1])  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        if case == "last_is_nan":
+            with pytest.raises(NonFiniteSample, match=r"\(1999, 11, 127\) .*; 1 of 3072000 "):
+                check_finite(cube)
+        else:
+            check_finite(cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_spectrogram_invariants():
