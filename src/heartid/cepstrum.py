@@ -1,14 +1,17 @@
 """Warped-filter-bank cepstral features for heartbeat identification.
 
-``extract_features`` is the one entry point.  Each branch it runs is one chain
-of public blocks: ``signals.second_derivative`` of the slow-time signal,
-``signals.stft_magnitude``, ``mel_energies`` (a low-frequency mel-style
-triangular filter bank applied separately to positive and negative
+``extract_features`` is the one entry point; it takes a checked
+:class:`~heartid.signals.ComplexSeries` and passes plain arrays between the
+blocks.  Each branch it runs is one chain of public blocks:
+``signals.second_derivative`` of the complex samples, of their modulus or of
+their unwrapped phase, ``signals.stft_magnitude``, ``mel_energies`` (a
+low-frequency mel-style triangular filter bank, built by ``build_mel_bank``
+for the series' sampling rate, applied separately to positive and negative
 frequencies, integrated incoherently over the whole measurement) and
-``dct2``, truncated to the lowest-order coefficients.  Complex input yields
-the two-sided ``comp`` vector (2K' coefficients); the amplitude and phase
-branches are one-sided and yield K' coefficients each.  The fused ``prop``
-vector (4K') is one pass over all three branches, concatenated as
+``dct2``, truncated to the lowest-order coefficients.  The complex branch
+yields the two-sided ``comp`` vector (2K' coefficients); the amplitude and
+phase branches are one-sided and yield K' coefficients each.  The fused
+``prop`` vector (4K') is one pass over all three branches, concatenated as
 [amp, ph, comp].  Every feature vector is a plain 1-D float64 array.
 """
 
@@ -22,14 +25,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import InvalidParameter, NonFiniteSample, PipelineError
-from .signals import (
-    ComplexSeries,
-    Spectrogram,
-    amplitude,
-    phase_unwrapped,
-    second_derivative,
-    stft_magnitude,
-)
+from .signals import ComplexSeries, Spectrogram, phase_unwrapped, second_derivative, stft_magnitude
 
 FEATURE_KINDS = ("amp", "ph", "comp", "prop")
 
@@ -41,23 +37,23 @@ class MelBankConfig:
     ``f_ref`` is the reference frequency that controls the warping (5 Hz here,
     suited to sub-50-Hz heartbeat spectra rather than audio), ``f_prime`` the
     fixed scale constant of the warping curve, and ``n_filters`` the number of
-    triangular filters L.
+    triangular filters L.  The bank spans 0 Hz to the Nyquist frequency of the
+    series it filters, so the sampling rate comes with the series.
     """
 
     n_filters: int = 64
     f_ref: float = 5.0
     f_prime: float = 1000.0
-    fs: float = 100.0
 
     def __post_init__(self):
         if self.n_filters < 1:
             raise InvalidParameter(f"need at least one filter, got {self.n_filters}")
-        if not all(0 < f < math.inf for f in (self.f_ref, self.f_prime, self.fs)):
+        if not all(0 < f < math.inf for f in (self.f_ref, self.f_prime)):
             raise InvalidParameter("frequencies must be positive and finite")
 
 
-def build_mel_bank(cfg: MelBankConfig) -> np.ndarray:
-    """The warped filter bank edges f_0 ... f_{L+1}, a read-only float64 array.
+def build_mel_bank(cfg: MelBankConfig, fs: float) -> np.ndarray:
+    """The warped filter bank edges f_0 ... f_{L+1} at sampling rate ``fs``, read-only.
 
     Filter ``ell`` rises on [f_ell, f_{ell+1}) and falls on
     [f_{ell+1}, f_{ell+2}), so L = ``edges.size - 2``.  The warping constant
@@ -68,15 +64,17 @@ def build_mel_bank(cfg: MelBankConfig) -> np.ndarray:
     relative); settings that miss this, or whose warping is flat, raise
     :class:`InvalidParameter`.
     """
-    settings = f"f_ref={cfg.f_ref:g}, f_prime={cfg.f_prime:g} and fs={cfg.fs:g} Hz"
+    settings = f"f_ref={cfg.f_ref:g}, f_prime={cfg.f_prime:g} and fs={fs:g} Hz"
+    if not 0 < fs < math.inf:
+        raise InvalidParameter(f"{settings}: the sampling rate must be positive and finite")
     warp = math.log(cfg.f_prime / cfg.f_ref + 1.0)
     if warp == 0.0:
         raise InvalidParameter(f"{settings} give a flat warping (f_prime/f_ref + 1 == 1)")
     scale = cfg.f_prime / warp
     ell = np.arange(cfg.n_filters + 2, dtype=np.float64)
-    mels = scale * (ell / (cfg.n_filters + 1)) * math.log(1.0 + cfg.fs / (2.0 * cfg.f_ref))
+    mels = scale * (ell / (cfg.n_filters + 1)) * math.log(1.0 + fs / (2.0 * cfg.f_ref))
     edges = cfg.f_ref * np.expm1(mels / scale)
-    nyq = cfg.fs / 2.0
+    nyq = fs / 2.0
     rising = edges[0] == 0.0 and (np.diff(edges) > 0).all()
     if not (rising and abs(edges[-1] - nyq) <= 1e-9 * nyq):
         raise InvalidParameter(f"{settings} give edges {edges[0]:g} ... {edges[-1]:g} Hz, "
@@ -185,8 +183,8 @@ def dct2(m) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_bank(cfg: MelBankConfig) -> np.ndarray:
-    return build_mel_bank(cfg)
+def _cached_bank(cfg: MelBankConfig, fs: float) -> np.ndarray:
+    return build_mel_bank(cfg, fs)
 
 
 def extract_features(
@@ -212,7 +210,8 @@ def extract_features(
     ``log_energies`` switches to log(M + 1e-12) compression first.  Each
     branch is a single expression, so no branch's derivative or spectrogram
     is alive while the next branch allocates.  The bank comes from a
-    per-settings cache and its responses from ``mel_energies``' per-axis one.
+    per-settings cache, built for the series' rate, and its responses from
+    ``mel_energies``' per-axis one.
     """
     if kind not in FEATURE_KINDS:
         raise InvalidParameter(f"kind must be one of {', '.join(FEATURE_KINDS)}, got {kind!r}")
@@ -226,14 +225,17 @@ def extract_features(
             energies = np.log(energies + 1e-12)
         return dct2(energies)[:k_prime]
 
-    edges = _cached_bank(cfg)
+    edges = _cached_bank(cfg, s.fs)
     parts = []
     # an overflow can only end in a non-finite vector, which the check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for branch in ("amp", "ph", "comp") if kind == "prop" else (kind,):
+            # frame times: comp's start at its derivative's first sample, amp's and ph's at 0
+            t0 = s.t0 + 1.0 / s.fs if branch == "comp" else 0.0
             positive, negative = mel_energies(stft_magnitude(second_derivative(
-                s if branch == "comp" else amplitude(s) if branch == "amp" else phase_unwrapped(s)
-            ), window_len, hop), edges)
+                s.samples if branch == "comp"
+                else np.abs(s.samples) if branch == "amp" else phase_unwrapped(s.samples),
+                s.fs), s.fs, window_len, hop, t0), edges)
             if branch == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
                 parts.append(cepstrum(negative)[::-1])
             parts.append(cepstrum(positive))

@@ -335,18 +335,16 @@ def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def metrics(true_labels, predicted_labels, scores=None, classes=None) -> EvalReport:
+def metrics(true_labels, predicted_labels, scores, classes) -> EvalReport:
     """Accuracy, confusion counts, per-class accuracy, macro one-vs-rest AUC.
 
-    AUC needs the per-class decision ``scores`` (samples x classes, column
-    order matching ``classes``); without them it is reported as NaN.
+    The AUC comes from the per-class decision ``scores`` (samples x classes,
+    column order matching ``classes``).
     """
     true_labels = np.asarray(true_labels)
     predicted_labels = np.asarray(predicted_labels)
     if true_labels.size != predicted_labels.size:
         raise PipelineError("true and predicted labels differ in length")
-    if classes is None:
-        classes = sorted(np.unique(np.concatenate([true_labels, predicted_labels])).tolist())
     k = len(classes)
     index = {c: i for i, c in enumerate(classes)}
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -360,18 +358,16 @@ def metrics(true_labels, predicted_labels, scores=None, classes=None) -> EvalRep
         row = confusion[i].sum()
         per_class[cls] = 100.0 * confusion[i, i] / row if row else float("nan")
 
-    macro_auc = float("nan")
-    if scores is not None:
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (true_labels.size, k):
-            raise PipelineError("scores must be (n_samples, n_classes)")
-        aucs = []
-        for cls in classes:
-            i = index[cls]
-            auc = _binary_auc(scores[:, i], true_labels == cls)
-            if not np.isnan(auc):
-                aucs.append(auc)
-        macro_auc = float(np.mean(aucs)) if aucs else float("nan")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (true_labels.size, k):
+        raise PipelineError("scores must be (n_samples, n_classes)")
+    aucs = []
+    for cls in classes:
+        i = index[cls]
+        auc = _binary_auc(scores[:, i], true_labels == cls)
+        if not np.isnan(auc):
+            aucs.append(auc)
+    macro_auc = float(np.mean(aucs)) if aucs else float("nan")
 
     return EvalReport(
         accuracy=float(accuracy),

@@ -211,12 +211,7 @@ def _record_series(args, manifest: dict, record: dict, base_id: str) -> list[Com
 
 def cmd_extract(args) -> int:
     manifest = dataio.load_manifest(args.data)
-    cfg = cepstrum.MelBankConfig(
-        n_filters=args.n_filters,
-        f_ref=args.f_ref,
-        f_prime=args.f_prime,
-        fs=manifest["fs"],
-    )
+    cfg = cepstrum.MelBankConfig(n_filters=args.n_filters, f_ref=args.f_ref, f_prime=args.f_prime)
     rows = []
     n_values = None
     for record in manifest["records"]:

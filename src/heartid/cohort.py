@@ -5,9 +5,11 @@ mean heart rate, beat-period jitter, a sum-of-Gaussians per-beat displacement
 template (the waveform shape that makes people distinguishable), and a
 respiration component.  Measurements follow a days x (am/pm) x repetitions
 schedule with per-session nuisance variation so cross-validation folds are
-non-trivially distinct.  Everything is a pure function of the seed.  Records are
-rendered block by block into their stored dtype (complex64 cubes), with float64
-noise added to the real parts of every block before the imaginary parts.
+non-trivially distinct.  Everything is a pure function of the seed.  The
+displacement is a plain float64 array at the radar's slow-time rate; records
+rendered from it are rendered block by block into their stored dtype (a
+checked :class:`~heartid.signals.ComplexSeries`, or a complex64 cube), with
+float64 noise added to the real parts of every block before the imaginary parts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .radar import C_LIGHT, Cube, DataCube, RadarConfig
-from .signals import ComplexSeries, RealSeries
+from .signals import ComplexSeries
 
 DEFAULT_DURATION = 60.0
 DEFAULT_FS = 100.0
@@ -117,11 +119,12 @@ def displacement(
     fs: float = DEFAULT_FS,
     seed: int = 0,
     rate_scale: float = 1.0,
-) -> RealSeries:
+) -> np.ndarray:
     """Chest displacement d(t): respiration sinusoid plus a jittered pulse train.
 
-    Beat onsets are spaced by 1/heart_rate plus Gaussian jitter (hrv_std);
-    each beat stamps the profile's Gaussian template, scaled by heart_amp_m.
+    Returns d in metres as a float64 array sampled at ``fs``.  Beat onsets
+    are spaced by 1/heart_rate plus Gaussian jitter (hrv_std); each beat
+    stamps the profile's Gaussian template, scaled by heart_amp_m.
     Deterministic given the seed.  ``fs`` below twice the beat rate
     ``heart_rate_hz * rate_scale`` raises :class:`InvalidParameter`.
 
@@ -164,7 +167,7 @@ def displacement(
         np.add.at(heartbeat, idx, amps[j] * np.exp(-0.5 * x**2))
     heartbeat *= profile.heart_amp_m  # in place: no fourth output-sized array
     d += heartbeat
-    return RealSeries(d, fs)
+    return d
 
 
 def _render(shape: tuple, dtype, noiseless, snr_db: float | None, seed: int) -> np.ndarray:
@@ -198,7 +201,7 @@ def _render(shape: tuple, dtype, noiseless, snr_db: float | None, seed: int) -> 
 
 
 def render_baseband(
-    d: RealSeries,
+    d: np.ndarray,
     cfg: RadarConfig,
     snr_db: float | None = None,
     seed: int = 0,
@@ -207,18 +210,19 @@ def render_baseband(
 ) -> ComplexSeries:
     """Displacement to unit-amplitude baseband: s(t) = exp(j 4 pi d(t)/lambda).
 
-    Complex circular Gaussian noise of power 10^(-snr_db/10) relative to the unit
+    ``d`` is sampled at the radar's slow-time rate ``cfg.fs_slow``.  Complex
+    circular Gaussian noise of power 10^(-snr_db/10) relative to the unit
     carrier is added by :func:`_render`; ``snr_db=None`` renders noiselessly.
     """
-    phase = 4.0 * np.pi * d.samples / cfg.wavelength + phase_offset
+    phase = 4.0 * np.pi * d / cfg.wavelength + phase_offset
     s = _render(phase.shape, np.complex128,
                 lambda rows, buf: np.multiply(amp_scale, np.exp(1j * phase[rows]), out=buf),
                 snr_db, seed)
-    return ComplexSeries(s, d.fs)
+    return ComplexSeries(s, cfg.fs_slow)
 
 
 def render_cube(
-    d: RealSeries,
+    d: np.ndarray,
     cfg: RadarConfig,
     snr_db: float | None = None,
     seed: int = 0,
@@ -236,7 +240,7 @@ def render_cube(
     are rendered in complex128, noised (see :func:`_render`) and stored as the
     complex64 a cube file holds.  Doppler within a chirp is neglected.
     """
-    r = range_m + d.samples  # (slow,)
+    r = range_m + d  # (slow,)
     if np.any(r >= cfg.max_range):
         raise InvalidParameter(
             f"target range {r.max():g} m exceeds the unambiguous "
@@ -283,7 +287,7 @@ def simulate_measurement(
     duration: float = DEFAULT_DURATION,
     fs: float = DEFAULT_FS,
     mode: str = "baseband",
-) -> tuple[Measurement, RealSeries]:
+) -> tuple[Measurement, np.ndarray]:
     """Generate one measurement; also returns the injected displacement truth.
 
     The radar is the fixed :class:`RadarConfig` device at slow-time rate ``fs``.
@@ -337,9 +341,10 @@ def generate_cohort(
 def segment(m: Measurement, seg_len: float) -> list[Measurement]:
     """Split a measurement into contiguous non-overlapping segments.
 
-    ``seg_len`` must divide the duration exactly; labels and session are
-    inherited by every segment.  A cube's segments are slow-time ranges of
-    it (:meth:`~heartid.radar.Cube.slow_range`), so a cube file is not read here.
+    ``seg_len`` must divide the duration exactly and be a whole number of
+    samples, so that no sample is dropped; labels and session are inherited
+    by every segment.  A cube's segments are slow-time ranges of it
+    (:meth:`~heartid.radar.Cube.slow_range`), so a cube file is not read here.
     """
     if not seg_len > 0:  # also rejects NaN; an infinite length divides nothing
         raise InvalidParameter(f"segment length must be positive, got {seg_len}")
@@ -352,6 +357,9 @@ def segment(m: Measurement, seg_len: float) -> list[Measurement]:
             f"segment length {seg_len} s does not divide {m.duration} s"
         )
     n_seg = int(round(n_seg))
+    if n % n_seg:
+        raise InvalidParameter(f"segment length {seg_len} s is not a whole number of samples: "
+                               f"{n} samples do not split into {n_seg} equal segments")
     step = n // n_seg
     if m.is_cube:
         parts = [m.signal.slow_range(i * step, (i + 1) * step) for i in range(n_seg)]

@@ -370,6 +370,8 @@ def read_features(path) -> FeatureTable:
                 raise IoError(f"{path}: empty feature file") from None
             if header[: len(FEATURE_META_COLUMNS)] != FEATURE_META_COLUMNS:
                 raise IoError(f"{path}: unexpected header {header[:5]}")
+            if len(header) == len(FEATURE_META_COLUMNS):
+                raise IoError(f"{path}: no feature columns")
             sample_ids, labels, sessions, kinds, values = [], [], [], [], []
             for line in reader:
                 if not line:

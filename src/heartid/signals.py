@@ -1,10 +1,12 @@
-"""Core signal containers and the operations shared by every feature branch.
+"""The slow-time series type and the blocks shared by every feature branch.
 
-Slow-time radar returns are held as :class:`ComplexSeries`; the amplitude and
-phase branches work on :class:`RealSeries`.  The only transforms defined here
-are pointwise decompositions (modulus, unwrapped phase), the central-difference
-second derivative, and a rectangular-window STFT whose magnitude feeds the
-filter-bank stage.
+Slow-time radar returns enter as :class:`ComplexSeries`, which checks them:
+a nonempty 1-D array of finite samples at a rate whose square is finite.
+The blocks past that boundary take and return plain arrays with the rate
+passed alongside: the unwrapped phase, the central-difference second
+derivative, and a rectangular-window STFT whose magnitude feeds the
+filter-bank stage.  Complex input gives a two-sided spectrum, real input
+(the amplitude |s| or the phase) a one-sided one.
 """
 
 from __future__ import annotations
@@ -18,14 +20,6 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameter, NonFiniteSample, PipelineError
-
-
-def _check_series(samples: np.ndarray, fs: float) -> None:
-    if samples.ndim != 1 or samples.size == 0:
-        raise InvalidParameter("samples must be a nonempty 1-D array")
-    # the second derivative scales by fs**2, so the square must be finite too
-    if not (0 < fs < math.inf and fs * fs < math.inf):
-        raise InvalidParameter(f"sampling rate must be positive with a finite square, got {fs}")
 
 
 _FINITE_SLAB = 2**16  # floats tested at a time, so no check allocates a mask of its input's size
@@ -83,7 +77,12 @@ class ComplexSeries:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
-        _check_series(samples, self.fs)
+        if samples.ndim != 1 or samples.size == 0:
+            raise InvalidParameter("samples must be a nonempty 1-D array")
+        # the second derivative scales by fs**2, so the square must be finite too
+        if not (0 < self.fs < math.inf and self.fs * self.fs < math.inf):
+            raise InvalidParameter(
+                f"sampling rate must be positive with a finite square, got {self.fs}")
         check_finite(samples)
         object.__setattr__(self, "samples", samples)
 
@@ -93,22 +92,6 @@ class ComplexSeries:
     @property
     def duration(self) -> float:
         return self.samples.size / self.fs
-
-
-@dataclass(frozen=True)
-class RealSeries:
-    """Uniformly sampled real-valued signal."""
-
-    samples: np.ndarray
-    fs: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        _check_series(samples, self.fs)
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True)
@@ -149,37 +132,28 @@ class Spectrogram:
         return bool(self.freqs[0] < 0)
 
 
-def second_derivative(x: RealSeries | ComplexSeries) -> RealSeries | ComplexSeries:
+def second_derivative(a: np.ndarray, fs: float) -> np.ndarray:
     """Central-difference second derivative, endpoints dropped.
 
-    y[n] = (x[n+1] - 2 x[n] + x[n-1]) * fs^2, so the output is two samples
+    y[n] = (a[n+1] - 2 a[n] + a[n-1]) * fs^2, so the output is two samples
     shorter than the input.  Complex input is differentiated in its real and
-    imaginary parts alike and keeps its type, starting one sample later.
+    imaginary parts alike and stays complex.
     """
-    a = x.samples
     if a.size < 3:
         raise PipelineError(f"need at least 3 samples, got {a.size}")
-    y = (a[2:] - 2.0 * a[1:-1] + a[:-2]) * x.fs**2
-    if isinstance(x, ComplexSeries):
-        return ComplexSeries(y, x.fs, x.t0 + 1.0 / x.fs)
-    return RealSeries(y, x.fs)
+    return (a[2:] - 2.0 * a[1:-1] + a[:-2]) * fs**2
 
 
-def amplitude(s: ComplexSeries) -> RealSeries:
-    """Pointwise modulus |s(t)|."""
-    return RealSeries(np.abs(s.samples), s.fs)
-
-
-def phase_unwrapped(s: ComplexSeries) -> RealSeries:
-    """Principal-value phase followed by unwrapping.
+def phase_unwrapped(a: np.ndarray) -> np.ndarray:
+    """Principal-value phase of complex samples followed by unwrapping.
 
     Successive differences are brought into (-pi, pi] by adding multiples of
     2*pi; the first output sample is the principal value, so it always lies in
     (-pi, pi].  Raises :class:`PipelineError` where the phase is undefined.
     """
-    if np.any(s.samples == 0):
+    if np.any(a == 0):
         raise PipelineError("phase undefined: signal contains an exact zero")
-    return RealSeries(np.unwrap(np.angle(s.samples)), s.fs)
+    return np.unwrap(np.angle(a))
 
 
 def _n_samples(seconds: float, fs: float) -> int:
@@ -203,7 +177,9 @@ def stft_freqs(fs: float, window_len: float, two_sided: bool) -> np.ndarray:
     return freqs
 
 
-def stft_magnitude(x: RealSeries | ComplexSeries, window_len: float, hop: float) -> Spectrogram:
+def stft_magnitude(
+    a: np.ndarray, fs: float, window_len: float, hop: float, t0: float = 0.0
+) -> Spectrogram:
     """Magnitude STFT with a rectangular window and no zero padding.
 
     Frames start at the beginning of the signal and must lie fully inside it,
@@ -212,32 +188,32 @@ def stft_magnitude(x: RealSeries | ComplexSeries, window_len: float, hop: float)
     the frame's summed squared samples (energy-preserving convention).
 
     Complex input gives a two-sided spectrum (centered on 0 Hz), real input a
-    one-sided one.
+    one-sided one.  Frame times are window centers, counted from ``t0``, the
+    time of the first sample.
     """
-    if not (math.isfinite(window_len * x.fs) and math.isfinite(hop * x.fs)):
+    if not (math.isfinite(window_len * fs) and math.isfinite(hop * fs)):
         raise InvalidParameter(f"window {window_len} s and hop {hop} s must be finite")
     if hop <= 0:
         raise InvalidParameter(f"hop must be positive, got {hop}")
-    n = x.samples.size
-    n_win = _n_samples(window_len, x.fs)
-    n_hop = min(_n_samples(hop, x.fs), n)  # past the end there is one frame either way
+    n = a.size
+    n_win = _n_samples(window_len, fs)
+    n_hop = min(_n_samples(hop, fs), n)  # past the end there is one frame either way
     if n_hop < 1:
-        raise InvalidParameter(f"hop {hop} s is below one sample at fs={x.fs}")
+        raise InvalidParameter(f"hop {hop} s is below one sample at fs={fs}")
     if n_win < 2:  # one sample has only the 0-Hz bin, so no side of a spectrum
-        raise InvalidParameter(f"window {window_len} s is below two samples at fs={x.fs}")
+        raise InvalidParameter(f"window {window_len} s is below two samples at fs={fs}")
     if n_win > n:
         raise PipelineError(
             f"window of {n_win} samples does not fit a signal of {n} samples"
         )
 
-    frames = sliding_window_view(x.samples, n_win)[::n_hop]
-    two_sided = isinstance(x, ComplexSeries)
+    frames = sliding_window_view(a, n_win)[::n_hop]
+    two_sided = np.iscomplexobj(a)
     transform = scipy.fft.fft if two_sided else scipy.fft.rfft
     spec = np.abs(transform(frames, axis=1))
     spec *= 1.0 / math.sqrt(n_win)
     if two_sided:
         spec = np.fft.fftshift(spec, axes=1)
 
-    t0 = getattr(x, "t0", 0.0)
-    frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / x.fs
-    return Spectrogram(spec, stft_freqs(x.fs, window_len, two_sided), frame_times)
+    frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / fs
+    return Spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)

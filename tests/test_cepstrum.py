@@ -19,9 +19,7 @@ from heartid.cepstrum import (
 from heartid.errors import InvalidParameter, PipelineError
 from heartid.signals import (
     ComplexSeries,
-    RealSeries,
     Spectrogram,
-    amplitude,
     phase_unwrapped,
     second_derivative,
     stft_magnitude,
@@ -39,51 +37,57 @@ def naive_dct2(m):
 # --- filter bank ------------------------------------------------------------
 
 def test_mel_bank_bottom_edge_is_zero():
-    bank = build_mel_bank(MelBankConfig())
+    bank = build_mel_bank(MelBankConfig(), 100.0)
     assert bank[0] == 0.0
 
 
 def test_mel_bank_edges_are_read_only_and_cached():
     cfg = MelBankConfig(n_filters=12)
-    edges = build_mel_bank(cfg)
+    edges = build_mel_bank(cfg, 100.0)
     assert edges.dtype == np.float64 and edges.shape == (14,)
     with pytest.raises(ValueError, match="read-only"):
         edges[1] = 0.0
-    shared = cepstrum._cached_bank(cfg)
+    shared = cepstrum._cached_bank(cfg, 100.0)
     assert not shared.flags.writeable and np.array_equal(shared, edges)
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg",  # (bank settings, sampling rate)
     [
-        MelBankConfig(),
-        MelBankConfig(n_filters=16, f_ref=2.0, f_prime=500.0, fs=40.0),
-        MelBankConfig(n_filters=128, f_ref=10.0, f_prime=2000.0, fs=1000.0),
-        MelBankConfig(n_filters=1, f_ref=0.5, f_prime=100.0, fs=10.0),
+        (MelBankConfig(), 100.0),
+        (MelBankConfig(n_filters=16, f_ref=2.0, f_prime=500.0), 40.0),
+        (MelBankConfig(n_filters=128, f_ref=10.0, f_prime=2000.0), 1000.0),
+        (MelBankConfig(n_filters=1, f_ref=0.5, f_prime=100.0), 10.0),
     ],
 )
 def test_mel_bank_top_edge_is_nyquist(cfg):
-    bank = build_mel_bank(cfg)
-    assert abs(bank[-1] - cfg.fs / 2) <= 1e-9 * (cfg.fs / 2)
+    cfg, fs = cfg
+    bank = build_mel_bank(cfg, fs)
+    assert abs(bank[-1] - fs / 2) <= 1e-9 * (fs / 2)
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg",  # (bank settings, sampling rate)
     [
-        MelBankConfig(f_ref=1e20),   # f_prime/f_ref + 1 == 1: a flat warping
-        MelBankConfig(f_prime=1e-20),
-        MelBankConfig(f_ref=1e17),   # top edge at 44.4 Hz instead of 50 Hz
+        (MelBankConfig(f_ref=1e20), 100.0),   # f_prime/f_ref + 1 == 1: a flat warping
+        (MelBankConfig(f_prime=1e-20), 100.0),
+        (MelBankConfig(f_ref=1e17), 100.0),   # top edge at 44.4 Hz instead of 50 Hz
+        (MelBankConfig(), 0.0),
+        (MelBankConfig(), -100.0),            # reached math.log of a negative number
+        (MelBankConfig(), np.nan),
+        (MelBankConfig(), np.inf),
     ],
 )
 def test_mel_bank_rejects_degenerate_settings(cfg):
+    cfg, fs = cfg
     with pytest.raises(InvalidParameter, match="f_ref="):
-        build_mel_bank(cfg)
+        build_mel_bank(cfg, fs)
 
 
 def test_mel_bank_matches_high_precision_oracle():
     # independent evaluation of the closed forms at 60 significant digits
-    cfg = MelBankConfig(n_filters=64, f_ref=5.0, f_prime=1000.0, fs=100.0)
-    bank = build_mel_bank(cfg)
+    cfg = MelBankConfig(n_filters=64, f_ref=5.0, f_prime=1000.0)
+    bank = build_mel_bank(cfg, 100.0)
     with mpmath.workdps(60):
         f_ref = mpmath.mpf("5.0")
         f_prime = mpmath.mpf("1000.0")
@@ -101,7 +105,7 @@ def test_mel_bank_matches_high_precision_oracle():
 
 
 def test_filter_response_edges_and_peak():
-    bank = build_mel_bank(MelBankConfig())
+    bank = build_mel_bank(MelBankConfig(), 100.0)
     for ell in (0, 7, 63):
         f_lo, f_mid, f_hi = bank[ell : ell + 3]
         at_lo, peak, at_hi, below = bank_response_matrix(
@@ -114,7 +118,7 @@ def test_filter_response_edges_and_peak():
 
 
 def test_filter_response_unit_area():
-    bank = build_mel_bank(MelBankConfig())
+    bank = build_mel_bank(MelBankConfig(), 100.0)
     for ell in range(bank.size - 2):
         f_lo, f_mid, f_hi = bank[ell : ell + 3]
         # trapezoid grid containing the breakpoints integrates the
@@ -131,7 +135,7 @@ def test_filter_response_unit_area():
 # --- mel energies -----------------------------------------------------------
 
 def test_mel_energies_zero_spectrogram():
-    bank = build_mel_bank(MelBankConfig())
+    bank = build_mel_bank(MelBankConfig(), 100.0)
     spec = Spectrogram(
         np.zeros((10, 51)),
         np.linspace(0, 50, 51),
@@ -145,7 +149,7 @@ def test_mel_energies_zero_spectrogram():
 def test_mel_energies_unit_spectrogram_gives_duration():
     # S = 1 everywhere on a dense one-sided grid: each unit-area filter
     # integrates to T0
-    bank = build_mel_bank(MelBankConfig())
+    bank = build_mel_bank(MelBankConfig(), 100.0)
     t0 = 10.0
     freqs = np.linspace(0, 50, 8001)
     spec = Spectrogram(
@@ -190,7 +194,7 @@ def _riemann_oracle(bank, duration, bumps, f_lo, f_hi, n_f, n_t):
 
 
 def test_mel_energies_match_brute_force_quadrature():
-    bank = build_mel_bank(MelBankConfig())
+    bank = build_mel_bank(MelBankConfig(), 100.0)
     duration = 8.0
     frame_times = np.linspace(0.0, duration, 81)
     freqs = np.linspace(-50.0, 50.0, 8001)
@@ -216,8 +220,8 @@ def test_mel_energies_match_brute_force_quadrature():
 def test_mel_energies_tone_concentrates_on_positive_side():
     fs = 100.0
     t = np.arange(1000) / fs
-    spec = stft_magnitude(ComplexSeries(np.exp(2j * np.pi * 3.0 * t), fs), 2.0, 0.1)
-    bank = build_mel_bank(MelBankConfig())
+    spec = stft_magnitude(np.exp(2j * np.pi * 3.0 * t), fs, 2.0, 0.1)
+    bank = build_mel_bank(MelBankConfig(), 100.0)
     positive, negative = mel_energies(spec, bank)
     assert positive.max() > 0
     assert negative.max() <= 1e-9 * positive.max()
@@ -235,8 +239,8 @@ def test_mel_energies_real_signal_two_sided_symmetry():
     rng = np.random.default_rng(3)
     fs = 100.0
     x = rng.standard_normal(2000)  # real signal seen as complex
-    spec = stft_magnitude(ComplexSeries(x + 0j, fs), 2.0, 0.1)
-    positive, negative = mel_energies(spec, build_mel_bank(MelBankConfig()))
+    spec = stft_magnitude(x + 0j, fs, 2.0, 0.1)
+    positive, negative = mel_energies(spec, build_mel_bank(MelBankConfig(), fs))
     scale = positive.max()
     assert np.max(np.abs(positive - negative)) <= 1e-9 * scale
 
@@ -246,9 +250,9 @@ def test_mel_energies_axis_mismatch():
         np.ones((4, 26)), np.linspace(0, 25, 26), np.arange(4.0)
     )
     with pytest.raises(PipelineError, match="exceeds the bank Nyquist"):
-        mel_energies(spec, build_mel_bank(MelBankConfig(fs=40.0)))  # nyq 20 < 25
+        mel_energies(spec, build_mel_bank(MelBankConfig(), 40.0))  # nyq 20 < 25
     with pytest.raises(PipelineError, match="well short of the bank Nyquist"):
-        mel_energies(spec, build_mel_bank(MelBankConfig(fs=200.0)))  # nyq 100 >> 25
+        mel_energies(spec, build_mel_bank(MelBankConfig(), 200.0))  # nyq 100 >> 25
 
 
 # --- DCT --------------------------------------------------------------------
@@ -365,18 +369,24 @@ def test_fuse_concatenation(tone_signal):
 # --- single-pass extraction against the public building blocks ---------------
 
 def _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies):
-    """One branch composed from the public blocks, as the paper chains them."""
-    bank = build_mel_bank(cfg)
+    """One branch composed from the public blocks, as the paper chains them.
+
+    The complex branch's frame times start at its derivative's first sample,
+    the amplitude's and phase's at 0.
+    """
+    bank = build_mel_bank(cfg, s.fs)
 
     def cep(m):
         return dct2(np.log(m + 1e-12) if log_energies else m)[:k_prime]
 
     if kind == "comp":
-        spec = stft_magnitude(second_derivative(s), window_len, hop)
+        spec = stft_magnitude(second_derivative(s.samples, s.fs), s.fs, window_len, hop,
+                              s.t0 + 1.0 / s.fs)
         positive, negative = mel_energies(spec, bank)
         return np.concatenate([cep(negative)[::-1], cep(positive)])
-    base = amplitude(s) if kind == "amp" else phase_unwrapped(s)
-    positive, _ = mel_energies(stft_magnitude(second_derivative(base), window_len, hop), bank)
+    base = np.abs(s.samples) if kind == "amp" else phase_unwrapped(s.samples)
+    spec = stft_magnitude(second_derivative(base, s.fs), s.fs, window_len, hop)
+    positive, _ = mel_energies(spec, bank)
     return cep(positive)
 
 
@@ -389,21 +399,22 @@ def _heartbeat_like(n, fs, t0, seed):
 
 
 @pytest.mark.parametrize(
-    "n, cfg, window_len, hop, k_prime, log_energies, t0",
+    "n, cfg, window_len, hop, k_prime, log_energies, t0",  # cfg: (bank settings, fs)
     [
-        (6000, MelBankConfig(), 2.0, 0.1, 24, False, 0.0),   # 60 s, paper settings
-        (6000, MelBankConfig(), 2.0, 0.1, 24, True, 0.37),
-        (500, MelBankConfig(), 2.0, 0.1, 1, False, 0.0),     # 5-s segment
-        (500, MelBankConfig(), 2.01, 0.1, 63, True, 12.5),   # odd window, K' = L-1
-        (202, MelBankConfig(), 2.0, 0.1, 24, False, 0.0),    # a single frame
-        (1200, MelBankConfig(n_filters=16, fs=40.0), 2.0, 0.25, 15, False, 0.0),
-        (1200, MelBankConfig(n_filters=16, fs=40.0), 1.525, 0.25, 1, True, 3.0),
+        (6000, (MelBankConfig(), 100.0), 2.0, 0.1, 24, False, 0.0),   # 60 s, paper settings
+        (6000, (MelBankConfig(), 100.0), 2.0, 0.1, 24, True, 0.37),
+        (500, (MelBankConfig(), 100.0), 2.0, 0.1, 1, False, 0.0),     # 5-s segment
+        (500, (MelBankConfig(), 100.0), 2.01, 0.1, 63, True, 12.5),   # odd window, K' = L-1
+        (202, (MelBankConfig(), 100.0), 2.0, 0.1, 24, False, 0.0),    # a single frame
+        (1200, (MelBankConfig(n_filters=16), 40.0), 2.0, 0.25, 15, False, 0.0),
+        (1200, (MelBankConfig(n_filters=16), 40.0), 1.525, 0.25, 1, True, 3.0),
     ],
 )
 def test_extraction_bit_identical_to_public_blocks(
     n, cfg, window_len, hop, k_prime, log_energies, t0
 ):
-    s = _heartbeat_like(n, cfg.fs, t0, seed=n)
+    cfg, fs = cfg
+    s = _heartbeat_like(n, fs, t0, seed=n)
     refs = [_reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
             for kind in ("amp", "ph", "comp")]
     for kind, ref in zip(("amp", "ph", "comp"), refs):
@@ -416,7 +427,8 @@ def test_extraction_bit_identical_to_public_blocks(
 def test_filter_bank_built_once_per_settings(monkeypatch):
     builds, responses = [], []
     build, respond = cepstrum.build_mel_bank, cepstrum.bank_response_matrix
-    monkeypatch.setattr(cepstrum, "build_mel_bank", lambda cfg: builds.append(cfg) or build(cfg))
+    monkeypatch.setattr(cepstrum, "build_mel_bank",
+                        lambda cfg, fs: builds.append((cfg, fs)) or build(cfg, fs))
     monkeypatch.setattr(
         cepstrum, "bank_response_matrix",
         lambda bank, f: responses.append(f.size) or respond(bank, f),
@@ -426,10 +438,10 @@ def test_filter_bank_built_once_per_settings(monkeypatch):
     settings = [MelBankConfig(), MelBankConfig(n_filters=32)]
     for cfg in settings:
         for seed in range(6):
-            extract_features(_heartbeat_like(1500, cfg.fs, 0.0, seed), cfg, kind="prop")
+            extract_features(_heartbeat_like(1500, 100.0, 0.0, seed), cfg, kind="prop")
     # one bank per settings; one response matrix per spectral side
     # (one-sided, two-sided positive, two-sided negative)
-    assert builds == settings
+    assert builds == [(cfg, 100.0) for cfg in settings]
     assert len(responses) == 3 * len(settings)
 
 

@@ -496,7 +496,7 @@ def test_metrics_confusion_consistency():
     rng = np.random.default_rng(9)
     true = rng.choice(["a", "b", "c"], 60)
     pred = rng.choice(["a", "b", "c"], 60)
-    report = metrics(true, pred)
+    report = metrics(true, pred, rng.standard_normal((60, 3)), ["a", "b", "c"])
     assert report.accuracy == 100.0 * report.confusion.trace() / report.confusion.sum()
     for i, cls in enumerate(report.classes):
         assert report.confusion[i].sum() == int(np.sum(true == cls))
@@ -504,4 +504,4 @@ def test_metrics_confusion_consistency():
 
 def test_metrics_length_mismatch():
     with pytest.raises(PipelineError, match="differ in length"):
-        metrics(["a", "b"], ["a"])
+        metrics(["a", "b"], ["a"], np.zeros((2, 2)), ["a", "b"])

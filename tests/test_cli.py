@@ -372,15 +372,24 @@ def test_extract_non_finite_sample_exits_2(tmp_path, capsys, mode):
         assert sample_id in err and "index 123 " in err
 
 
-@pytest.mark.parametrize("kind", ["amp", "ph", "comp", "prop"])
-def test_extract_overflowing_features_exit_2(tmp_path, capsys, kind):
+@pytest.mark.parametrize(
+    "kind, alternating",
+    [("amp", False), ("ph", False), ("comp", False), ("prop", False), ("comp", True)],
+    ids=["amp", "ph", "comp", "prop", "comp_alternating_samples"],
+)
+def test_extract_overflowing_features_exit_2(tmp_path, capsys, kind, alternating):
     # fs^2 is finite, but the STFT of the second derivative overflows to inf, and
-    # inf * 0 in the filter-bank trapezoid gave an all-NaN CSV with exit 0
+    # inf * 0 in the filter-bank trapezoid gave an all-NaN CSV with exit 0.  Finite
+    # samples alternating +-1 overflow in the derivative itself (4 fs^2), which was
+    # blamed on the record as a non-finite sample at index 0
     data = tmp_path / "ds"
     assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
                  "--duration", "4"]) == 0
     manifest = json.loads((data / "manifest.json").read_text())
     (data / "manifest.json").write_text(json.dumps({**manifest, "fs": 1e154}))
+    if alternating:
+        write_iq(data / manifest["records"][0]["file"],
+                 np.where(np.arange(400) % 2, -1.0, 1.0).astype(np.complex128))
     out = tmp_path / "f.csv"
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -554,6 +563,9 @@ def test_report_accepts_nan_metric(prop_csv, tmp_path, capsys):
         ("project", ["--seed", "-1"], "iterations 60 and seed -1 must be non-negative"),
         ("project", ["--iterations", "-5"], "iterations -5 and seed 0 must be non-negative"),
         ("project", ["--perplexity", "0.5"], "perplexity must be at least 1, got 0.5"),
+        # 7 segments of 285 samples would keep 1995 of the 2000
+        ("extract", ["--segment", str(20 / 7)], f"segment length {20 / 7} s is not a whole "
+         "number of samples: 2000 samples do not split into 7 equal segments"),
     ],
 )
 def test_out_of_range_setting_exits_2_naming_it(
@@ -686,6 +698,24 @@ def test_bad_feature_cell_exits_2(prop_csv, tmp_path, capsys, command, cell):
     assert str(bad) in err and f"sample {row[0]}" in err
     assert cell is None or "column c7" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "pca", "tsne"])
+def test_feature_csv_without_feature_columns_exits_2(tmp_path, capsys, command):
+    # eval used to score 24 such rows at 50% with NaN KKT gaps; t-SNE drew a scatter
+    bad = tmp_path / "bad.csv"
+    bad.write_text("sample_id,label,session_id,segment_index,kind\n" + "".join(
+        f"p{i % 2}_s{i},p{i % 2},d{i % 3},0,amp\n" for i in range(24)))
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--features", str(bad), "--report", str(out)]
+    else:
+        argv = ["project", "--features", str(bad), "--out", str(out), "--method", command,
+                "--perplexity", "5"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: no feature columns\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "project"])

@@ -26,7 +26,7 @@ from heartid.cohort import (
 from heartid.dataio import save_dataset
 from heartid.errors import InvalidParameter
 from heartid.radar import C_LIGHT, RadarConfig
-from heartid.signals import RealSeries, phase_unwrapped
+from heartid.signals import phase_unwrapped
 
 CFG = RadarConfig()
 
@@ -79,14 +79,14 @@ def test_displacement_without_heartbeat_is_pure_sinusoid():
     # inside the profile's amplitude invariants
     profile = make_profile(pulse_template=(GaussPulse(0.0, 0.15, 0.04),), hrv_std=0.0)
     d = displacement(profile, duration=20.0, fs=100.0, seed=3)
-    t = np.arange(len(d)) / d.fs
+    t = np.arange(len(d)) / 100.0
     # fit amplitude/phase of the single tone and compare pointwise
     w = 2 * np.pi * profile.resp_rate_hz
     basis = np.stack([np.sin(w * t), np.cos(w * t)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, d.samples, rcond=None)
+    coef, *_ = np.linalg.lstsq(basis, d, rcond=None)
     amp = np.hypot(*coef)
     assert abs(amp - profile.resp_amp_m) <= 1e-9 * profile.resp_amp_m
-    assert np.max(np.abs(basis @ coef - d.samples)) <= 1e-12
+    assert np.max(np.abs(basis @ coef - d)) <= 1e-12
 
 
 def test_displacement_zero_jitter_is_periodic():
@@ -99,7 +99,7 @@ def test_displacement_zero_jitter_is_periodic():
         make_profile(hrv_std=0.0, pulse_template=(GaussPulse(0.0, 0.15, 0.04), GaussPulse(0.0, 0.35, 0.06))),
         **kwargs,
     )
-    heartbeat = loud.samples - mute.samples
+    heartbeat = loud - mute
     period = int(fs / 1.25)
     interior = heartbeat[period : -2 * period]
     shifted = heartbeat[2 * period : -period]
@@ -113,10 +113,10 @@ def test_displacement_spectral_line_at_heart_rate(profile, seed):
     from scipy.signal import butter, filtfilt, get_window
 
     d = displacement(profile, duration=60.0, fs=100.0, seed=seed)
-    b, a = butter(4, [0.7, 2.0], btype="bandpass", fs=d.fs)
-    x = filtfilt(b, a, d.samples - d.samples.mean())
+    b, a = butter(4, [0.7, 2.0], btype="bandpass", fs=100.0)
+    x = filtfilt(b, a, d - d.mean())
     spec = np.abs(np.fft.rfft(x * get_window("hann", x.size), n=1 << 17))
-    freqs = np.fft.rfftfreq(1 << 17, d=1.0 / d.fs)
+    freqs = np.fft.rfftfreq(1 << 17, d=1.0 / 100.0)
     band = (freqs >= 0.7) & (freqs <= 2.0)
     peak = freqs[band][np.argmax(spec[band])]
     assert abs(peak - profile.heart_rate_hz) <= 0.02
@@ -151,7 +151,7 @@ def test_displacement_bit_identical_to_beat_loop(preset, seed, rate_scale, durat
     for profile in preset():
         fast = displacement(profile, duration, 100.0, seed, rate_scale)
         ref = loop_reference.displacement(profile, duration, 100.0, seed, rate_scale)
-        assert np.array_equal(fast.samples, ref)
+        assert np.array_equal(fast, ref)
 
 
 WIDE = (GaussPulse(1.0, 0.5, 0.3),)  # +-1.5 periods: clipped at sample 0 and at n
@@ -178,7 +178,7 @@ def test_displacement_edges_bit_identical_to_beat_loop(monkeypatch, overrides, d
     profile = make_profile(**overrides)
     for seed in range(3):
         fast = displacement(profile, duration, fs, seed)
-        assert np.array_equal(fast.samples, loop_reference.displacement(profile, duration, fs, seed))
+        assert np.array_equal(fast, loop_reference.displacement(profile, duration, fs, seed))
 
 
 def test_displacement_peak_memory_is_its_output_plus_a_constant():
@@ -192,27 +192,27 @@ def test_displacement_peak_memory_is_its_output_plus_a_constant():
     # t, the respiration output and the heartbeat are each the size of the 2.9-MB
     # output; the beat loop, and a scaled copy of the heartbeat, held a fourth,
     # and all 6500 beats in one block took 40.8 MB
-    assert peak <= 3 * d.samples.nbytes + 2**20
+    assert peak <= 3 * d.nbytes + 2**20
 
 
 def test_displacement_deterministic():
     a = displacement(make_profile(), seed=42)
     b = displacement(make_profile(), seed=42)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 # --- rendering ----------------------------------------------------------------
 
 def test_render_baseband_zero_displacement():
-    d = RealSeries(np.zeros(100) + 0.0, 100.0)
-    s = render_baseband(d, CFG, snr_db=None)
+    s = render_baseband(np.zeros(100), RadarConfig(fs_slow=250.0), snr_db=None)
     assert np.all(s.samples == 1.0 + 0.0j)
+    assert s.fs == 250.0  # the series takes the radar's slow-time rate
 
 
 def test_render_baseband_eighth_wavelength_step():
     d = np.zeros(100)
     d[50:] = CFG.wavelength / 8
-    s = render_baseband(RealSeries(d, 100.0), CFG, snr_db=None)
+    s = render_baseband(d, CFG, snr_db=None)
     step = np.angle(s.samples[60]) - np.angle(s.samples[10])
     assert abs(step - np.pi / 2) <= 1e-12
 
@@ -220,14 +220,14 @@ def test_render_baseband_eighth_wavelength_step():
 def test_render_roundtrip_recovers_displacement():
     profile = make_profile()
     d = displacement(profile, duration=30.0, fs=100.0, seed=5)
-    d0 = RealSeries(d.samples - d.samples[0], d.fs)  # start at zero phase
+    d0 = d - d[0]  # start at zero phase
     s = render_baseband(d0, CFG, snr_db=None)
-    recovered = phase_unwrapped(s).samples * CFG.wavelength / (4 * np.pi)
-    assert np.max(np.abs(recovered - d0.samples)) <= 1e-9
+    recovered = phase_unwrapped(s.samples) * CFG.wavelength / (4 * np.pi)
+    assert np.max(np.abs(recovered - d0)) <= 1e-9
 
 
 def test_render_noise_scales_with_snr():
-    d = RealSeries(np.zeros(20000), 100.0)
+    d = np.zeros(20000)
     for snr in (0.0, 10.0, 20.0):
         s = render_baseband(d, CFG, snr_db=snr, seed=8)
         noise_power = np.mean(np.abs(s.samples - 1.0) ** 2)
@@ -237,7 +237,7 @@ def test_render_noise_scales_with_snr():
 @pytest.mark.parametrize("snr_db", [-3083.0, -400.0, float("nan")])
 def test_render_rejects_noise_a_dataset_cannot_store(snr_db):
     # -3083 dB overflowed 10**(-snr/10); -400 dB wrote infinite complex64 samples
-    d = RealSeries(np.zeros(2000), 100.0)  # 20 s: a 23.4-MiB cube
+    d = np.zeros(2000)  # 20 s: a 23.4-MiB cube
     for render in (render_baseband, render_cube):
         tracemalloc.start()
         try:
@@ -260,7 +260,7 @@ def _reference_noise(x, snr_db, seed):
 
 def _reference_cube(d, cfg, snr_db, seed, angle_deg, amp_scale, phase_offset, range_m=1.5):
     """Full-phase cube: one exp per (slow, element, fast) sample."""
-    r = range_m + d.samples
+    r = range_m + d
     t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
     f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
     carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
@@ -285,29 +285,29 @@ NUISANCE = dict(amp_scale=1.37, phase_offset=2.9)
 @pytest.mark.parametrize("snr_db", [20.0, None])
 def test_render_cube_broadside_bit_identical_to_full_phase(snr_db):
     d = displacement(make_profile(), duration=3.0, fs=100.0, seed=4)
-    before = d.samples.copy()
+    before = d.copy()
     cube = render_cube(d, CFG, snr_db, seed=11, **NUISANCE)
     ref = _reference_cube(d, CFG, snr_db, 11, 0.0, **NUISANCE)
     assert np.array_equal(cube.values, ref.astype(np.complex64))
-    assert np.array_equal(d.samples, before)
+    assert np.array_equal(d, before)
 
 
 @pytest.mark.parametrize("snr_db", [20.0, None])
 @pytest.mark.parametrize("angle_deg", [8.0, -8.0, 20.0, -60.0])
 def test_render_cube_off_broadside_matches_full_phase(angle_deg, snr_db):
     d = displacement(make_profile(), duration=3.0, fs=100.0, seed=4)
-    before = d.samples.copy()
+    before = d.copy()
     cube = render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
     ref = _reference_cube(d, CFG, snr_db, 11, angle_deg, **NUISANCE)
     # rounding each part to float32 moves a sample by less than one float32 ulp
     # of |ref|; the phasor and full-phase formulas differ by ~1e-12, far less
     assert np.all(np.abs(cube.values - ref) <= np.spacing(np.abs(ref).astype(np.float32)))
-    assert np.array_equal(d.samples, before)
+    assert np.array_equal(d, before)
 
 
 def _unblocked_cube(d, cfg, snr_db, seed, angle_deg, amp_scale, phase_offset, range_m=1.5):
     """The whole-cube complex128 render that the blocked one replaced, noise added in place."""
-    r = range_m + d.samples
+    r = range_m + d
     t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
     f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
     carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
@@ -341,7 +341,7 @@ ROWS = _RENDER_BLOCK // (CFG.n_virtual * CFG.n_fast)  # chirps per rendering blo
 @pytest.mark.parametrize("n_slow", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
 def test_render_cube_bit_identical_to_unblocked_complex128(n_slow, snr_db, angle_deg, tmp_path):
     d = displacement(make_profile(), duration=n_slow / 100.0, fs=100.0, seed=4)
-    assert d.samples.size == n_slow
+    assert d.size == n_slow
     cube = render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
     ref = _unblocked_cube(d, CFG, snr_db, 11, angle_deg, **NUISANCE)
     assert cube.values.dtype == np.complex64
@@ -365,12 +365,12 @@ def test_render_cube_peak_memory_is_the_cube_plus_one_block():
 @pytest.mark.parametrize("snr_db", [5.0, 20.0, None])
 def test_render_baseband_matches_out_of_place_noise(snr_db):
     d = displacement(make_profile(), duration=10.0, fs=100.0, seed=6)
-    before = d.samples.copy()
+    before = d.copy()
     s = render_baseband(d, CFG, snr_db, 13, **NUISANCE)
-    phase = 4.0 * np.pi * d.samples / CFG.wavelength + NUISANCE["phase_offset"]
+    phase = 4.0 * np.pi * d / CFG.wavelength + NUISANCE["phase_offset"]
     ref = _reference_noise(NUISANCE["amp_scale"] * np.exp(1j * phase), snr_db, 13)
     assert np.array_equal(s.samples, ref)
-    assert np.array_equal(d.samples, before)
+    assert np.array_equal(d, before)
 
 
 # --- cohort generation ---------------------------------------------------------
@@ -446,12 +446,12 @@ def test_cube_mode_matches_baseband_phase():
     kwargs = dict(seed=21, snr_db=20.0, duration=15.0)
     m_bb, d = simulate_measurement(profile, "d1am", 1, mode="baseband", **kwargs)
     m_cube, d2 = simulate_measurement(profile, "d1am", 1, mode="cube", **kwargs)
-    assert np.array_equal(d.samples, d2.samples)  # same injected displacement
+    assert np.array_equal(d, d2)  # same injected displacement
     from heartid.radar import extract_slow_time
 
     sel = extract_slow_time(m_cube.signal)
-    ph_cube = detrend(phase_unwrapped(sel.series).samples)
-    ph_bb = detrend(phase_unwrapped(m_bb.signal).samples)
+    ph_cube = detrend(phase_unwrapped(sel.series.samples))
+    ph_bb = detrend(phase_unwrapped(m_bb.signal.samples))
     assert np.corrcoef(ph_cube, ph_bb)[0, 1] >= 0.99
 
 
@@ -478,6 +478,17 @@ def test_segment_non_divisible_length():
     m, _ = simulate_measurement(make_profile(), "d1am", 1, duration=60.0, snr_db=None)
     with pytest.raises(InvalidParameter, match="does not divide"):
         segment(m, 7.0)
+    # the length divides the duration, but not into whole samples: 7 x 142 = 994
+    # and 30 x 33 = 990 of 1000 samples were kept, shorter than asked for
+    m, _ = simulate_measurement(make_profile(), "d1am", 1, duration=10.0, snr_db=None)
+    cube, _ = simulate_measurement(
+        make_profile(), "d1am", 1, duration=4.0, snr_db=None, mode="cube"
+    )
+    for record, seg_len, n, n_seg in ((m, 10 / 7, 1000, 7), (m, 1 / 3, 1000, 30),
+                                      (cube, 4 / 7, 400, 7), (cube, 1 / 3, 400, 12)):
+        with pytest.raises(InvalidParameter, match=f"not a whole number of samples: {n} "
+                                                   f"samples do not split into {n_seg} "):
+            segment(record, seg_len)
 
 
 def test_segment_cube_mode():
