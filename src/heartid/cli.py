@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -174,15 +175,17 @@ def cmd_synth(args) -> int:
         mode=args.mode,
         duration=args.duration,
         fs=args.fs,
+        out_dir=args.out,
     )
-    records = dataio.save_dataset(
-        args.out,
-        measurements,
-        profiles,
-        seed=args.seed,
-        snr_db=args.snr_db,
-        dataset_id=args.dataset_id,
-    )["records"]
+    with closing(measurements):  # ends the render threads however saving ends
+        records = dataio.save_dataset(
+            args.out,
+            measurements,
+            profiles,
+            seed=args.seed,
+            snr_db=args.snr_db,
+            dataset_id=args.dataset_id,
+        )["records"]
     by_class = Counter(r["label"] for r in records)
     by_session = Counter(r["session_id"] for r in records)
     print(f"wrote {len(records)} measurements to {args.out}")

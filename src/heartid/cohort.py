@@ -8,19 +8,27 @@ schedule with per-session nuisance variation so cross-validation folds are
 non-trivially distinct.  Everything is a pure function of the seed.  The
 displacement is a plain float64 array at the radar's slow-time rate; records
 rendered from it are rendered block by block into their stored dtype (a
-checked :class:`~heartid.signals.ComplexSeries`, or a complex64 cube), with
-float64 noise added to the real parts of every block before the imaginary parts.
+checked :class:`~heartid.signals.ComplexSeries`, or a complex64 cube held in
+memory or streamed into its file), with float64 noise added to the real parts
+of every block before the imaginary parts.  Each record draws from its own
+seeds, so cube records, whose noise draws release the GIL, render two at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
+import os
+import shutil
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, PipelineError
 from .radar import C_LIGHT, Cube, DataCube, RadarConfig
 from .signals import ComplexSeries
 
@@ -28,7 +36,7 @@ DEFAULT_DURATION = 60.0
 DEFAULT_FS = 100.0
 SESSION_AMP_SIGMA = 0.15  # log-normal spread of the per-session amplitude scale
 SESSION_RATE_DRIFT = 0.05  # per-session heart-rate scale drawn from 1 +/- this
-_RENDER_BLOCK = 2**17  # samples rendered at a time: 85 chirps of a cube
+_RENDER_BLOCK = 2**14  # samples rendered at a time: 10 chirps of a cube
 _BEAT_BLOCK = 64  # beats stamped at a time by displacement()
 
 
@@ -170,34 +178,72 @@ def displacement(
     return d
 
 
-def _render(shape: tuple, dtype, noiseless, snr_db: float | None, seed: int) -> np.ndarray:
-    """A new ``dtype`` array of ``shape``: ``noiseless(rows, buf)`` plus complex noise.
+def _render(shape: tuple, dtype, noiseless, snr_db: float | None, seed: int,
+            path: Path | None = None) -> np.ndarray | None:
+    """A new ``dtype`` array of ``shape``, or file at ``path``: ``noiseless`` plus complex noise.
 
     ``noiseless`` writes the complex128 samples of slow-time ``rows``, blocks of
     about ``_RENDER_BLOCK`` samples, into ``buf``.  Noise 10^(-snr_db/10) below
     unit power is added in float64 to every block's real parts, then imaginary parts.
+    A file gets the array's bytes without the array being held: the first pass
+    writes each block with its real parts, the second reads the block back,
+    adds the imaginary parts and rewrites it (see :func:`_new_file`).
     """
     if snr_db is not None and not snr_db >= -300:  # keeps complex64 noise finite
         raise InvalidParameter(f"snr_db must be at least -300 dB, got {snr_db}")
-    out = np.empty(shape, dtype)
     step = max(1, _RENDER_BLOCK // int(np.prod(shape[1:])))
     # every block reuses these: fresh ones made the allocator return and re-fault their pages
     block = np.empty((min(step, shape[0]), *shape[1:]), np.complex128)
     noise = np.empty(block.shape)
-    blocks = [(slice(s0, s0 + step), min(step, shape[0] - s0)) for s0 in range(0, shape[0], step)]
-    if snr_db is None:
-        for rows, n in blocks:
-            out[rows] = noiseless(rows, block[:n])
-        return out
-    rng = np.random.default_rng(seed)
-    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    for part in ("real", "imag"):
-        for rows, n in blocks:
-            buf = rng.standard_normal(out=noise[:n])
-            buf *= sigma
-            buf += getattr(noiseless(rows, block[:n]), part)
-            getattr(out, part)[rows] = buf
-    return out
+    parts = [None]  # noiseless: each block is stored whole in one pass
+    if snr_db is not None:
+        rng = np.random.default_rng(seed)
+        sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+        parts = ["real", "imag"]
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    with nullcontext() if path is None else _new_file(path, nbytes) as fh:
+        out = np.empty(shape if fh is None else block.shape, dtype)  # the array, or a file block
+        for part in parts:
+            for s0 in range(0, shape[0], step):
+                rows, n = slice(s0, s0 + step), min(step, shape[0] - s0)
+                dest = out[rows] if fh is None else out[:n]
+                at = s0 * out[0].nbytes  # the block's offset in the file
+                if fh is not None and part == "imag":
+                    fh.seek(at)
+                    fh.readinto(dest)
+                clean = noiseless(rows, block[:n])
+                if part is None:
+                    dest[...] = clean
+                else:
+                    buf = rng.standard_normal(out=noise[:n])
+                    buf *= sigma
+                    buf += getattr(clean, part)
+                    getattr(dest, part)[...] = buf
+                if fh is not None:
+                    fh.seek(at)
+                    fh.write(dest)
+    return out if path is None else None
+
+
+@contextmanager
+def _new_file(path: Path, nbytes: int):
+    """``path`` opened as a new file for ``nbytes``, deleted again if the block raises.
+
+    A file larger than its disk's free space raises :class:`PipelineError`
+    before it, or its directory, is made.  Renders running at once each check
+    the free space alone, so near a full disk a write can still fail (an
+    ``OSError``); its partial file is deleted too.
+    """
+    free = shutil.disk_usage(next(p for p in path.parents if p.exists())).free
+    if nbytes > free:
+        raise PipelineError(f"{path}: needs {nbytes} bytes, but its disk has {free} free")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(path, "w+b") as fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def render_baseband(
@@ -230,7 +276,8 @@ def render_cube(
     angle_deg: float = 0.0,
     amp_scale: float = 1.0,
     phase_offset: float = 0.0,
-) -> DataCube:
+    path: Path | None = None,
+) -> DataCube | None:
     """Render displacement as a complex64 FMCW data cube (stop-and-go beat model).
 
     Per chirp, the target at R = range_m + d(t) produces a beat tone at
@@ -239,6 +286,12 @@ def render_cube(
     the virtual array by its half-wavelength phase factor.  Blocks of chirps
     are rendered in complex128, noised (see :func:`_render`) and stored as the
     complex64 a cube file holds.  Doppler within a chirp is neglected.
+
+    With ``path``, the blocks are streamed into a new cube file there instead,
+    with the bytes the returned cube would hold, and None is returned: the
+    render holds a few blocks, not the cube.  A file its disk cannot hold
+    raises :class:`PipelineError` before it is made; a render that fails
+    deletes its partial file.
     """
     r = range_m + d  # (slow,)
     if np.any(r >= cfg.max_range):
@@ -259,7 +312,8 @@ def render_cube(
         return np.multiply(chirp[:, None, :], steer, out=buf)
 
     shape = (r.size, cfg.n_virtual, cfg.n_fast)
-    return DataCube(_render(shape, np.complex64, noiseless, snr_db, seed), cfg)
+    values = _render(shape, "<c8", noiseless, snr_db, seed, path)  # little-endian, as in a file
+    return DataCube(values, cfg) if path is None else None
 
 
 def session_nuisance(
@@ -278,6 +332,11 @@ def _check_mode(mode: str) -> None:
         raise InvalidParameter(f"mode must be baseband or cube, got {mode!r}")
 
 
+def record_file(label: str, session_id: str, repetition: int) -> str:
+    """The name of a measurement's raw file in a dataset directory."""
+    return f"{label}_{session_id}_r{repetition}.iq"
+
+
 def simulate_measurement(
     profile: PersonProfile,
     session_id: str,
@@ -287,10 +346,13 @@ def simulate_measurement(
     duration: float = DEFAULT_DURATION,
     fs: float = DEFAULT_FS,
     mode: str = "baseband",
+    out_dir: Path | str | None = None,
 ) -> tuple[Measurement, np.ndarray]:
     """Generate one measurement; also returns the injected displacement truth.
 
     The radar is the fixed :class:`RadarConfig` device at slow-time rate ``fs``.
+    With ``out_dir``, a cube is streamed into its :func:`record_file` there
+    (see :func:`render_cube`), and the measurement reads it back block by block.
     """
     _check_mode(mode)
     radar = RadarConfig(fs_slow=fs)
@@ -299,13 +361,20 @@ def simulate_measurement(
     n_seed = derive_seed(seed, "noise", profile.id, session_id, repetition)
     d = displacement(profile, duration, fs, d_seed, rate_scale)
     if mode == "baseband":
-        signal: ComplexSeries | DataCube = render_baseband(
+        signal: ComplexSeries | Cube = render_baseband(
             d, radar, snr_db, n_seed, amp_scale, phase_offset
         )
-    else:
+    elif out_dir is None:
         signal = render_cube(
             d, radar, snr_db, n_seed, amp_scale=amp_scale, phase_offset=phase_offset
         )
+    else:
+        from .dataio import read_cube  # dataio imports this module
+
+        path = Path(out_dir) / record_file(profile.id, session_id, repetition)
+        render_cube(d, radar, snr_db, n_seed, amp_scale=amp_scale, phase_offset=phase_offset,
+                    path=path)
+        signal = read_cube(path, radar, d.size)
     return Measurement(signal, profile.id, session_id, repetition), d
 
 
@@ -317,12 +386,22 @@ def generate_cohort(
     mode: str = "baseband",
     duration: float = DEFAULT_DURATION,
     fs: float = DEFAULT_FS,
+    out_dir: Path | str | None = None,
 ) -> Iterator[Measurement]:
     """One measurement per (profile, session, repetition), deterministic in seed.
 
-    The profile count, schedule and mode are checked at call time; each
-    measurement is rendered only when the returned iterator reaches it, so a
-    caller that consumes them one by one holds one at a time.
+    The profile count, schedule and mode are checked at call time; rendering
+    starts when the returned iterator is first advanced.  Cube records render
+    two at a time on threads (one on a single CPU), and are handed on in
+    order, so a caller that consumes them one by one holds two at a time;
+    baseband records, which render in about a millisecond, render one at a
+    time in the caller's thread.  With ``out_dir``, each cube is streamed into
+    its file there (see :func:`simulate_measurement`), so a record held is a
+    few blocks, not a cube.
+
+    An error is raised when the record that raised it is reached, as rendering
+    one at a time would; the record rendering beside it is finished first.
+    Closing the iterator, or exhausting it, ends its threads.
     """
     if len(profiles) < 2:
         raise InvalidParameter("a cohort needs at least two profiles")
@@ -330,12 +409,38 @@ def generate_cohort(
     if schedule.days < 1 or schedule.repetitions < 1:
         raise InvalidParameter("schedule must contain at least one session and repetition")
     _check_mode(mode)
-    return (
-        simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs, mode)[0]
-        for profile in profiles
-        for session_id in schedule.sessions
-        for rep in range(1, schedule.repetitions + 1)
-    )
+
+    def measure(profile: PersonProfile, session_id: str, rep: int) -> Measurement:
+        return simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs,
+                                    mode, out_dir)[0]
+
+    jobs = ((profile, session_id, rep)
+            for profile in profiles
+            for session_id in schedule.sessions
+            for rep in range(1, schedule.repetitions + 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return _in_order(measure, jobs, min(2, cpus or 1) if mode == "cube" else 1)
+
+
+def _in_order(fn: Callable, jobs: Iterable[tuple], width: int) -> Iterator:
+    """``fn(*job)`` for each job, in order, with up to ``width`` calls running on threads.
+
+    A call starts only when the iterator is advanced: each advance tops the
+    running calls up to ``width`` and waits for the oldest.  Its exception is
+    raised there; the executor then waits for the calls still running, whose
+    results and errors a serial run would never have reached.
+    """
+    if width == 1:
+        yield from (fn(*job) for job in jobs)
+        return
+    with ThreadPoolExecutor(width) as pool:
+        running = deque()
+        for job in jobs:
+            running.append(pool.submit(fn, *job))
+            if len(running) == width:
+                yield running.popleft().result()
+        while running:
+            yield running.popleft().result()
 
 
 def segment(m: Measurement, seg_len: float) -> list[Measurement]:

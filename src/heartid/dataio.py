@@ -3,8 +3,10 @@
 Raw signals are little-endian float32 interleaved I/Q.  Cubes use the same
 encoding with fast time as the fastest-varying index, then element, then slow
 time; a cube file is read a block of chirps at a time by :class:`CubeFile`,
-never whole.  A dataset directory holds ``manifest.json`` plus one raw file per
-measurement; features travel as CSV with a mandatory header.
+never whole, and ``synth`` streams each cube into its file block by block
+(:func:`heartid.cohort.render_cube`), so no whole cube is held on either side.
+A dataset directory holds ``manifest.json`` plus one raw file per measurement;
+features travel as CSV with a mandatory header.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import Measurement, PersonProfile
+from .cohort import Measurement, PersonProfile, record_file
 from .errors import IoError, ManifestError
 from .radar import DataCube, RadarConfig
 from .signals import ComplexSeries, find_non_finite, non_finite_sample
@@ -157,10 +159,13 @@ def save_dataset(
     """Write each measurement's raw file as it arrives, then the manifest; returns it.
 
     No measurement is kept, so ``measurements`` may be the lazy iterator of
-    :func:`heartid.cohort.generate_cohort`.  The manifest's fs (for cubes, the
-    slow-time rate of the fixed :class:`RadarConfig` device), duration and mode
-    are read from the measurements, which must all agree on them; an empty
-    iterable raises :class:`ManifestError`.
+    :func:`heartid.cohort.generate_cohort`.  A cube that iterator streamed into
+    ``out_dir`` (a :class:`CubeFile` at its :func:`~heartid.cohort.record_file`
+    there) is recorded, not written again; one elsewhere raises
+    :class:`ManifestError`.  The manifest's fs (for cubes, the slow-time rate
+    of the fixed :class:`RadarConfig` device), duration and mode are read from
+    the measurements, which must all agree on them; an empty iterable raises
+    :class:`ManifestError`.
     """
     out_dir = Path(out_dir)
     header, records = None, []
@@ -171,21 +176,25 @@ def save_dataset(
         elif _dataset_header(m) != header:
             raise ManifestError(f"{m.label} {m.session_id} r{m.repetition}: fs, duration "
                                 "or mode differs from the first measurement")
-        name = f"{m.label}_{m.session_id}_r{m.repetition}"
         record = {
-            "file": f"{name}.iq",
+            "file": record_file(m.label, m.session_id, m.repetition),
             "label": m.label,
             "session_id": m.session_id,
             "repetition": m.repetition,
         }
+        path = out_dir / record["file"]
         if m.is_cube:
-            write_cube(out_dir / record["file"], m.signal)
+            if isinstance(m.signal, DataCube):
+                write_cube(path, m.signal)
+            elif m.signal.path != path:
+                raise ManifestError(f"{m.signal.path}: a cube file can only be recorded "
+                                    f"at its place in the dataset, {path}")
             record["n_slow"] = m.signal.n_slow
         else:
-            write_iq(out_dir / record["file"], m.signal.samples)
+            write_iq(path, m.signal.samples)
             record["n_samples"] = len(m.signal)
         records.append(record)
-        del m  # free this record before the iterator renders the next one
+        del m  # free this record before asking the iterator for the next one
     if header is None:
         raise ManifestError(f"no measurements to save in {out_dir}")
     fs, duration, mode = header

@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
@@ -12,9 +14,10 @@ import numpy as np
 import pytest
 
 import heartid
-from heartid import dataio, radar
+from heartid import cohort, dataio, radar
 from heartid.cli import main
 from heartid.dataio import read_features, read_iq, write_features, write_iq
+from heartid.errors import PipelineError
 from heartid.radar import RadarConfig
 
 
@@ -413,6 +416,67 @@ def test_size_beyond_memory_exits_2(tmp_path, capsys, duration, mode):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: synth: Unable to allocate ")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.fixture
+def pool_width(monkeypatch):
+    """Sets how many cube records ``synth`` renders at once, whatever the CPU count."""
+    in_order = cohort._in_order
+
+    def set_width(width):
+        monkeypatch.setattr(cohort, "_in_order", lambda fn, jobs, _: in_order(fn, jobs, width))
+
+    return set_width
+
+
+CUBE_SYNTH = ["--mode", "cube", "--days", "1", "--repetitions", "1", "--duration", "2"]
+
+
+def test_pooled_cube_synth_same_bytes_as_one_at_a_time(tmp_path, pool_width):
+    files, threads = {}, threading.active_count()
+    for width in (2, 1):
+        pool_width(width)
+        out = tmp_path / f"w{width}"
+        assert main(["synth", "--out", str(out), "--seed", "5", *CUBE_SYNTH]) == 0
+        assert threading.active_count() == threads
+        files[width] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert files[2] == files[1] and len(files[1]) == 13  # 12 cubes and the manifest
+
+
+def test_synth_failing_record_exits_as_in_record_order(tmp_path, capsys, monkeypatch, pool_width):
+    # the second record fails after rendering; the third fails at once, so it
+    # fails first when the two render side by side
+    simulate = cohort.simulate_measurement
+
+    def failing(profile, session_id, rep, *args):
+        if (profile.id, session_id) == ("p2", "d1am"):
+            raise PipelineError("third record")
+        m = simulate(profile, session_id, rep, *args)
+        if (profile.id, session_id) == ("p1", "d1pm"):
+            raise PipelineError("second record")
+        return m
+
+    monkeypatch.setattr(cohort, "simulate_measurement", failing)
+    threads, outcomes = threading.active_count(), []
+    for width in (1, 2):
+        pool_width(width)
+        out = tmp_path / f"w{width}"
+        capsys.readouterr()
+        outcomes.append((main(["synth", "--out", str(out), *CUBE_SYNTH]),
+                         capsys.readouterr().err))
+        assert threading.active_count() == threads
+        assert (out / "p1_d1am_r1.iq").exists() and not (out / "manifest.json").exists()
+    assert outcomes == [(2, "error: second record\n")] * 2
+
+
+def test_synth_cube_beyond_the_free_disk_space_exits_2(tmp_path, capsys, monkeypatch):
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=10**6))
+    capsys.readouterr()
+    assert main(["synth", "--out", str(tmp_path / "ds"), *CUBE_SYNTH]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'ds' / 'p1_d1am_r1.iq'}: needs "
+                                       "2457600 bytes, but its disk has 1000000 free\n")
     assert not (tmp_path / "ds").exists()
 
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import shutil
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +27,7 @@ from heartid.cohort import (
     simulate_measurement,
 )
 from heartid.dataio import save_dataset
-from heartid.errors import InvalidParameter
+from heartid.errors import InvalidParameter, PipelineError
 from heartid.radar import C_LIGHT, RadarConfig
 from heartid.signals import phase_unwrapped
 
@@ -348,6 +351,10 @@ def test_render_cube_bit_identical_to_unblocked_complex128(n_slow, snr_db, angle
     assert np.array_equal(cube.values, ref.astype(np.complex64))
     save_dataset(tmp_path, [Measurement(cube, "t1", "d1am", 1)], [make_profile()], 11, snr_db)
     assert (tmp_path / "t1_d1am_r1.iq").read_bytes() == ref.astype("<c8").tobytes()
+    streamed = tmp_path / "streamed" / "t1.iq"  # its directory is made too
+    assert render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, path=streamed,
+                       **NUISANCE) is None
+    assert streamed.read_bytes() == ref.astype("<c8").tobytes()
 
 
 def test_render_cube_peak_memory_is_the_cube_plus_one_block():
@@ -360,6 +367,56 @@ def test_render_cube_peak_memory_is_the_cube_plus_one_block():
         tracemalloc.stop()
     # 29.3 MiB for the 23.4-MiB cube; the whole-cube complex128 render took 74.3 MiB
     assert peak <= cube.values.nbytes + 16 * 2**20
+
+
+def test_render_cube_to_a_file_peaks_at_a_few_blocks(tmp_path):
+    d = displacement(make_profile(), duration=60.0, fs=100.0, seed=4)
+    tracemalloc.start()
+    try:
+        render_cube(d, CFG, 20.0, seed=11, path=tmp_path / "c.iq")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cube_bytes = (tmp_path / "c.iq").stat().st_size
+    assert cube_bytes == d.size * CFG.n_virtual * CFG.n_fast * 8  # 70.3 MiB
+    # 0.87 MiB: one block's buffers and the record's per-chirp arrays
+    block_bytes = ROWS * CFG.n_virtual * CFG.n_fast * 16  # one complex128 block
+    assert peak <= 5 * block_bytes < cube_bytes / 50
+
+
+class _FailingRng:
+    """A noise generator whose third draw raises, after two blocks are in the file."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.Generator(np.random.PCG64(seed)), 0
+
+    def standard_normal(self, out):
+        self.draws += 1
+        if self.draws == 3:
+            raise MemoryError("third draw")
+        return self.rng.standard_normal(out=out)
+
+
+def test_render_cube_failing_midway_deletes_its_file(tmp_path, monkeypatch):
+    d = displacement(make_profile(), duration=1.0, fs=100.0, seed=4)
+    monkeypatch.setattr(np.random, "default_rng", _FailingRng)
+    with pytest.raises(MemoryError, match="third draw"):
+        render_cube(d, CFG, 20.0, seed=11, path=tmp_path / "c.iq")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_render_cube_beyond_the_free_disk_space_makes_no_file(tmp_path, monkeypatch):
+    d = np.zeros(20)
+    needed = d.size * CFG.n_virtual * CFG.n_fast * 8
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=needed - 1))
+    with pytest.raises(PipelineError, match=f"needs {needed} bytes, but its disk has "
+                                            f"{needed - 1} free"):
+        render_cube(d, CFG, 20.0, path=tmp_path / "ds" / "c.iq")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=needed))
+    render_cube(d, CFG, 20.0, path=tmp_path / "ds" / "c.iq")
+    assert (tmp_path / "ds" / "c.iq").stat().st_size == needed
 
 
 @pytest.mark.parametrize("snr_db", [5.0, 20.0, None])
@@ -424,6 +481,29 @@ def test_cohort_renders_only_as_iterated(monkeypatch):
     first = next(ms)
     assert len(calls) == 1 and first.label == "p1" and first.repetition == 1
     assert len(list(ms)) == 7 and len(calls) == 8
+
+
+def test_cube_cohort_renders_two_at_a_time_in_order_and_ends_its_threads(monkeypatch):
+    import heartid.cohort as cohort_module
+
+    calls, threads = [], threading.active_count()
+
+    def counting(*args, **kwargs):
+        calls.append(args[:3])
+        return simulate_measurement(*args, **kwargs)
+
+    monkeypatch.setattr(cohort_module, "simulate_measurement", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ms = generate_cohort(default_cohort()[:2], Schedule(days=1, repetitions=2), duration=0.5,
+                         mode="cube")
+    assert calls == [] and threading.active_count() == threads
+    first = next(ms)
+    assert (first.label, first.session_id, first.repetition) == ("p1", "d1am", 1)
+    assert len(calls) == 2  # the next record renders while the caller holds this one
+    second = next(ms)
+    assert (second.label, second.session_id, second.repetition) == ("p1", "d1am", 2)
+    ms.close()  # waits for the record rendering ahead, then ends the threads
+    assert len(calls) == 3 and threading.active_count() == threads
 
 
 def test_cohort_requires_two_profiles_and_schedule():

@@ -200,6 +200,23 @@ def test_save_dataset_rejects_empty_and_mixed_measurements(tmp_path):
         save_dataset(tmp_path / "mixed", chain(short, longer), profiles, seed=0, snr_db=None)
 
 
+def test_save_dataset_records_streamed_cubes_only_at_their_place(tmp_path):
+    profiles = default_cohort()[:2]
+    schedule = Schedule(days=1, repetitions=1)
+    kwargs = dict(mode="cube", duration=0.5, seed=3)
+    streamed = generate_cohort(profiles, schedule, out_dir=tmp_path / "ds", **kwargs)
+    manifest = save_dataset(tmp_path / "ds", streamed, profiles, seed=3, snr_db=20.0)
+    in_memory = list(generate_cohort(profiles, schedule, **kwargs))
+    assert save_dataset(tmp_path / "copy", in_memory, profiles, seed=3, snr_db=20.0) == manifest
+    for name in ["manifest.json", *(r["file"] for r in manifest["records"])]:
+        assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "copy" / name).read_bytes()
+    elsewhere = generate_cohort(profiles, schedule, out_dir=tmp_path / "other", **kwargs)
+    with pytest.raises(ManifestError, match="can only be recorded at its place in the dataset"):
+        save_dataset(tmp_path / "ds2", elsewhere, profiles, seed=3, snr_db=20.0)
+    elsewhere.close()
+    assert not (tmp_path / "ds2" / "manifest.json").exists()
+
+
 def test_manifest_errors(tmp_path):
     with pytest.raises(ManifestError):
         load_manifest(tmp_path)
