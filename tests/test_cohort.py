@@ -337,11 +337,14 @@ def _unblocked_cube(d, cfg, snr_db, seed, angle_deg, amp_scale, phase_offset, ra
 
 
 ROWS = _RENDER_BLOCK // (CFG.n_virtual * CFG.n_fast)  # chirps per rendering block
+# record lengths around one and two block boundaries, plus those around a 2**17-sample
+# block (85 chirps): many blocks with a ragged last one
+N_SLOW = sorted({1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3, 84, 85, 86, 173})
 
 
 @pytest.mark.parametrize("angle_deg", [0.0, 20.0])
 @pytest.mark.parametrize("snr_db", [20.0, None])
-@pytest.mark.parametrize("n_slow", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+@pytest.mark.parametrize("n_slow", N_SLOW)
 def test_render_cube_bit_identical_to_unblocked_complex128(n_slow, snr_db, angle_deg, tmp_path):
     d = displacement(make_profile(), duration=n_slow / 100.0, fs=100.0, seed=4)
     assert d.size == n_slow
