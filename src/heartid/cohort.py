@@ -7,30 +7,37 @@ respiration component.  Measurements follow a days x (am/pm) x repetitions
 schedule with per-session nuisance variation so cross-validation folds are
 non-trivially distinct.  Everything is a pure function of the seed.  The
 displacement is a plain float64 array at the radar's slow-time rate; records
-rendered from it are rendered block by block into their stored dtype (a
-checked :class:`~heartid.signals.ComplexSeries`, or a complex64 cube held in
-memory or streamed into its file), with float64 noise added to the real parts
-of every block before the imaginary parts.  Each record draws from its own
-seeds, so cube records, whose noise draws release the GIL, render two at a time.
+rendered from it are rendered block by block into their stored dtype, with
+float64 noise added to the real parts of every block before the imaginary
+parts.  A baseband record is a checked :class:`~heartid.signals.ComplexSeries`
+in memory; a cube record exists only as its file, into which its complex64
+samples are streamed.  Each record draws from its own seeds, so cube records,
+whose noise draws release the GIL, render two at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import shutil
+import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidParameter, PipelineError
-from .radar import C_LIGHT, Cube, DataCube, RadarConfig
+from .radar import C_LIGHT, RadarConfig
 from .signals import ComplexSeries
+
+if TYPE_CHECKING:
+    from .dataio import CubeFile
 
 DEFAULT_DURATION = 60.0
 DEFAULT_FS = 100.0
@@ -38,6 +45,10 @@ SESSION_AMP_SIGMA = 0.15  # log-normal spread of the per-session amplitude scale
 SESSION_RATE_DRIFT = 0.05  # per-session heart-rate scale drawn from 1 +/- this
 _RENDER_BLOCK = 2**14  # samples rendered at a time: 10 chirps of a cube
 _BEAT_BLOCK = 64  # beats stamped at a time by displacement()
+# the files of the cube records started and not yet done, in record order: one
+# list for the process, whose renders all draw on the same disks (see _new_file)
+_CUBE_FILES: list[Path] = []
+_DISK_LOCK = threading.Lock()  # held while a cube file grows or the free disk space is read
 
 
 def derive_seed(*parts) -> int:
@@ -95,7 +106,7 @@ class PersonProfile:
 class Measurement:
     """One recorded sample: the rendered or loaded signal plus its bookkeeping labels."""
 
-    signal: ComplexSeries | Cube
+    signal: ComplexSeries | CubeFile
     label: str
     session_id: str
     repetition: int
@@ -220,9 +231,17 @@ def _render(shape: tuple, dtype, noiseless, snr_db: float | None, seed: int,
                     buf += getattr(clean, part)
                     getattr(dest, part)[...] = buf
                 if fh is not None:
-                    fh.seek(at)
-                    fh.write(dest)
+                    with _DISK_LOCK:  # a disk check sees a file grow by whole blocks
+                        fh.seek(at)
+                        fh.write(dest)
     return out if path is None else None
+
+
+def _written(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:  # not made yet, or deleted by its failing render
+        return 0
 
 
 @contextmanager
@@ -230,11 +249,18 @@ def _new_file(path: Path, nbytes: int):
     """``path`` opened as a new file for ``nbytes``, deleted again if the block raises.
 
     A file larger than its disk's free space raises :class:`PipelineError`
-    before it, or its directory, is made.  Renders running at once each check
-    the free space alone, so near a full disk a write can still fail (an
-    ``OSError``); its partial file is deleted too.
+    before it, or its directory, is made.  That free space leaves out what the
+    cube files of the records started before it (see :func:`generate_cohort`)
+    have still to write, each counted as ``nbytes`` (a cohort's cube files
+    share one size) less its length, so records rendering side by side pass or
+    fail this check, with the same figures, as they would one at a time.  A
+    write can still fail on a disk that others fill (an ``OSError``); its
+    partial file is deleted too.
     """
-    free = shutil.disk_usage(next(p for p in path.parents if p.exists())).free
+    with _DISK_LOCK:
+        earlier = itertools.takewhile(lambda p: p != path, _CUBE_FILES)
+        to_come = sum(nbytes - _written(p) for p in earlier)
+        free = shutil.disk_usage(next(p for p in path.parents if p.exists())).free - to_come
     if nbytes > free:
         raise PipelineError(f"{path}: needs {nbytes} bytes, but its disk has {free} free")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -276,22 +302,21 @@ def render_cube(
     angle_deg: float = 0.0,
     amp_scale: float = 1.0,
     phase_offset: float = 0.0,
-    path: Path | None = None,
-) -> DataCube | None:
-    """Render displacement as a complex64 FMCW data cube (stop-and-go beat model).
+    *,
+    path: Path,
+) -> None:
+    """Render displacement as a complex64 FMCW data cube file at ``path`` (stop-and-go beats).
 
     Per chirp, the target at R = range_m + d(t) produces a beat tone at
     2 B R / (c T_chirp) with carrier phase 4 pi R / lambda.  That chirp phasor
     is formed once per (slow, fast) sample and steered to each element of
     the virtual array by its half-wavelength phase factor.  Blocks of chirps
-    are rendered in complex128, noised (see :func:`_render`) and stored as the
-    complex64 a cube file holds.  Doppler within a chirp is neglected.
-
-    With ``path``, the blocks are streamed into a new cube file there instead,
-    with the bytes the returned cube would hold, and None is returned: the
-    render holds a few blocks, not the cube.  A file its disk cannot hold
-    raises :class:`PipelineError` before it is made; a render that fails
-    deletes its partial file.
+    are rendered in complex128, noised (see :func:`_render`) and streamed
+    into a new cube file as the complex64 it holds; a cube exists only as
+    that file, so the render holds a few blocks, not the cube.  Doppler within
+    a chirp is neglected.  A file its disk cannot hold raises
+    :class:`PipelineError` before it is made; a render that fails deletes its
+    partial file.
     """
     r = range_m + d  # (slow,)
     if np.any(r >= cfg.max_range):
@@ -311,9 +336,7 @@ def render_cube(
         )
         return np.multiply(chirp[:, None, :], steer, out=buf)
 
-    shape = (r.size, cfg.n_virtual, cfg.n_fast)
-    values = _render(shape, "<c8", noiseless, snr_db, seed, path)  # little-endian, as in a file
-    return DataCube(values, cfg) if path is None else None
+    _render((r.size, cfg.n_virtual, cfg.n_fast), "<c8", noiseless, snr_db, seed, path)
 
 
 def session_nuisance(
@@ -327,9 +350,11 @@ def session_nuisance(
     return amp_scale, phase_offset, rate_scale
 
 
-def _check_mode(mode: str) -> None:
+def _check_mode(mode: str, out_dir: Path | str | None) -> None:
     if mode not in ("baseband", "cube"):
         raise InvalidParameter(f"mode must be baseband or cube, got {mode!r}")
+    if mode == "cube" and out_dir is None:
+        raise InvalidParameter("a cube record exists only as its file: cube mode needs out_dir")
 
 
 def record_file(label: str, session_id: str, repetition: int) -> str:
@@ -351,22 +376,20 @@ def simulate_measurement(
     """Generate one measurement; also returns the injected displacement truth.
 
     The radar is the fixed :class:`RadarConfig` device at slow-time rate ``fs``.
-    With ``out_dir``, a cube is streamed into its :func:`record_file` there
-    (see :func:`render_cube`), and the measurement reads it back block by block.
+    A baseband record is held in memory.  A cube record exists only as its
+    file: it is streamed into its :func:`record_file` in ``out_dir``, which
+    cube mode requires (see :func:`render_cube`), and the measurement reads it
+    back block by block.
     """
-    _check_mode(mode)
+    _check_mode(mode, out_dir)
     radar = RadarConfig(fs_slow=fs)
     amp_scale, phase_offset, rate_scale = session_nuisance(profile.id, session_id, seed)
     d_seed = derive_seed(seed, "disp", profile.id, session_id, repetition)
     n_seed = derive_seed(seed, "noise", profile.id, session_id, repetition)
     d = displacement(profile, duration, fs, d_seed, rate_scale)
     if mode == "baseband":
-        signal: ComplexSeries | Cube = render_baseband(
+        signal: ComplexSeries | CubeFile = render_baseband(
             d, radar, snr_db, n_seed, amp_scale, phase_offset
-        )
-    elif out_dir is None:
-        signal = render_cube(
-            d, radar, snr_db, n_seed, amp_scale=amp_scale, phase_offset=phase_offset
         )
     else:
         from .dataio import read_cube  # dataio imports this module
@@ -395,9 +418,12 @@ def generate_cohort(
     two at a time on threads (one on a single CPU), and are handed on in
     order, so a caller that consumes them one by one holds two at a time;
     baseband records, which render in about a millisecond, render one at a
-    time in the caller's thread.  With ``out_dir``, each cube is streamed into
-    its file there (see :func:`simulate_measurement`), so a record held is a
-    few blocks, not a cube.
+    time in the caller's thread.  A cube record exists only as its file, so
+    cube mode requires ``out_dir``: each cube is streamed into its file there
+    (see :func:`simulate_measurement`), and a record held is a few blocks, not
+    a cube.  Each cube file is listed, in record order, from its record's
+    start until it is done, so two records rendering at once check the free
+    disk space as they would one at a time (see :func:`_new_file`).
 
     An error is raised when the record that raised it is reached, as rendering
     one at a time would; the record rendering beside it is finished first.
@@ -408,18 +434,30 @@ def generate_cohort(
     schedule = schedule or Schedule()
     if schedule.days < 1 or schedule.repetitions < 1:
         raise InvalidParameter("schedule must contain at least one session and repetition")
-    _check_mode(mode)
+    _check_mode(mode, out_dir)
+
+    def cube_file(profile: PersonProfile, session_id: str, rep: int) -> Path:
+        return Path(out_dir) / record_file(profile.id, session_id, rep)
 
     def measure(profile: PersonProfile, session_id: str, rep: int) -> Measurement:
-        return simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs,
-                                    mode, out_dir)[0]
+        try:
+            return simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs,
+                                        mode, out_dir)[0]
+        finally:
+            if mode == "cube":
+                with _DISK_LOCK:
+                    _CUBE_FILES.remove(cube_file(profile, session_id, rep))
 
-    jobs = ((profile, session_id, rep)
-            for profile in profiles
-            for session_id in schedule.sessions
-            for rep in range(1, schedule.repetitions + 1))
+    def jobs() -> Iterator[tuple]:
+        for job in itertools.product(profiles, schedule.sessions,
+                                     range(1, schedule.repetitions + 1)):
+            if mode == "cube":  # listed here, in the caller's thread, before its render starts
+                with _DISK_LOCK:
+                    _CUBE_FILES.append(cube_file(*job))
+            yield job
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return _in_order(measure, jobs, min(2, cpus or 1) if mode == "cube" else 1)
+    return _in_order(measure, jobs(), min(2, cpus or 1) if mode == "cube" else 1)
 
 
 def _in_order(fn: Callable, jobs: Iterable[tuple], width: int) -> Iterator:
@@ -448,8 +486,8 @@ def segment(m: Measurement, seg_len: float) -> list[Measurement]:
 
     ``seg_len`` must divide the duration exactly and be a whole number of
     samples, so that no sample is dropped; labels and session are inherited
-    by every segment.  A cube's segments are slow-time ranges of it
-    (:meth:`~heartid.radar.Cube.slow_range`), so a cube file is not read here.
+    by every segment.  A cube's segments are slow-time ranges of its file
+    (:meth:`~heartid.dataio.CubeFile.slow_range`), so the file is not read here.
     """
     if not seg_len > 0:  # also rejects NaN; an infinite length divides nothing
         raise InvalidParameter(f"segment length must be positive, got {seg_len}")

@@ -2,9 +2,9 @@
 
 Raw signals are little-endian float32 interleaved I/Q.  Cubes use the same
 encoding with fast time as the fastest-varying index, then element, then slow
-time; a cube file is read a block of chirps at a time by :class:`CubeFile`,
-never whole, and ``synth`` streams each cube into its file block by block
-(:func:`heartid.cohort.render_cube`), so no whole cube is held on either side.
+time.  A cube record exists only as its file: ``synth`` streams each cube into
+it block by block (:func:`heartid.cohort.render_cube`), and :class:`CubeFile`
+reads it a block of chirps at a time, so no whole cube is held on either side.
 A dataset directory holds ``manifest.json`` plus one raw file per measurement;
 features travel as CSV with a mandatory header.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cohort import Measurement, PersonProfile, record_file
 from .errors import IoError, ManifestError
-from .radar import DataCube, RadarConfig
+from .radar import RadarConfig
 from .signals import ComplexSeries, find_non_finite, non_finite_sample
 
 MANIFEST_NAME = "manifest.json"
@@ -52,23 +52,23 @@ def read_iq(path) -> np.ndarray:
     return np.fromfile(path, dtype="<c8")
 
 
-def write_cube(path, cube: DataCube) -> None:
-    # C-order flattening puts fast time fastest, then element, then slow time
-    write_iq(path, cube.values)
-
-
 @dataclass(frozen=True)
 class CubeFile:
     """Chirps ``start`` to ``start + n_slow`` of a cube file, read a block at a time.
 
     It holds no samples: :meth:`blocks` reads them, so a pass over a cube
     record holds one block, and :meth:`slow_range` names a segment of the file.
+    An ``n_slow`` below one raises :class:`IoError`: no pass divides by 0 chirps.
     """
 
     path: Path
     config: RadarConfig
     n_slow: int
     start: int = 0
+
+    def __post_init__(self):
+        if self.n_slow < 1:
+            raise IoError(f"{self.path}: a cube of {self.n_slow} chirps has no slow-time sample")
 
     @property
     def duration(self) -> float:
@@ -121,9 +121,10 @@ def _count_non_finite(fh, count: int) -> tuple[int, int]:
 def read_cube(path, config: RadarConfig, n_slow: int) -> CubeFile:
     """The cube file at ``path`` as a :class:`CubeFile`, after checking only its size.
 
-    A file that does not hold exactly ``n_slow`` chirps raises :class:`IoError`
-    here, before any sample is read; the samples, and their finiteness, are
-    read block by block in the pass over the returned cube.
+    A file that does not hold exactly ``n_slow`` chirps, or an ``n_slow`` below
+    one, raises :class:`IoError` here, before any sample is read; the samples,
+    and their finiteness, are read block by block in the pass over the
+    returned cube.
     """
     n = _iq_count(path)
     expected = n_slow * config.n_virtual * config.n_fast
@@ -159,12 +160,13 @@ def save_dataset(
     """Write each measurement's raw file as it arrives, then the manifest; returns it.
 
     No measurement is kept, so ``measurements`` may be the lazy iterator of
-    :func:`heartid.cohort.generate_cohort`.  A cube that iterator streamed into
-    ``out_dir`` (a :class:`CubeFile` at its :func:`~heartid.cohort.record_file`
-    there) is recorded, not written again; one elsewhere raises
-    :class:`ManifestError`.  The manifest's fs (for cubes, the slow-time rate
-    of the fixed :class:`RadarConfig` device), duration and mode are read from
-    the measurements, which must all agree on them; an empty iterable raises
+    :func:`heartid.cohort.generate_cohort`.  A cube record exists only as its
+    file, so a cube is recorded, not written: it must be the :class:`CubeFile`
+    that iterator streamed into its :func:`~heartid.cohort.record_file` in
+    ``out_dir``, and one elsewhere raises :class:`ManifestError`.  The
+    manifest's fs (for cubes, the slow-time rate of the fixed
+    :class:`RadarConfig` device), duration and mode are read from the
+    measurements, which must all agree on them; an empty iterable raises
     :class:`ManifestError`.
     """
     out_dir = Path(out_dir)
@@ -184,9 +186,7 @@ def save_dataset(
         }
         path = out_dir / record["file"]
         if m.is_cube:
-            if isinstance(m.signal, DataCube):
-                write_cube(path, m.signal)
-            elif m.signal.path != path:
+            if m.signal.path != path:
                 raise ManifestError(f"{m.signal.path}: a cube file can only be recorded "
                                     f"at its place in the dataset, {path}")
             record["n_slow"] = m.signal.n_slow

@@ -1,8 +1,7 @@
 """FMCW MIMO front end: range FFT, delay-and-sum beamforming, echo selection.
 
-A :class:`Cube` is indexed (slow time, virtual element, fast time) and is
-reached a block of chirps at a time: a :class:`DataCube` holds its samples in
-memory, ``dataio.CubeFile`` reads them from a cube file block by block.  The
+A cube record exists only as its file, indexed (slow time, virtual element,
+fast time), which ``dataio.CubeFile`` reads a block of chirps at a time.  The
 fast-time DFT turns beat frequency into range (bin spacing c/(2B)).  One pass
 over the cube's blocks takes the range FFT, keeps the bins inside the range
 window and adds their slow-time element covariances, which give the mean
@@ -15,15 +14,17 @@ window are fixed; only the slow-time rate varies between datasets.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidParameter, PipelineError
-from .signals import ComplexSeries, check_finite
+from .errors import InvalidParameter
+from .signals import ComplexSeries
+
+if TYPE_CHECKING:
+    from .dataio import CubeFile
 
 C_LIGHT = 299_792_458.0  # speed of light in vacuum, m/s (exact by the SI definition)
 ANGLE_GRID = np.arange(-60.0, 60.0 + 1e-9, 1.0)  # beamformer search grid, degrees
@@ -58,63 +59,6 @@ class RadarConfig:
     def __post_init__(self):
         if not 0 < self.fs_slow < np.inf:
             raise InvalidParameter(f"slow-time rate {self.fs_slow} is not positive and finite")
-
-
-class Cube(Protocol):
-    """Samples indexed (slow time, virtual element, fast time), read in slow-time blocks."""
-
-    config: RadarConfig
-    n_slow: int
-    duration: float
-
-    def blocks(self, size: int) -> Iterator[np.ndarray]:
-        """The samples in order, ``size`` chirps at a time (fewer in the last block).
-
-        A block may be a buffer that the next block overwrites.
-        """
-
-    def slow_range(self, start: int, stop: int) -> Cube:
-        """Chirps ``start`` to ``stop`` as a cube of their own, reading nothing."""
-
-
-@dataclass(frozen=True)
-class DataCube:
-    """Raw dechirped samples in memory, indexed (slow time, virtual element, fast time).
-
-    complex64 values, as cube files and ``cohort.render_cube`` hold them, are
-    kept; others become complex128.  Every sample must be finite: a NaN or
-    infinity raises :class:`NonFiniteSample` naming its (slow, element, fast)
-    index.  A cube with no slow-time sample raises :class:`PipelineError`.
-    """
-
-    values: np.ndarray
-    config: RadarConfig
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.dtype != np.complex64:
-            values = values.astype(np.complex128, copy=False)
-        axes = (RadarConfig.n_virtual, RadarConfig.n_fast)
-        if values.ndim != 3 or values.shape[1:] != axes:
-            raise ValueError(f"cube of shape {values.shape} is not (slow, {axes[0]}, {axes[1]})")
-        if values.shape[0] == 0:
-            raise PipelineError(f"cube of shape {values.shape} has no slow-time sample")
-        check_finite(values)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_slow(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.n_slow / self.config.fs_slow
-
-    def blocks(self, size: int) -> Iterator[np.ndarray]:
-        return (self.values[s0:s0 + size] for s0 in range(0, self.n_slow, size))
-
-    def slow_range(self, start: int, stop: int) -> DataCube:
-        return DataCube(self.values[start:stop], self.config)
 
 
 # the range bins inside RANGE_WINDOW, 13-72 of the device's 128
@@ -166,14 +110,13 @@ class BeamformResult:
         return self.profiles[:, :, window_idx] @ self.weights[angle_idx]
 
 
-def beamform(cube: Cube) -> BeamformResult:
+def beamform(cube: CubeFile) -> BeamformResult:
     """Steer the virtual array over the fixed grid ``ANGLE_GRID`` inside ``RANGE_WINDOW``.
 
-    One pass over the cube's blocks of ``_COV_BLOCK`` chirps, from memory or
-    from its file: each block's range profile is cut to the window bins and
-    stored, and a contiguous (range, element, slow) copy of the cut gives BLAS
-    the per-range element covariances, summed over blocks and divided by the
-    number of chirps.
+    One pass over the cube file's blocks of ``_COV_BLOCK`` chirps: each
+    block's range profile is cut to the window bins and stored, and a
+    contiguous (range, element, slow) copy of the cut gives BLAS the per-range
+    element covariances, summed over blocks and divided by the number of chirps.
     """
     n_slow, n_elem = cube.n_slow, RadarConfig.n_virtual
     weights = BeamformResult.weights
@@ -220,6 +163,6 @@ def select_echo(result: BeamformResult) -> EchoSelection:
     )
 
 
-def extract_slow_time(cube: Cube) -> EchoSelection:
+def extract_slow_time(cube: CubeFile) -> EchoSelection:
     """Full front-end pass: range FFT, beamform, select the target echo."""
     return select_echo(beamform(cube))

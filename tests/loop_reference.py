@@ -4,13 +4,19 @@ Each function is the straightforward Python loop that the library's batched
 numpy replaced, kept verbatim so tests can demand ``np.array_equal`` between
 the two: the beat-by-beat displacement train, SMO with per-iteration masks,
 per-row perplexity bisection, and t-SNE with fresh temporaries (its distance
-formula, Student-t kernel and KL included).  ``read_cube`` is the whole-file
-cube reader that the front end's block reads replaced.
+formula, Student-t kernel and KL included).
+
+A cube record exists in the program only as its file.  Tests that need a whole
+cube in memory take a :class:`DataCube` from here: ``read_cube`` is the
+whole-file reader that the front end's block reads replaced, and
+``render_cube`` the whole-cube render that the blocked one streaming into a
+file replaced.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +28,38 @@ from heartid.embedding import (
     PERPLEXITY_TOL,
 )
 from heartid.errors import IoError
-from heartid.radar import DataCube
+from heartid.radar import C_LIGHT, RadarConfig
+from heartid.signals import check_finite
+
+
+@dataclass(frozen=True)
+class DataCube:
+    """A whole cube in memory, indexed (slow time, virtual element, fast time).
+
+    It reads as ``dataio.CubeFile`` does, a block of chirps at a time, from
+    values kept as given (complex64, as a cube file holds them, unless a test
+    says otherwise); a NaN or infinity raises ``NonFiniteSample`` here.
+    """
+
+    values: np.ndarray
+    config: RadarConfig
+
+    def __post_init__(self):
+        check_finite(self.values)
+
+    @property
+    def n_slow(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def duration(self) -> float:
+        return self.n_slow / self.config.fs_slow
+
+    def blocks(self, size):
+        return (self.values[s0:s0 + size] for s0 in range(0, self.n_slow, size))
+
+    def slow_range(self, start, stop) -> DataCube:
+        return DataCube(self.values[start:stop], self.config)
 
 
 def read_cube(path, config, n_slow) -> DataCube:
@@ -33,6 +70,43 @@ def read_cube(path, config, n_slow) -> DataCube:
         raise IoError(f"{path}: {flat.size} samples, expected {math.prod(shape)} "
                       f"({n_slow} x {config.n_virtual} x {config.n_fast})")
     return DataCube(flat.reshape(shape), config)
+
+
+def unblocked_cube(d, cfg, snr_db=None, seed=0, range_m=1.5, angle_deg=0.0, amp_scale=1.0,
+                   phase_offset=0.0) -> np.ndarray:
+    """``cohort.render_cube``'s samples from a whole-cube complex128 render, noise added in place.
+
+    Cast to complex64 they are the bytes that ``render_cube`` streams into its file.
+    """
+    r = range_m + d
+    t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
+    f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
+    carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
+    elem = (
+        2.0
+        * np.pi
+        * (cfg.element_spacing / cfg.wavelength)
+        * np.sin(np.radians(angle_deg))
+        * np.arange(cfg.n_virtual)
+    )
+    chirp = amp_scale * np.exp(
+        1j * (2.0 * np.pi * f_beat[:, None] * t_fast[None, :] + carrier[:, None])
+    )
+    cube = chirp[:, None, :] * np.exp(1j * elem)[None, :, None]
+    if snr_db is not None:
+        rng = np.random.default_rng(seed)
+        sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+        buf = np.empty(cube.shape)
+        for part in (cube.real, cube.imag):
+            rng.standard_normal(out=buf)
+            buf *= sigma
+            part += buf
+    return cube
+
+
+def render_cube(d, cfg, *args, **kwargs) -> DataCube:
+    """The cube that ``cohort.render_cube(d, cfg, *args, **kwargs, path=...)`` writes."""
+    return DataCube(unblocked_cube(d, cfg, *args, **kwargs).astype(np.complex64), cfg)
 
 
 def displacement(profile, duration, fs, seed=0, rate_scale=1.0) -> np.ndarray:

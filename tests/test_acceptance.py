@@ -155,7 +155,7 @@ def test_criterion_5_numerical_oracles():
         assert abs(_binary_auc(scores, positives) - want) <= 1e-12
 
 
-def test_criterion_6_physics_roundtrip():
+def test_criterion_6_physics_roundtrip(tmp_path):
     cfg = radar.RadarConfig()
     profile = cohort.default_cohort()[2]
     d = cohort.displacement(profile, duration=30.0, fs=100.0, seed=11)
@@ -168,9 +168,10 @@ def test_criterion_6_physics_roundtrip():
     print(f"\n  baseband round-trip error: {err:.3e} m (need <= 1e-9)")
     assert err <= 1e-9
 
-    # cube mode: range FFT + beamform + select recovers the phase
-    cube = cohort.render_cube(d, cfg, snr_db=20.0, seed=5, range_m=1.5, angle_deg=8.0)
-    sel = radar.extract_slow_time(cube)
+    # cube mode: the cube file's range FFT + beamform + select recovers the phase
+    path = tmp_path / "cube.iq"
+    cohort.render_cube(d, cfg, snr_db=20.0, seed=5, range_m=1.5, angle_deg=8.0, path=path)
+    sel = radar.extract_slow_time(dataio.read_cube(path, cfg, d.size))
     corr = np.corrcoef(
         detrend(phase_unwrapped(sel.series.samples)),
         detrend(4 * np.pi * d / cfg.wavelength),

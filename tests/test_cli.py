@@ -480,6 +480,30 @@ def test_synth_cube_beyond_the_free_disk_space_exits_2(tmp_path, capsys, monkeyp
     assert not (tmp_path / "ds").exists()
 
 
+def test_pooled_cube_synth_near_a_full_disk_fails_as_one_at_a_time(tmp_path, capsys,
+                                                                  monkeypatch, pool_width):
+    # room for one and a half 2457600-byte cubes, shrinking by what the renders write:
+    # the second record fails the check, also while the first is still being written
+    out, usage = tmp_path / "ds", shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(
+        free=3686400 - sum(f.stat().st_size for f in out.glob("*"))))
+    outcomes, switch = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave often, four of them on fewer CPUs
+    try:
+        for width in (1, 2, 4):
+            pool_width(width)
+            capsys.readouterr()
+            outcomes[width] = (main(["synth", "--out", str(out), *CUBE_SYNTH]),
+                               capsys.readouterr().err, sorted(p.name for p in out.iterdir()))
+            shutil.rmtree(out)
+    finally:
+        sys.setswitchinterval(switch)
+    assert outcomes[1] == (2, f"error: {out / 'p1_d1pm_r1.iq'}: needs 2457600 bytes, but its "
+                              "disk has 1228800 free\n", ["p1_d1am_r1.iq"])
+    assert outcomes[2] == outcomes[4] == outcomes[1]
+    assert cohort._CUBE_FILES == []  # every record started was ticked off
+
+
 @pytest.mark.parametrize("missing", ["accuracy_pct", "macro_auc"])
 def test_report_missing_key_exits_2(prop_csv, tmp_path, missing):
     report = tmp_path / "r.json"

@@ -13,7 +13,6 @@ from heartid import cohort
 from heartid.cohort import (
     _RENDER_BLOCK,
     GaussPulse,
-    Measurement,
     PersonProfile,
     Schedule,
     default_cohort,
@@ -26,7 +25,6 @@ from heartid.cohort import (
     segment,
     simulate_measurement,
 )
-from heartid.dataio import save_dataset
 from heartid.errors import InvalidParameter, PipelineError
 from heartid.radar import C_LIGHT, RadarConfig
 from heartid.signals import phase_unwrapped
@@ -238,18 +236,19 @@ def test_render_noise_scales_with_snr():
 
 
 @pytest.mark.parametrize("snr_db", [-3083.0, -400.0, float("nan")])
-def test_render_rejects_noise_a_dataset_cannot_store(snr_db):
+def test_render_rejects_noise_a_dataset_cannot_store(snr_db, tmp_path):
     # -3083 dB overflowed 10**(-snr/10); -400 dB wrote infinite complex64 samples
     d = np.zeros(2000)  # 20 s: a 23.4-MiB cube
-    for render in (render_baseband, render_cube):
+    for render, kwargs in ((render_baseband, {}), (render_cube, {"path": tmp_path / "c.iq"})):
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameter, match="snr_db must be at least -300 dB"):
-                render(d, CFG, snr_db=snr_db)
+                render(d, CFG, snr_db=snr_db, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20, f"{render.__name__} allocated {peak} B before rejecting"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _reference_noise(x, snr_db, seed):
@@ -285,55 +284,34 @@ def _reference_cube(d, cfg, snr_db, seed, angle_deg, amp_scale, phase_offset, ra
 NUISANCE = dict(amp_scale=1.37, phase_offset=2.9)
 
 
+def _rendered(tmp_path, d, *args, **kwargs) -> np.ndarray:
+    """The samples that ``render_cube`` streams into a cube file, read back whole."""
+    path = tmp_path / "c.iq"
+    render_cube(d, CFG, *args, path=path, **kwargs)
+    return loop_reference.read_cube(path, CFG, d.size).values
+
+
 @pytest.mark.parametrize("snr_db", [20.0, None])
-def test_render_cube_broadside_bit_identical_to_full_phase(snr_db):
+def test_render_cube_broadside_bit_identical_to_full_phase(snr_db, tmp_path):
     d = displacement(make_profile(), duration=3.0, fs=100.0, seed=4)
     before = d.copy()
-    cube = render_cube(d, CFG, snr_db, seed=11, **NUISANCE)
+    values = _rendered(tmp_path, d, snr_db, seed=11, **NUISANCE)
     ref = _reference_cube(d, CFG, snr_db, 11, 0.0, **NUISANCE)
-    assert np.array_equal(cube.values, ref.astype(np.complex64))
+    assert np.array_equal(values, ref.astype(np.complex64))
     assert np.array_equal(d, before)
 
 
 @pytest.mark.parametrize("snr_db", [20.0, None])
 @pytest.mark.parametrize("angle_deg", [8.0, -8.0, 20.0, -60.0])
-def test_render_cube_off_broadside_matches_full_phase(angle_deg, snr_db):
+def test_render_cube_off_broadside_matches_full_phase(angle_deg, snr_db, tmp_path):
     d = displacement(make_profile(), duration=3.0, fs=100.0, seed=4)
     before = d.copy()
-    cube = render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
+    values = _rendered(tmp_path, d, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
     ref = _reference_cube(d, CFG, snr_db, 11, angle_deg, **NUISANCE)
     # rounding each part to float32 moves a sample by less than one float32 ulp
     # of |ref|; the phasor and full-phase formulas differ by ~1e-12, far less
-    assert np.all(np.abs(cube.values - ref) <= np.spacing(np.abs(ref).astype(np.float32)))
+    assert np.all(np.abs(values - ref) <= np.spacing(np.abs(ref).astype(np.float32)))
     assert np.array_equal(d, before)
-
-
-def _unblocked_cube(d, cfg, snr_db, seed, angle_deg, amp_scale, phase_offset, range_m=1.5):
-    """The whole-cube complex128 render that the blocked one replaced, noise added in place."""
-    r = range_m + d
-    t_fast = np.arange(cfg.n_fast) * (cfg.chirp_duration / cfg.n_fast)
-    f_beat = 2.0 * cfg.bandwidth * r / (C_LIGHT * cfg.chirp_duration)
-    carrier = 4.0 * np.pi * r / cfg.wavelength + phase_offset
-    elem = (
-        2.0
-        * np.pi
-        * (cfg.element_spacing / cfg.wavelength)
-        * np.sin(np.radians(angle_deg))
-        * np.arange(cfg.n_virtual)
-    )
-    chirp = amp_scale * np.exp(
-        1j * (2.0 * np.pi * f_beat[:, None] * t_fast[None, :] + carrier[:, None])
-    )
-    cube = chirp[:, None, :] * np.exp(1j * elem)[None, :, None]
-    if snr_db is not None:
-        rng = np.random.default_rng(seed)
-        sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-        buf = np.empty(cube.shape)
-        for part in (cube.real, cube.imag):
-            rng.standard_normal(out=buf)
-            buf *= sigma
-            part += buf
-    return cube
 
 
 ROWS = _RENDER_BLOCK // (CFG.n_virtual * CFG.n_fast)  # chirps per rendering block
@@ -348,28 +326,11 @@ N_SLOW = sorted({1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3, 84, 85, 86, 173})
 def test_render_cube_bit_identical_to_unblocked_complex128(n_slow, snr_db, angle_deg, tmp_path):
     d = displacement(make_profile(), duration=n_slow / 100.0, fs=100.0, seed=4)
     assert d.size == n_slow
-    cube = render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, **NUISANCE)
-    ref = _unblocked_cube(d, CFG, snr_db, 11, angle_deg, **NUISANCE)
-    assert cube.values.dtype == np.complex64
-    assert np.array_equal(cube.values, ref.astype(np.complex64))
-    save_dataset(tmp_path, [Measurement(cube, "t1", "d1am", 1)], [make_profile()], 11, snr_db)
-    assert (tmp_path / "t1_d1am_r1.iq").read_bytes() == ref.astype("<c8").tobytes()
+    ref = loop_reference.unblocked_cube(d, CFG, snr_db, 11, angle_deg=angle_deg, **NUISANCE)
     streamed = tmp_path / "streamed" / "t1.iq"  # its directory is made too
     assert render_cube(d, CFG, snr_db, seed=11, angle_deg=angle_deg, path=streamed,
                        **NUISANCE) is None
     assert streamed.read_bytes() == ref.astype("<c8").tobytes()
-
-
-def test_render_cube_peak_memory_is_the_cube_plus_one_block():
-    d = displacement(make_profile(), duration=20.0, fs=100.0, seed=4)
-    tracemalloc.start()
-    try:
-        cube = render_cube(d, CFG, 20.0, seed=11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 29.3 MiB for the 23.4-MiB cube; the whole-cube complex128 render took 74.3 MiB
-    assert peak <= cube.values.nbytes + 16 * 2**20
 
 
 def test_render_cube_to_a_file_peaks_at_a_few_blocks(tmp_path):
@@ -486,7 +447,7 @@ def test_cohort_renders_only_as_iterated(monkeypatch):
     assert len(list(ms)) == 7 and len(calls) == 8
 
 
-def test_cube_cohort_renders_two_at_a_time_in_order_and_ends_its_threads(monkeypatch):
+def test_cube_cohort_renders_two_at_a_time_in_order_and_ends_its_threads(monkeypatch, tmp_path):
     import heartid.cohort as cohort_module
 
     calls, threads = [], threading.active_count()
@@ -498,7 +459,7 @@ def test_cube_cohort_renders_two_at_a_time_in_order_and_ends_its_threads(monkeyp
     monkeypatch.setattr(cohort_module, "simulate_measurement", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     ms = generate_cohort(default_cohort()[:2], Schedule(days=1, repetitions=2), duration=0.5,
-                         mode="cube")
+                         mode="cube", out_dir=tmp_path)
     assert calls == [] and threading.active_count() == threads
     first = next(ms)
     assert (first.label, first.session_id, first.repetition) == ("p1", "d1am", 1)
@@ -524,11 +485,25 @@ def test_unknown_mode_rejected_at_call_time():
         simulate_measurement(make_profile(), "d1am", 1, mode="bogus")
 
 
-def test_cube_mode_matches_baseband_phase():
+def test_cube_mode_without_out_dir_rejected_at_call_time(tmp_path, monkeypatch):
+    # a cube record exists only as its file: nothing is rendered, made or started without one
+    monkeypatch.chdir(tmp_path)
+    rendered, threads = [], threading.active_count()
+    monkeypatch.setattr(cohort, "displacement", lambda *args: rendered.append(args))
+    with pytest.raises(InvalidParameter, match="^a cube record exists only as its file: "
+                                               "cube mode needs out_dir$"):
+        generate_cohort(default_cohort(), mode="cube")
+    with pytest.raises(InvalidParameter, match="cube mode needs out_dir"):
+        simulate_measurement(make_profile(), "d1am", 1, mode="cube")
+    assert rendered == [] and threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cube_mode_matches_baseband_phase(tmp_path):
     profile = make_profile()
     kwargs = dict(seed=21, snr_db=20.0, duration=15.0)
     m_bb, d = simulate_measurement(profile, "d1am", 1, mode="baseband", **kwargs)
-    m_cube, d2 = simulate_measurement(profile, "d1am", 1, mode="cube", **kwargs)
+    m_cube, d2 = simulate_measurement(profile, "d1am", 1, mode="cube", out_dir=tmp_path, **kwargs)
     assert np.array_equal(d, d2)  # same injected displacement
     from heartid.radar import extract_slow_time
 
@@ -557,7 +532,7 @@ def test_segment_full_length_is_identity():
     assert np.array_equal(parts[0].signal.samples, m.signal.samples)
 
 
-def test_segment_non_divisible_length():
+def test_segment_non_divisible_length(tmp_path):
     m, _ = simulate_measurement(make_profile(), "d1am", 1, duration=60.0, snr_db=None)
     with pytest.raises(InvalidParameter, match="does not divide"):
         segment(m, 7.0)
@@ -565,7 +540,7 @@ def test_segment_non_divisible_length():
     # and 30 x 33 = 990 of 1000 samples were kept, shorter than asked for
     m, _ = simulate_measurement(make_profile(), "d1am", 1, duration=10.0, snr_db=None)
     cube, _ = simulate_measurement(
-        make_profile(), "d1am", 1, duration=4.0, snr_db=None, mode="cube"
+        make_profile(), "d1am", 1, duration=4.0, snr_db=None, mode="cube", out_dir=tmp_path
     )
     for record, seg_len, n, n_seg in ((m, 10 / 7, 1000, 7), (m, 1 / 3, 1000, 30),
                                       (cube, 4 / 7, 400, 7), (cube, 1 / 3, 400, 12)):
@@ -574,9 +549,9 @@ def test_segment_non_divisible_length():
             segment(record, seg_len)
 
 
-def test_segment_cube_mode():
+def test_segment_cube_mode(tmp_path):
     m, _ = simulate_measurement(
-        make_profile(), "d1am", 1, duration=4.0, snr_db=None, mode="cube"
+        make_profile(), "d1am", 1, duration=4.0, snr_db=None, mode="cube", out_dir=tmp_path
     )
     parts = segment(m, 2.0)
     assert len(parts) == 2

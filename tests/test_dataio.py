@@ -7,6 +7,7 @@ import loop_reference
 import numpy as np
 import pytest
 
+from heartid import cohort
 from heartid.cohort import Schedule, default_cohort, generate_cohort
 from heartid.dataio import (
     FeatureTable,
@@ -17,12 +18,11 @@ from heartid.dataio import (
     read_features,
     read_iq,
     save_dataset,
-    write_cube,
     write_features,
     write_iq,
 )
 from heartid.errors import IoError, ManifestError, NonFiniteSample
-from heartid.radar import _COV_BLOCK, DataCube, RadarConfig, beamform, extract_slow_time
+from heartid.radar import _COV_BLOCK, RadarConfig, beamform, extract_slow_time
 
 
 def test_iq_roundtrip_is_exact_at_float32(tmp_path):
@@ -56,9 +56,8 @@ def test_cube_roundtrip_and_axis_order(tmp_path):
     values = (
         rng.integers(-5, 5, shape) + 1j * rng.integers(-5, 5, shape)
     ).astype(np.complex128)
-    cube = DataCube(values, cfg)
     path = tmp_path / "c.iq"
-    write_cube(path, cube)
+    write_iq(path, values)  # C order: the bytes of a cube file
     back = read_cube(path, cfg, n_slow=3)
     assert np.array_equal(np.concatenate([b.copy() for b in back.blocks(2)]), values)
     # fastest-varying index is fast time: first 2 * n_fast floats are slow=0, elem=0
@@ -200,14 +199,22 @@ def test_save_dataset_rejects_empty_and_mixed_measurements(tmp_path):
         save_dataset(tmp_path / "mixed", chain(short, longer), profiles, seed=0, snr_db=None)
 
 
-def test_save_dataset_records_streamed_cubes_only_at_their_place(tmp_path):
+def test_save_dataset_records_streamed_cubes_only_at_their_place(tmp_path, monkeypatch):
     profiles = default_cohort()[:2]
     schedule = Schedule(days=1, repetitions=1)
     kwargs = dict(mode="cube", duration=0.5, seed=3)
     streamed = generate_cohort(profiles, schedule, out_dir=tmp_path / "ds", **kwargs)
     manifest = save_dataset(tmp_path / "ds", streamed, profiles, seed=3, snr_db=20.0)
-    in_memory = list(generate_cohort(profiles, schedule, **kwargs))
-    assert save_dataset(tmp_path / "copy", in_memory, profiles, seed=3, snr_db=20.0) == manifest
+
+    def whole_cube_render(d, cfg, *args, path, **kwargs):
+        path.parent.mkdir(exist_ok=True)
+        write_iq(path, loop_reference.render_cube(d, cfg, *args, **kwargs).values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohort, "render_cube", whole_cube_render)
+        reference = generate_cohort(profiles, schedule, out_dir=tmp_path / "copy", **kwargs)
+        assert save_dataset(tmp_path / "copy", reference, profiles, seed=3,
+                            snr_db=20.0) == manifest
     for name in ["manifest.json", *(r["file"] for r in manifest["records"])]:
         assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "copy" / name).read_bytes()
     elsewhere = generate_cohort(profiles, schedule, out_dir=tmp_path / "other", **kwargs)

@@ -4,18 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from loop_reference import DataCube, render_cube
 from scipy.constants import c as C_LIGHT
 from scipy.signal import detrend
 
-from heartid.cohort import default_cohort, displacement, render_cube
-from heartid.errors import PipelineError
+from heartid.cohort import default_cohort, displacement
+from heartid.dataio import read_cube, write_iq
+from heartid.errors import IoError
 from heartid.radar import (
     _COV_BLOCK,
     ANGLE_GRID,
     LOW_SNR_POWER,
     RANGE_WINDOW,
     BeamformResult,
-    DataCube,
     RadarConfig,
     beamform,
     extract_slow_time,
@@ -88,19 +89,25 @@ def test_range_profile_preserves_energy():
     assert np.max(np.abs(e_in - e_out)) <= 1e-9 * np.max(e_in)
 
 
-def test_cube_without_slow_time_sample_is_rejected_without_warning():
+def test_cube_without_slow_time_sample_is_rejected_without_warning(tmp_path):
+    # an empty file holds exactly 0 chirps; its pass would divide the covariances by 0
+    path = tmp_path / "empty.iq"
+    path.write_bytes(b"")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PipelineError, match=r"cube of shape \(0, 12, 128\) has no slow"):
-            DataCube(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG)
+        with pytest.raises(IoError, match="a cube of 0 chirps has no slow-time sample"):
+            read_cube(path, CFG, 0)
 
 
-def test_beamform_without_slow_time_sample_is_rejected_without_warning():
+def test_beamform_without_slow_time_sample_is_rejected_without_warning(tmp_path):
+    # beamform takes a cube file, so an empty range of one is stopped before it
+    path = tmp_path / "c.iq"
+    write_iq(path, still_target_cube(1.5, n_slow=4).values)
+    cube = read_cube(path, CFG, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # beamform takes a DataCube, so an empty cube is stopped before it
-        with pytest.raises(PipelineError, match=r"cube of shape \(0, 12, 128\) has no slow"):
-            beamform(DataCube(np.zeros((0, CFG.n_virtual, CFG.n_fast), complex), CFG))
+        with pytest.raises(IoError, match="a cube of 0 chirps has no slow-time sample"):
+            beamform(cube.slow_range(2, 2))
 
 
 # --- beamforming ------------------------------------------------------------
@@ -270,13 +277,6 @@ def test_front_end_same_as_whole_cube(make_cube, dtype):
     cube = DataCube(make_cube().values.astype(dtype), CFG)
     assert cube.values.dtype == dtype
     assert_same_as_whole_cube_front_end(cube)
-
-
-def test_cube_keeps_complex64_and_converts_other_values_to_complex128():
-    values = np.ones((2, CFG.n_virtual, CFG.n_fast), dtype=np.complex64)
-    assert DataCube(values, CFG).values is values
-    assert DataCube(values.real, CFG).values.dtype == np.complex128
-    assert DataCube(values.astype(">c8"), CFG).values.dtype == np.complex128
 
 
 def test_front_end_keeps_the_fields_the_benchmark_tracer_reads():
