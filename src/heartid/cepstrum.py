@@ -8,8 +8,12 @@ their unwrapped phase, ``signals.stft_magnitude``, ``mel_energies`` (a
 low-frequency mel-style triangular filter bank, built by ``build_mel_bank``
 for the series' sampling rate, applied separately to positive and negative
 frequencies, integrated incoherently over the whole measurement) and
-``dct2``, truncated to the lowest-order coefficients.  The complex branch
-yields the two-sided ``comp`` vector (2K' coefficients); the amplitude and
+``dct2``, truncated to the lowest-order coefficients; the branches' energies
+share one ``dct2`` call.  numpy's FFT runs the STFT, and each branch's
+spectrogram, with the time trapezoid's temporary, is written into a
+:class:`~heartid.signals.StftWorkspace` that the caller owns and reuses
+across calls (``extract`` keeps one per lane when it runs two).  The complex
+branch yields the two-sided ``comp`` vector (2K' coefficients); the amplitude and
 phase branches are one-sided and yield K' coefficients each.  The fused
 ``prop`` vector (4K') is one pass over all three branches, concatenated as
 [amp, ph, comp].  Every feature vector is a plain 1-D float64 array.
@@ -25,7 +29,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import InvalidParameter, NonFiniteSample, PipelineError
-from .signals import ComplexSeries, Spectrogram, phase_unwrapped, second_derivative, stft_magnitude
+from .signals import (ComplexSeries, Spectrogram, StftWorkspace, phase_unwrapped,
+                      second_derivative, stft_magnitude)
 
 FEATURE_KINDS = ("amp", "ph", "comp", "prop")
 
@@ -143,14 +148,27 @@ def _spectral_sides(edges: bytes, freqs: bytes, two_sided: bool) -> tuple:
     return tuple(sides)
 
 
-def _time_integral(spec: Spectrogram) -> np.ndarray:
-    """Trapezoid of each frequency bin over frame time; one frame gives zeros."""
-    if spec.n_frames > 1:
-        return np.trapezoid(spec.values, spec.frame_times, axis=0)
-    return np.zeros(spec.freqs.size)
+def _time_integral(spec: Spectrogram, work: StftWorkspace | None) -> np.ndarray:
+    """Trapezoid of each frequency bin over frame time; one frame gives zeros.
+
+    ``np.trapezoid(values, frame_times, axis=0)``'s operations, in its order,
+    with its (frames - 1, bins) temporary formed in place: in ``work.spectrum``
+    when that holds it, else in one fresh array.
+    """
+    y, n_bins = spec.values, spec.freqs.size
+    if spec.n_frames < 2:
+        return np.zeros(n_bins)
+    size = (spec.n_frames - 1) * n_bins
+    fits = work is not None and 2 * work.spectrum.size >= size
+    terms = (work.spectrum.view(np.float64)[:size] if fits else np.empty(size)).reshape(-1, n_bins)
+    np.add(y[1:], y[:-1], out=terms)
+    np.multiply(np.diff(spec.frame_times)[:, None], terms, out=terms)
+    terms /= 2.0
+    return terms.sum(axis=0)
 
 
-def mel_energies(spec: Spectrogram, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def mel_energies(spec: Spectrogram, edges: np.ndarray,
+                 work: StftWorkspace | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Integrate the spectrogram against each filter of the bank ``edges``.
 
     ``edges`` are f_0 ... f_{L+1} as :func:`build_mel_bank` returns them.
@@ -165,21 +183,23 @@ def mel_energies(spec: Spectrogram, edges: np.ndarray) -> tuple[np.ndarray, np.n
 
     The axis check and the filter responses are cached per bank and
     frequency axis, so only the first spectrogram on an axis pays for them.
+    The time trapezoid's temporary goes into ``work``, as the spectrogram's
+    arrays did (see :class:`~heartid.signals.StftWorkspace`).
     """
     edges = np.asarray(edges, dtype=np.float64)
     sides = _spectral_sides(edges.tobytes(), spec.freqs.tobytes(), spec.two_sided)
-    integral = _time_integral(spec)
+    integral = _time_integral(spec, work)
     energies = [np.trapezoid(h * integral[mask], grid, axis=1) for mask, grid, h in sides]
     return energies[0], energies[1] if spec.two_sided else None
 
 
 def dct2(m) -> np.ndarray:
-    """Unnormalized DCT-II: C_k = sum_n m_n cos(pi k (n + 1/2) / N)."""
+    """Unnormalized DCT-II along the last axis: C_k = sum_n m_n cos(pi k (n + 1/2) / N)."""
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         raise PipelineError("DCT input must be nonempty")
     # scipy's unnormalized type-II transform is exactly twice this convention.
-    return scipy.fft.dct(m, type=2, norm=None) / 2.0
+    return scipy.fft.dct(m, type=2, norm=None, axis=-1) / 2.0
 
 
 @functools.lru_cache(maxsize=8)
@@ -195,6 +215,7 @@ def extract_features(
     window_len: float = 2.0,
     hop: float = 0.1,
     log_energies: bool = False,
+    work: StftWorkspace | None = None,
 ) -> np.ndarray:
     """One feature vector of a complex slow-time signal, as a 1-D float64 array.
 
@@ -207,9 +228,12 @@ def extract_features(
     float64 raises :class:`NonFiniteSample`.
 
     The DCT is applied to the raw integrated energies by default;
-    ``log_energies`` switches to log(M + 1e-12) compression first.  Each
-    branch is a single expression, so no branch's derivative or spectrogram
-    is alive while the next branch allocates.  The bank comes from a
+    ``log_energies`` switches to log(M + 1e-12) compression first; the
+    energies of every branch go through one DCT call.  Each branch's
+    spectrogram is written into ``work``, a
+    :class:`~heartid.signals.StftWorkspace` that the caller owns (one per
+    thread), or into fresh arrays without one, and no branch's derivative or
+    spectrogram is alive while the next branch runs.  The bank comes from a
     per-settings cache, built for the series' rate, and its responses from
     ``mel_energies``' per-axis one.
     """
@@ -220,13 +244,8 @@ def extract_features(
             f"K'={k_prime} must satisfy 0 < K' < L={cfg.n_filters}"
         )
 
-    def cepstrum(energies: np.ndarray) -> np.ndarray:
-        if log_energies:
-            energies = np.log(energies + 1e-12)
-        return dct2(energies)[:k_prime]
-
     edges = _cached_bank(cfg, s.fs)
-    parts = []
+    energies = []
     # an overflow can only end in a non-finite vector, which the check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for branch in ("amp", "ph", "comp") if kind == "prop" else (kind,):
@@ -235,10 +254,14 @@ def extract_features(
             positive, negative = mel_energies(stft_magnitude(second_derivative(
                 s.samples if branch == "comp"
                 else np.abs(s.samples) if branch == "amp" else phase_unwrapped(s.samples),
-                s.fs), s.fs, window_len, hop, t0), edges)
-            if branch == "comp":  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
-                parts.append(cepstrum(negative)[::-1])
-            parts.append(cepstrum(positive))
+                s.fs), s.fs, window_len, hop, t0, work), edges, work)
+            energies += [positive] if negative is None else [negative, positive]
+        energies = np.stack(energies)
+        if log_energies:
+            energies = np.log(energies + 1e-12)
+        parts = list(dct2(energies)[:, :k_prime])
+    if kind in ("comp", "prop"):  # [C_-(K'-1) ... C_-0, C_+0 ... C_+(K'-1)]
+        parts[-2] = parts[-2][::-1]
     out = np.concatenate(parts)
     if not np.isfinite(out).all():
         raise NonFiniteSample(f"{kind} features overflow float64 at fs={s.fs:g} Hz, "

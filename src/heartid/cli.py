@@ -1,5 +1,12 @@
 """Command-line front end: synth, extract, eval, project, report.
 
+``extract`` runs two records at a time on threads when the dataset is
+baseband, two CPUs are available and each series has at least
+``_TWO_LANE_FRAMES`` STFT frames; otherwise it runs one at a time in the
+calling thread.  Each of two lanes owns one
+:class:`~heartid.signals.StftWorkspace`, allocated before the records start,
+and rows are written in record order either way.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal failure.
 Option precedence is flags > --config JSON file > built-in defaults; the
 config file maps subcommand names to option dictionaries, e.g.
@@ -18,9 +25,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cepstrum, classify, cohort, dataio, embedding, radar
+from . import cepstrum, classify, cohort, dataio, embedding, radar, signals
 from .errors import PipelineError
 from .signals import ComplexSeries
+
+# Frames per series from which extract runs two records at a time.  Two lanes
+# against one, medians of 5-7 fresh-process runs of 300 records at fs 100 Hz,
+# window 2 s, hop 0.1 s, on 2 CPUs: 30 frames (5 s) +31%, 80 (10 s) +15%,
+# 130 (15 s) +5%, 180 (20 s) +1%, 230 (25 s) -1%, 280 (30 s) -15% to -31%,
+# 380 (40 s) -24%, 580 (60 s) -29%.
+_TWO_LANE_FRAMES = 250
 
 PALETTE = [
     "#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377",
@@ -212,18 +226,40 @@ def _record_series(args, manifest: dict, record: dict, base_id: str) -> list[Com
         raise PipelineError(f"sample {base_id}: {exc}") from exc
 
 
+def _workspaces(args, manifest: dict) -> list[signals.StftWorkspace | None]:
+    """One STFT workspace per lane of ``extract``, allocated in the calling thread.
+
+    Baseband series of at least ``_TWO_LANE_FRAMES`` frames, read from the
+    manifest's longest record, the segment length, the window and the hop,
+    run on ``cohort.lanes()`` lanes; shorter ones, whose small arrays hand the
+    GIL back and forth, run on one.  So do cube records, whose front end holds
+    a 23-MB ``BeamformResult.profiles`` per 20-s cube.  One lane runs in the
+    calling thread, whose fresh arrays later commands reuse, so it holds no
+    workspace (``[None]``) that would add to the cube front end's peak.
+    """
+    fs, cube = manifest["fs"], manifest["mode"] == "cube"
+    n = max(r["n_slow" if cube else "n_samples"] for r in manifest["records"])
+    if args.segment is not None:  # bounded first, so that no length overflows round()
+        n = round(max(0.0, min(n, args.segment * fs)))
+    frames, n_win = signals.stft_frames(n, fs, args.window, args.hop)
+    width = cohort.lanes() if not cube and frames >= _TWO_LANE_FRAMES else 1
+    return [signals.StftWorkspace(frames * n_win) for _ in range(width)] if width > 1 else [None]
+
+
 def cmd_extract(args) -> int:
     manifest = dataio.load_manifest(args.data)
     cfg = cepstrum.MelBankConfig(n_filters=args.n_filters, f_ref=args.f_ref, f_prime=args.f_prime)
-    rows = []
-    n_values = None
-    for record in manifest["records"]:
+    work = _workspaces(args, manifest)
+
+    def record_rows(k: int, record: dict) -> list[dict]:
+        # records k and k + len(work) never run at once (cohort.in_order), so they share a lane
         base_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
+        rows = []
         for seg_idx, series in enumerate(_record_series(args, manifest, record, base_id)):
             try:
                 values = cepstrum.extract_features(
                     series, cfg, args.k_prime, args.kind,
-                    args.window, args.hop, args.log_energies,
+                    args.window, args.hop, args.log_energies, work[k % len(work)],
                 )
             except PipelineError as exc:
                 raise PipelineError(f"sample {base_id} segment {seg_idx}: {exc}") from exc
@@ -237,7 +273,11 @@ def cmd_extract(args) -> int:
                     "values": values,
                 }
             )
-            n_values = values.size
+        return rows
+
+    records = cohort.in_order(record_rows, enumerate(manifest["records"]), len(work))
+    rows = [row for rows in records for row in rows]
+    n_values = rows[-1]["values"].size
     dataio.write_features(args.out, rows, n_values)
     print(f"wrote {len(rows)} x {n_values} feature rows ({args.kind}) to {args.out}")
     return 0

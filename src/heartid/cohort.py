@@ -456,17 +456,25 @@ def generate_cohort(
                     _CUBE_FILES.append(cube_file(*job))
             yield job
 
+    return in_order(measure, jobs(), lanes() if mode == "cube" else 1)
+
+
+def lanes() -> int:
+    """The width of ``in_order`` where side-by-side calls pay: 2, or 1 on a single CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return _in_order(measure, jobs(), min(2, cpus or 1) if mode == "cube" else 1)
+    return min(2, cpus or 1)
 
 
-def _in_order(fn: Callable, jobs: Iterable[tuple], width: int) -> Iterator:
+def in_order(fn: Callable, jobs: Iterable[tuple], width: int) -> Iterator:
     """``fn(*job)`` for each job, in order, with up to ``width`` calls running on threads.
 
     A call starts only when the iterator is advanced: each advance tops the
     running calls up to ``width`` and waits for the oldest.  Its exception is
     raised there; the executor then waits for the calls still running, whose
-    results and errors a serial run would never have reached.
+    results and errors a serial run would never have reached.  Job k + width
+    starts only after job k's result has been taken, so calls k and k + width
+    never run at once and may share what job k % width owns.  A width of 1
+    runs each call in the caller's thread.
     """
     if width == 1:
         yield from (fn(*job) for job in jobs)

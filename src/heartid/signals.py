@@ -6,7 +6,10 @@ The blocks past that boundary take and return plain arrays with the rate
 passed alongside: the unwrapped phase, the central-difference second
 derivative, and a rectangular-window STFT whose magnitude feeds the
 filter-bank stage.  Complex input gives a two-sided spectrum, real input
-(the amplitude |s| or the phase) a one-sided one.
+(the amplitude |s| or the phase) a one-sided one.  numpy's FFT runs the
+STFT.  Its transform and modulus go into a :class:`StftWorkspace` that the
+caller owns and reuses across calls (``extract`` keeps one per lane when it
+runs two), or into fresh arrays without one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameter, NonFiniteSample, PipelineError
@@ -177,25 +179,12 @@ def stft_freqs(fs: float, window_len: float, two_sided: bool) -> np.ndarray:
     return freqs
 
 
-def stft_magnitude(
-    a: np.ndarray, fs: float, window_len: float, hop: float, t0: float = 0.0
-) -> Spectrogram:
-    """Magnitude STFT with a rectangular window and no zero padding.
-
-    Frames start at the beginning of the signal and must lie fully inside it,
-    giving floor((duration - window_len)/hop) + 1 frames.  The DFT is scaled
-    by 1/sqrt(N) so the summed squared magnitudes of a frame's spectrum equal
-    the frame's summed squared samples (energy-preserving convention).
-
-    Complex input gives a two-sided spectrum (centered on 0 Hz), real input a
-    one-sided one.  Frame times are window centers, counted from ``t0``, the
-    time of the first sample.
-    """
+def _frame_grid(n: int, fs: float, window_len: float, hop: float) -> tuple[int, int, int]:
+    """(frames, window samples, hop samples) of ``stft_magnitude`` on ``n`` samples."""
     if not (math.isfinite(window_len * fs) and math.isfinite(hop * fs)):
         raise InvalidParameter(f"window {window_len} s and hop {hop} s must be finite")
     if hop <= 0:
         raise InvalidParameter(f"hop must be positive, got {hop}")
-    n = a.size
     n_win = _n_samples(window_len, fs)
     n_hop = min(_n_samples(hop, fs), n)  # past the end there is one frame either way
     if n_hop < 1:
@@ -206,14 +195,75 @@ def stft_magnitude(
         raise PipelineError(
             f"window of {n_win} samples does not fit a signal of {n} samples"
         )
+    return (n - n_win) // n_hop + 1, n_win, n_hop
+
+
+def stft_frames(n: int, fs: float, window_len: float, hop: float) -> tuple[int, int]:
+    """(frames, window samples) of ``stft_magnitude`` on ``n`` samples; (0, 0) where it raises."""
+    try:
+        n_frames, n_win, _ = _frame_grid(n, fs, window_len, hop)
+    except PipelineError:
+        return 0, 0
+    return n_frames, n_win
+
+
+class StftWorkspace:
+    """Buffers that ``stft_magnitude`` and ``mel_energies`` write a spectrogram's arrays into.
+
+    ``spectrum`` takes the DFT of every frame and ``modulus`` its magnitude,
+    which is the spectrogram's ``values``; ``mel_energies`` then forms its time
+    trapezoid in ``spectrum``, whose transform is dead by then.  A workspace of
+    ``size`` holds any spectrogram of up to ``size`` frames x bins (``stft_frames``'
+    frames times window samples); for a larger one the call takes fresh arrays.
+    The caller owns it: a spectrogram written into it is valid until the next
+    call that writes into it, so one workspace serves one thread at a time.
+    Kept across calls, it also keeps a worker thread from growing its own
+    allocator arena with fresh arrays that later commands cannot reuse.
+    """
+
+    def __init__(self, size: int):
+        self.spectrum = np.empty(size, dtype=np.complex128)
+        self.modulus = np.empty(size)
+
+
+def stft_magnitude(
+    a: np.ndarray, fs: float, window_len: float, hop: float, t0: float = 0.0,
+    work: StftWorkspace | None = None,
+) -> Spectrogram:
+    """Magnitude STFT with a rectangular window and no zero padding.
+
+    Frames start at the beginning of the signal and must lie fully inside it,
+    giving floor((duration - window_len)/hop) + 1 frames.  The DFT is scaled
+    by 1/sqrt(N) so the summed squared magnitudes of a frame's spectrum equal
+    the frame's summed squared samples (energy-preserving convention).
+
+    Complex input gives a two-sided spectrum (centered on 0 Hz), real input a
+    one-sided one; both are computed in double precision by numpy's FFT,
+    whose bits equal ``scipy.fft``'s here.  Frame times are window centers,
+    counted from ``t0``, the time of the first sample.  The transform and its
+    modulus are written into ``work`` (see :class:`StftWorkspace`), the
+    modulus already centered, or into fresh arrays without one.
+    """
+    n_frames, n_win, n_hop = _frame_grid(a.size, fs, window_len, hop)
+    two_sided = np.iscomplexobj(a)
+    a = np.asarray(a, dtype=np.complex128 if two_sided else np.float64)
+    n_bins = n_win if two_sided else n_win // 2 + 1
+    size = n_frames * n_bins
+    if work is None or work.modulus.size < size:
+        work = StftWorkspace(size)
+    spectrum = work.spectrum[:size].reshape(n_frames, n_bins)
+    spec = work.modulus[:size].reshape(n_frames, n_bins)
 
     frames = sliding_window_view(a, n_win)[::n_hop]
-    two_sided = np.iscomplexobj(a)
-    transform = scipy.fft.fft if two_sided else scipy.fft.rfft
-    spec = np.abs(transform(frames, axis=1))
-    spec *= 1.0 / math.sqrt(n_win)
     if two_sided:
-        spec = np.fft.fftshift(spec, axes=1)
+        np.fft.fft(frames, axis=1, out=spectrum)
+        # fftshift as it is written: bins 0 ... n_win - n_win//2 - 1 (0 Hz up) go last
+        np.abs(spectrum[:, :n_win - n_win // 2], out=spec[:, n_win // 2:])
+        np.abs(spectrum[:, n_win - n_win // 2:], out=spec[:, :n_win // 2])
+    else:
+        np.fft.rfft(frames, axis=1, out=spectrum)
+        np.abs(spectrum, out=spec)
+    spec *= 1.0 / math.sqrt(n_win)
 
-    frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / fs
+    frame_times = t0 + (n_hop * np.arange(n_frames) + 0.5 * n_win) / fs
     return Spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)

@@ -4,7 +4,10 @@ Each function is the straightforward Python loop that the library's batched
 numpy replaced, kept verbatim so tests can demand ``np.array_equal`` between
 the two: the beat-by-beat displacement train, SMO with per-iteration masks,
 per-row perplexity bisection, and t-SNE with fresh temporaries (its distance
-formula, Student-t kernel and KL included).
+formula, Student-t kernel and KL included).  The STFT on ``scipy.fft`` with a
+shifted copy of its modulus, and the time integral as ``np.trapezoid``, are
+the paths that the workspace-writing ones in ``signals`` and ``cepstrum``
+replaced.
 
 A cube record exists in the program only as its file.  Tests that need a whole
 cube in memory take a :class:`DataCube` from here: ``read_cube`` is the
@@ -19,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from heartid.dataio import read_iq
 from heartid.embedding import (
@@ -29,7 +34,7 @@ from heartid.embedding import (
 )
 from heartid.errors import IoError
 from heartid.radar import C_LIGHT, RadarConfig
-from heartid.signals import check_finite
+from heartid.signals import Spectrogram, check_finite, stft_freqs
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,28 @@ def unblocked_cube(d, cfg, snr_db=None, seed=0, range_m=1.5, angle_deg=0.0, amp_
 def render_cube(d, cfg, *args, **kwargs) -> DataCube:
     """The cube that ``cohort.render_cube(d, cfg, *args, **kwargs, path=...)`` writes."""
     return DataCube(unblocked_cube(d, cfg, *args, **kwargs).astype(np.complex64), cfg)
+
+
+def stft_magnitude(a, fs, window_len, hop, t0=0.0) -> Spectrogram:
+    """``signals.stft_magnitude`` on ``scipy.fft``, its modulus and shift in fresh arrays."""
+    n_win = int(round(window_len * fs))
+    n_hop = min(int(round(hop * fs)), a.size)
+    frames = sliding_window_view(a, n_win)[::n_hop]
+    two_sided = np.iscomplexobj(a)
+    transform = scipy.fft.fft if two_sided else scipy.fft.rfft
+    spec = np.abs(transform(frames, axis=1))
+    spec *= 1.0 / math.sqrt(n_win)
+    if two_sided:
+        spec = np.fft.fftshift(spec, axes=1)
+    frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / fs
+    return Spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)
+
+
+def time_integral(spec) -> np.ndarray:
+    """``cepstrum._time_integral`` as ``np.trapezoid`` over frame time; one frame gives zeros."""
+    if spec.n_frames > 1:
+        return np.trapezoid(spec.values, spec.frame_times, axis=0)
+    return np.zeros(spec.freqs.size)
 
 
 def displacement(profile, duration, fs, seed=0, rate_scale=1.0) -> np.ndarray:

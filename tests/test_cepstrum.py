@@ -1,5 +1,6 @@
 import tracemalloc
 
+import loop_reference
 import mpmath
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from heartid.errors import InvalidParameter, PipelineError
 from heartid.signals import (
     ComplexSeries,
     Spectrogram,
+    StftWorkspace,
     phase_unwrapped,
     second_derivative,
     stft_magnitude,
@@ -292,6 +294,30 @@ def test_dct2_empty_input():
         dct2(np.array([]))
 
 
+@pytest.mark.parametrize("rows", range(2, 8))
+def test_dct2_of_stacked_rows_same_bits_as_row_by_row(rows):
+    rng = np.random.default_rng(rows)
+    for cols in (8, 9, 24, 31, 64):
+        m = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-6, 6, size=(rows, 1))
+        assert np.array_equal(dct2(m), np.stack([dct2(row) for row in m]))
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+@pytest.mark.parametrize("n", [200, 201, 215, 1003, 6000])  # 1, 2, 3, 81 and 581 frames
+def test_time_integral_in_place_same_bits_as_trapezoid(two_sided, n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n) + (1j * rng.standard_normal(n) if two_sided else 0)
+    work = StftWorkspace(n * 200)
+    for t0 in (0.0, 12.34):
+        spec = stft_magnitude(z, 100.0, 2.0, 0.1, t0)
+        want = loop_reference.time_integral(spec)
+        for w in (None, work, StftWorkspace(1)):
+            assert np.array_equal(cepstrum._time_integral(spec, w), want)
+        # as in extraction: the spectrogram is in the workspace whose transform is overwritten
+        assert np.array_equal(cepstrum._time_integral(
+            stft_magnitude(z, 100.0, 2.0, 0.1, t0, work), work), want)
+
+
 # --- end-to-end feature extraction -----------------------------------------
 
 @pytest.fixture(scope="module")
@@ -417,11 +443,13 @@ def test_extraction_bit_identical_to_public_blocks(
     s = _heartbeat_like(n, fs, t0, seed=n)
     refs = [_reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
             for kind in ("amp", "ph", "comp")]
-    for kind, ref in zip(("amp", "ph", "comp"), refs):
-        got = extract_features(s, cfg, k_prime, kind, window_len, hop, log_energies)
-        assert np.array_equal(got, ref), kind
-    prop = extract_features(s, cfg, k_prime, "prop", window_len, hop, log_energies)
-    assert np.array_equal(prop, np.concatenate(refs))
+    # fresh arrays, one workspace shared by every call, and one too small to use
+    for work in (None, StftWorkspace(n * int(round(window_len * fs))), StftWorkspace(1)):
+        for kind, ref in zip(("amp", "ph", "comp"), refs):
+            got = extract_features(s, cfg, k_prime, kind, window_len, hop, log_energies, work)
+            assert np.array_equal(got, ref), kind
+        prop = extract_features(s, cfg, k_prime, "prop", window_len, hop, log_energies, work)
+        assert np.array_equal(prop, np.concatenate(refs))
 
 
 def test_filter_bank_built_once_per_settings(monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import heartid
-from heartid import cohort, dataio, radar
+from heartid import cepstrum, cli, cohort, dataio, radar
 from heartid.cli import main
 from heartid.dataio import read_features, read_iq, write_features, write_iq
 from heartid.errors import PipelineError
@@ -422,10 +422,10 @@ def test_size_beyond_memory_exits_2(tmp_path, capsys, duration, mode):
 @pytest.fixture
 def pool_width(monkeypatch):
     """Sets how many cube records ``synth`` renders at once, whatever the CPU count."""
-    in_order = cohort._in_order
+    in_order = cohort.in_order
 
     def set_width(width):
-        monkeypatch.setattr(cohort, "_in_order", lambda fn, jobs, _: in_order(fn, jobs, width))
+        monkeypatch.setattr(cohort, "in_order", lambda fn, jobs, _: in_order(fn, jobs, width))
 
     return set_width
 
@@ -502,6 +502,126 @@ def test_pooled_cube_synth_near_a_full_disk_fails_as_one_at_a_time(tmp_path, cap
                               "disk has 1228800 free\n", ["p1_d1am_r1.iq"])
     assert outcomes[2] == outcomes[4] == outcomes[1]
     assert cohort._CUBE_FILES == []  # every record started was ticked off
+
+
+@pytest.fixture(scope="module")
+def long_dataset(tmp_path_factory):
+    """12 baseband records of 60 s: 580 STFT frames each, above the two-lane gate."""
+    data = tmp_path_factory.mktemp("long")
+    assert main(["synth", "--out", str(data), "--days", "1", "--repetitions", "1",
+                 "--duration", "60", "--seed", "3"]) == 0
+    return data
+
+
+@pytest.fixture
+def extract_lanes(monkeypatch):
+    """Sets the lanes that ``extract`` uses above its gate, and records each run's width."""
+    widths, in_order = [], cohort.in_order
+
+    def spy(fn, jobs, width):
+        widths.append(width)
+        return in_order(fn, jobs, width)
+
+    def set_lanes(lanes):
+        monkeypatch.setattr(cohort, "lanes", lambda: lanes)
+        return widths
+
+    monkeypatch.setattr(cohort, "in_order", spy)
+    return set_lanes
+
+
+@pytest.mark.parametrize("duration, segment, mode, frames", [
+    (60, None, "baseband", 581), (60, 30.0, "baseband", 281), (60, 20.0, "baseband", None),
+    (60, 5.0, "baseband", None), (20, None, "baseband", None), (60, None, "cube", None),
+    # segments that extract rejects later: no series is sized beyond the record
+    (60, -1.0, "baseband", None), (60, float("nan"), "baseband", 581),
+    (60, float("inf"), "baseband", 581), (60, 1e308, "baseband", 581),
+])
+def test_extract_runs_two_lanes_only_on_long_baseband_series(monkeypatch, duration, segment,
+                                                              mode, frames):
+    # the gate reads the frames per series from the manifest, segment, window and hop;
+    # one lane, in the calling thread, takes fresh arrays (no workspace)
+    monkeypatch.setattr(cohort, "lanes", lambda: 2)
+    size_key = "n_slow" if mode == "cube" else "n_samples"
+    manifest = {"fs": 100.0, "mode": mode, "records": [{size_key: duration * 100}] * 3}
+    args = cli.build_parser().parse_args(["extract", "--data", "d", "--out", "o"])
+    args.segment = segment
+    work = cli._workspaces(args, manifest)
+    if frames is None:
+        assert work == [None]
+    else:
+        assert len(work) == 2 and work[0] is not work[1]
+        assert all(w.modulus.size == w.spectrum.size == frames * 200 for w in work)
+    monkeypatch.setattr(cohort, "lanes", lambda: 1)  # a single CPU
+    assert cli._workspaces(args, manifest) == [None]
+
+
+@pytest.mark.parametrize("extra", [["--kind", "amp"], ["--kind", "ph"], ["--kind", "comp"],
+                                   ["--kind", "prop"], ["--log-energies"], ["--segment", "30"]])
+def test_two_lane_extract_same_bytes_as_one_lane(long_dataset, tmp_path, extract_lanes, extra):
+    out, threads = {}, threading.active_count()
+    for lanes in (2, 1):
+        widths = extract_lanes(lanes)
+        path = tmp_path / f"w{lanes}.csv"
+        assert main(["extract", "--data", str(long_dataset), "--out", str(path), *extra]) == 0
+        assert widths[-1] == lanes and threading.active_count() == threads
+        out[lanes] = path.read_bytes()
+    assert out[2] == out[1] and out[1].count(b"\n") == (25 if "--segment" in extra else 13)
+
+
+def test_two_lane_extract_of_a_non_finite_record_exits_as_one_lane(long_dataset, tmp_path,
+                                                                    capsys, extract_lanes):
+    # record 2 holds a NaN while record 3 runs beside it
+    data = tmp_path / "ds"
+    shutil.copytree(long_dataset, data)
+    record = json.loads((data / "manifest.json").read_text())["records"][2]
+    samples = read_iq(data / record["file"])
+    samples[4321] = np.nan
+    write_iq(data / record["file"], samples)
+    outcomes, threads = {}, threading.active_count()
+    for lanes in (1, 2):
+        widths = extract_lanes(lanes)
+        capsys.readouterr()
+        outcomes[lanes] = (main(["extract", "--data", str(data), "--out",
+                                 str(tmp_path / "f.csv")]), capsys.readouterr().err)
+        assert widths[-1] == lanes and threading.active_count() == threads
+    assert not (tmp_path / "f.csv").exists()
+    assert outcomes[2] == outcomes[1] == (2, "error: sample p2_d1am_r1: non-finite sample at "
+                                             "index 4321 ((nan+0j)); 1 of 6000 are not finite\n")
+
+
+def test_extract_on_more_lanes_than_cpus_shares_no_workspace(long_dataset, tmp_path,
+                                                             monkeypatch, extract_lanes):
+    # a record's lane workspace is reused by the record `lanes` later, which in_order
+    # submits only after this record's rows were taken; threads switch every microsecond
+    extract, lock = cepstrum.extract_features, threading.Lock()
+    busy, used, clashes = set(), set(), []
+
+    def watched(*args):
+        work = args[7]
+        with lock:
+            if id(work) in busy:
+                clashes.append(id(work))
+            busy.add(id(work))
+            used.add(id(work))
+        try:
+            return extract(*args)
+        finally:
+            with lock:
+                busy.discard(id(work))
+
+    argv = ["extract", "--data", str(long_dataset), "--segment", "30", "--kind", "comp"]
+    extract_lanes(1)
+    assert main([*argv, "--out", str(tmp_path / "w1.csv")]) == 0
+    monkeypatch.setattr(cepstrum, "extract_features", watched)
+    widths, switch = extract_lanes(4), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main([*argv, "--out", str(tmp_path / "w4.csv")]) == 0
+    finally:
+        sys.setswitchinterval(switch)
+    assert widths[-1] == 4 and len(used) == 4 and clashes == []
+    assert (tmp_path / "w4.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
 
 
 @pytest.mark.parametrize("missing", ["accuracy_pct", "macro_auc"])

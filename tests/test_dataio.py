@@ -266,6 +266,18 @@ def test_feature_csv_roundtrip(tmp_path):
     assert header == "sample_id,label,session_id,segment_index,kind,c0,c1,c2,c3,c4,c5"
 
 
+def test_feature_csv_formats_values_as_numpy_scalars_did(tmp_path):
+    # values are formatted as Python floats; the text is what each numpy scalar gave
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+    path = tmp_path / "f.csv"
+    write_features(path, [{"sample_id": "m0", "label": "p1", "session_id": "s0",
+                           "segment_index": 0, "kind": "amp", "values": values}], 4)
+    line = path.read_text().splitlines()[1]
+    assert line == "m0,p1,s0,0,amp,-0,4.9406564584124654e-324,1.7976931348623157e+308," \
+                   "0.10000000000000001"
+    assert line.split(",")[5:] == [f"{v:.17g}" for v in values]  # numpy scalars
+
+
 def test_feature_csv_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n")

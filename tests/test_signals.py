@@ -1,5 +1,6 @@
 import tracemalloc
 
+import loop_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from heartid.signals import (
     _FINITE_SLAB,
     ComplexSeries,
     Spectrogram,
+    StftWorkspace,
     check_finite,
     phase_unwrapped,
     second_derivative,
+    stft_frames,
     stft_magnitude,
 )
 
@@ -290,6 +293,35 @@ def test_stft_matches_direct_formula(is_complex, n, window_len, hop):
         want = np.abs(np.fft.rfft(frames, axis=1))
     assert np.array_equal(spec.values, want * (1.0 / np.sqrt(n_win)))
     assert spec.two_sided == is_complex
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("window_len", [1.99, 2.0, 0.97])  # 199 (odd), 200 and 97 (prime) samples
+def test_stft_same_bits_as_scipy_reference(is_complex, window_len):
+    # numpy's FFT into a workspace, the modulus written shifted, against scipy.fft
+    # and a shifted copy; one workspace is reused across lengths, from the longest down
+    fs, hop, rng = 100.0, 0.1, np.random.default_rng(int(window_len * 100))
+    n_win = int(round(window_len * fs))
+    work = StftWorkspace(stft_frames(6000, fs, window_len, hop)[0] * n_win)
+    for n in (6000, 1003, n_win + 1, n_win):
+        z = 1e3 * (rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0))
+        want = loop_reference.stft_magnitude(z, fs, window_len, hop, t0=12.34)
+        for w in (work, None, StftWorkspace(10)):  # the last is too small: fresh arrays
+            spec = stft_magnitude(z, fs, window_len, hop, 12.34, w)
+            assert np.array_equal(spec.values, want.values)
+            assert np.array_equal(spec.frame_times, want.frame_times)
+            assert np.array_equal(spec.freqs, want.freqs)
+        assert np.shares_memory(stft_magnitude(z, fs, window_len, hop, work=work).values,
+                                work.modulus)
+
+
+def test_stft_frames_counts_frames_or_gives_zero_where_the_stft_raises():
+    assert stft_frames(6000, 100.0, 2.0, 0.1) == (581, 200)
+    assert stft_frames(200, 100.0, 2.0, 0.1) == (1, 200)
+    for n, window_len, hop in [(199, 2.0, 0.1), (0, 2.0, 0.1), (-5, 2.0, 0.1),
+                               (6000, 2.0, 0.0), (6000, float("nan"), 0.1),
+                               (6000, 0.01, 0.1), (6000, 2.0, 1e-5)]:
+        assert stft_frames(n, 100.0, window_len, hop) == (0, 0)
 
 
 @settings(max_examples=25, deadline=None)
