@@ -12,7 +12,9 @@ float64 noise added to the real parts of every block before the imaginary
 parts.  A baseband record is a checked :class:`~heartid.signals.ComplexSeries`
 in memory; a cube record exists only as its file, into which its complex64
 samples are streamed.  Each record draws from its own seeds, so cube records,
-whose noise draws release the GIL, render two at a time.
+whose noise draws release the GIL, render two at a time.  A cohort's record
+length, and in cube mode the disk space its cube files need, are checked once,
+when it is asked for, before any file or directory is made.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import hashlib
 import itertools
 import os
 import shutil
-import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -45,10 +46,6 @@ SESSION_AMP_SIGMA = 0.15  # log-normal spread of the per-session amplitude scale
 SESSION_RATE_DRIFT = 0.05  # per-session heart-rate scale drawn from 1 +/- this
 _RENDER_BLOCK = 2**14  # samples rendered at a time: 10 chirps of a cube
 _BEAT_BLOCK = 64  # beats stamped at a time by displacement()
-# the files of the cube records started and not yet done, in record order: one
-# list for the process, whose renders all draw on the same disks (see _new_file)
-_CUBE_FILES: list[Path] = []
-_DISK_LOCK = threading.Lock()  # held while a cube file grows or the free disk space is read
 
 
 def derive_seed(*parts) -> int:
@@ -132,6 +129,22 @@ class Schedule:
         return [f"d{d}{h}" for d in range(1, self.days + 1) for h in ("am", "pm")]
 
 
+def n_samples(duration: float, fs: float) -> int:
+    """The sample count of a ``duration``-s record at ``fs`` Hz.
+
+    A duration that is not positive and finite, or a count that is under one
+    or beyond the longest float64 array, raises :class:`InvalidParameter`.
+    """
+    if not 0 < duration < np.inf:
+        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
+    if not duration * fs < np.iinfo(np.intp).max // 8:  # the longest float64 array
+        raise InvalidParameter(f"duration {duration} s at fs {fs} Hz is too many samples")
+    n = round(max(duration * fs, 0.0))
+    if n < 1:
+        raise InvalidParameter(f"duration {duration} s at fs {fs} Hz is under one sample")
+    return n
+
+
 def displacement(
     profile: PersonProfile,
     duration: float = DEFAULT_DURATION,
@@ -144,7 +157,8 @@ def displacement(
     Returns d in metres as a float64 array sampled at ``fs``.  Beat onsets
     are spaced by 1/heart_rate plus Gaussian jitter (hrv_std); each beat
     stamps the profile's Gaussian template, scaled by heart_amp_m.
-    Deterministic given the seed.  ``fs`` below twice the beat rate
+    Deterministic given the seed.  ``duration`` and ``fs`` are checked by
+    :func:`n_samples`; ``fs`` below twice the beat rate
     ``heart_rate_hz * rate_scale`` raises :class:`InvalidParameter`.
 
     Beats are stamped ``_BEAT_BLOCK`` at a time, carrying only the next onset,
@@ -152,15 +166,11 @@ def displacement(
     a block's jitter is the generator's next scalar draws (nothing draws after
     the train), ``cumsum`` adds left to right, ``np.add.at`` in (beat, lobe) order.
     """
-    if not 0 < duration < np.inf:
-        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
-    if not duration * fs < np.iinfo(np.intp).max // 8:  # the longest float64 array
-        raise InvalidParameter(f"duration {duration} s at fs {fs} Hz is too many samples")
+    n = n_samples(duration, fs)
     rate = profile.heart_rate_hz * rate_scale
     if not 0 < 2.0 * rate <= fs:  # also bounds the beat count by twice the sample count
         raise InvalidParameter(f"fs {fs} Hz cannot sample a {rate:g}-Hz heartbeat (needs twice)")
     rng = np.random.default_rng(seed)
-    n = int(round(duration * fs))
     t = np.arange(n) / fs
 
     resp_phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -231,38 +241,31 @@ def _render(shape: tuple, dtype, noiseless, snr_db: float | None, seed: int,
                     buf += getattr(clean, part)
                     getattr(dest, part)[...] = buf
                 if fh is not None:
-                    with _DISK_LOCK:  # a disk check sees a file grow by whole blocks
-                        fh.seek(at)
-                        fh.write(dest)
+                    fh.seek(at)
+                    fh.write(dest)
     return out if path is None else None
 
 
-def _written(path: Path) -> int:
-    try:
-        return path.stat().st_size
-    except FileNotFoundError:  # not made yet, or deleted by its failing render
-        return 0
+def _check_disk(path: Path, nbytes: int, needs: str = "needs") -> None:
+    """Raise :class:`PipelineError` if the disk that holds, or will hold, ``path``
+    has less than ``nbytes`` free."""
+    free = shutil.disk_usage(next(p for p in (path, *path.parents) if p.exists())).free
+    if nbytes > free:
+        raise PipelineError(f"{path}: {needs} {nbytes} bytes, but its disk has {free} free")
 
 
 @contextmanager
 def _new_file(path: Path, nbytes: int):
     """``path`` opened as a new file for ``nbytes``, deleted again if the block raises.
 
-    A file larger than its disk's free space raises :class:`PipelineError`
-    before it, or its directory, is made.  That free space leaves out what the
-    cube files of the records started before it (see :func:`generate_cohort`)
-    have still to write, each counted as ``nbytes`` (a cohort's cube files
-    share one size) less its length, so records rendering side by side pass or
-    fail this check, with the same figures, as they would one at a time.  A
-    write can still fail on a disk that others fill (an ``OSError``); its
-    partial file is deleted too.
+    A file larger than its disk's free space, read as the file is opened,
+    raises :class:`PipelineError` before it, or its directory, is made.  A
+    cohort checks the space of all its cube files once, when it is asked for
+    (see :func:`generate_cohort`), so this check fails only a direct
+    :func:`render_cube` call or a disk that others fill.  A write can still
+    fail on such a disk (an ``OSError``); its partial file is deleted too.
     """
-    with _DISK_LOCK:
-        earlier = itertools.takewhile(lambda p: p != path, _CUBE_FILES)
-        to_come = sum(nbytes - _written(p) for p in earlier)
-        free = shutil.disk_usage(next(p for p in path.parents if p.exists())).free - to_come
-    if nbytes > free:
-        raise PipelineError(f"{path}: needs {nbytes} bytes, but its disk has {free} free")
+    _check_disk(path, nbytes)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "w+b") as fh:
@@ -314,9 +317,9 @@ def render_cube(
     are rendered in complex128, noised (see :func:`_render`) and streamed
     into a new cube file as the complex64 it holds; a cube exists only as
     that file, so the render holds a few blocks, not the cube.  Doppler within
-    a chirp is neglected.  A file its disk cannot hold raises
-    :class:`PipelineError` before it is made; a render that fails deletes its
-    partial file.
+    a chirp is neglected.  A file its disk cannot hold, by the free space
+    read as the file is opened, raises :class:`PipelineError` before it is
+    made; a render that fails deletes its partial file.
     """
     r = range_m + d  # (slow,)
     if np.any(r >= cfg.max_range):
@@ -413,17 +416,17 @@ def generate_cohort(
 ) -> Iterator[Measurement]:
     """One measurement per (profile, session, repetition), deterministic in seed.
 
-    The profile count, schedule and mode are checked at call time; rendering
-    starts when the returned iterator is first advanced.  Cube records render
-    two at a time on threads (one on a single CPU), and are handed on in
-    order, so a caller that consumes them one by one holds two at a time;
-    baseband records, which render in about a millisecond, render one at a
-    time in the caller's thread.  A cube record exists only as its file, so
-    cube mode requires ``out_dir``: each cube is streamed into its file there
-    (see :func:`simulate_measurement`), and a record held is a few blocks, not
-    a cube.  Each cube file is listed, in record order, from its record's
-    start until it is done, so two records rendering at once check the free
-    disk space as they would one at a time (see :func:`_new_file`).
+    The profile count, schedule, mode and record length (:func:`n_samples`)
+    are checked at call time, and in cube mode so is the free space on the
+    disk under ``out_dir``, which must hold every cube file; a cohort that
+    fails raises before any file or directory is made.  Rendering starts when
+    the returned iterator is first advanced.  Cube records render two at a
+    time on threads (one on a single CPU), and are handed on in order, so a
+    caller that consumes them one by one holds two at a time; baseband
+    records, which render in about a millisecond, render one at a time in the
+    caller's thread.  A cube record exists only as its file, so cube mode
+    requires ``out_dir``: each cube is streamed into its file there (see
+    :func:`simulate_measurement`), and a record held is a few blocks, not a cube.
 
     An error is raised when the record that raised it is reached, as rendering
     one at a time would; the record rendering beside it is finished first.
@@ -435,28 +438,18 @@ def generate_cohort(
     if schedule.days < 1 or schedule.repetitions < 1:
         raise InvalidParameter("schedule must contain at least one session and repetition")
     _check_mode(mode, out_dir)
-
-    def cube_file(profile: PersonProfile, session_id: str, rep: int) -> Path:
-        return Path(out_dir) / record_file(profile.id, session_id, rep)
+    n_slow = n_samples(duration, RadarConfig(fs_slow=fs).fs_slow)  # the device checks fs first
+    if mode == "cube":  # one complex64 (slow, element, fast) file per record
+        records = len(profiles) * len(schedule.sessions) * schedule.repetitions
+        cube_bytes = n_slow * RadarConfig.n_virtual * RadarConfig.n_fast * 8
+        _check_disk(Path(out_dir), records * cube_bytes, f"{records} cube files need")
 
     def measure(profile: PersonProfile, session_id: str, rep: int) -> Measurement:
-        try:
-            return simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs,
-                                        mode, out_dir)[0]
-        finally:
-            if mode == "cube":
-                with _DISK_LOCK:
-                    _CUBE_FILES.remove(cube_file(profile, session_id, rep))
+        return simulate_measurement(profile, session_id, rep, seed, snr_db, duration, fs,
+                                    mode, out_dir)[0]
 
-    def jobs() -> Iterator[tuple]:
-        for job in itertools.product(profiles, schedule.sessions,
-                                     range(1, schedule.repetitions + 1)):
-            if mode == "cube":  # listed here, in the caller's thread, before its render starts
-                with _DISK_LOCK:
-                    _CUBE_FILES.append(cube_file(*job))
-            yield job
-
-    return in_order(measure, jobs(), lanes() if mode == "cube" else 1)
+    jobs = itertools.product(profiles, schedule.sessions, range(1, schedule.repetitions + 1))
+    return in_order(measure, jobs, lanes() if mode == "cube" else 1)
 
 
 def lanes() -> int:

@@ -2,14 +2,15 @@
 
 A cube record exists only as its file, indexed (slow time, virtual element,
 fast time), which ``dataio.CubeFile`` reads a block of chirps at a time.  The
-fast-time DFT turns beat frequency into range (bin spacing c/(2B)).  One pass
-over the cube's blocks takes the range FFT, keeps the bins inside the range
-window and adds their slow-time element covariances, which give the mean
-delay-and-sum power of every (angle, range) cell of the 12-element virtual
-array; no whole cube is read, and no full-cube FFT, copy or steered cube is
-formed.  Steering only the strongest cell yields the slow-time series s(t)
-that the feature pipeline consumes.  The device, its angle grid and its range
-window are fixed; only the slow-time rate varies between datasets.
+fast-time DFT, numpy's FFT taken in place on a complex128 copy of each block,
+turns beat frequency into range (bin spacing c/(2B)).  One pass over the
+cube's blocks takes the range FFT, keeps the bins inside the range window and
+adds their slow-time element covariances, which give the mean delay-and-sum
+power of every (angle, range) cell of the 12-element virtual array; no whole
+cube is read, and no full-cube FFT, copy or steered cube is formed.  Steering
+only the strongest cell yields the slow-time series s(t) that the feature
+pipeline consumes.  The device, its angle grid and its range window are fixed;
+only the slow-time rate varies between datasets.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidParameter
 from .signals import ComplexSeries
@@ -69,9 +69,11 @@ _WINDOW = slice(int(np.searchsorted(RadarConfig.range_axis, RANGE_WINDOW[0])),
 def range_profile(values: np.ndarray) -> np.ndarray:
     """Per-chirp, per-element fast-time DFT of cube samples, shape (slow, element, range bin).
 
-    Computed on a complex128 copy, scaled by 1/sqrt(n_fast) to keep each chirp's energy.
+    Computed in place on a complex128 copy by numpy's FFT, scaled by 1/sqrt(n_fast)
+    to keep each chirp's energy.
     """
-    profiles = scipy.fft.fft(np.array(values, dtype=np.complex128), axis=2, overwrite_x=True)
+    profiles = np.array(values, dtype=np.complex128)
+    np.fft.fft(profiles, axis=2, out=profiles)
     # the values of ``/= sqrt(n_fast)``, which numpy computes as a product with
     # 1/sqrt(n_fast), at an eighth of the cost of its complex division
     profiles.view(np.float64)[...] *= 1.0 / np.sqrt(RadarConfig.n_fast)

@@ -7,7 +7,8 @@ per-row perplexity bisection, and t-SNE with fresh temporaries (its distance
 formula, Student-t kernel and KL included).  The STFT on ``scipy.fft`` with a
 shifted copy of its modulus, and the time integral as ``np.trapezoid``, are
 the paths that the workspace-writing ones in ``signals`` and ``cepstrum``
-replaced.
+replaced; the range FFT on ``scipy.fft`` is the one that numpy's replaced in
+``radar``.
 
 A cube record exists in the program only as its file.  Tests that need a whole
 cube in memory take a :class:`DataCube` from here: ``read_cube`` is the
@@ -127,6 +128,13 @@ def stft_magnitude(a, fs, window_len, hop, t0=0.0) -> Spectrogram:
         spec = np.fft.fftshift(spec, axes=1)
     frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / fs
     return Spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)
+
+
+def range_profile(values) -> np.ndarray:
+    """``radar.range_profile`` on ``scipy.fft``, overwriting its complex128 copy."""
+    profiles = scipy.fft.fft(np.array(values, dtype=np.complex128), axis=2, overwrite_x=True)
+    profiles.view(np.float64)[...] *= 1.0 / np.sqrt(RadarConfig.n_fast)
+    return profiles
 
 
 def time_integral(spec) -> np.ndarray:

@@ -410,12 +410,18 @@ def test_extract_overflowing_features_exit_2(tmp_path, capsys, kind, alternating
 
 @pytest.mark.parametrize("duration, mode", [("1e15", "baseband"), ("1e12", "cube")])
 def test_size_beyond_memory_exits_2(tmp_path, capsys, duration, mode):
-    # a valid array length far beyond memory: numpy refuses the allocation up front
+    # a valid array length far beyond memory: numpy refuses the allocation up front;
+    # a cube needs 1536 times its displacement's memory on disk, so the disk check stops it
     argv = ["synth", "--out", str(tmp_path / "ds"), "--days", "1", "--repetitions", "1",
             "--duration", duration, "--mode", mode]
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: synth: Unable to allocate ")
+    err = capsys.readouterr().err
+    if mode == "cube":
+        assert err.startswith(f"error: {tmp_path / 'ds'}: 12 cube files need "
+                              f"{12 * 10**14 * 12 * 128 * 8} bytes, but its disk has ")
+    else:
+        assert err.startswith("error: synth: Unable to allocate ")
     assert not (tmp_path / "ds").exists()
 
 
@@ -475,33 +481,56 @@ def test_synth_cube_beyond_the_free_disk_space_exits_2(tmp_path, capsys, monkeyp
     monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=10**6))
     capsys.readouterr()
     assert main(["synth", "--out", str(tmp_path / "ds"), *CUBE_SYNTH]) == 2
-    assert capsys.readouterr().err == (f"error: {tmp_path / 'ds' / 'p1_d1am_r1.iq'}: needs "
-                                       "2457600 bytes, but its disk has 1000000 free\n")
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'ds'}: 12 cube files need "
+                                       "29491200 bytes, but its disk has 1000000 free\n")
     assert not (tmp_path / "ds").exists()
+
+
+def _synth_on_a_shrinking_disk(out, room, widths, capsys, monkeypatch, pool_width):
+    """``synth`` of the 12 ``CUBE_SYNTH`` cubes at each width, with ``room`` bytes free
+    less what is written under ``out``: (exit code, stderr, files left) per width."""
+    usage = shutil.disk_usage(out.parent)
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(
+        free=room - sum(f.stat().st_size for f in out.glob("*"))))
+    outcomes, switch = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave often, four of them on fewer CPUs
+    try:
+        for width in widths:
+            pool_width(width)
+            capsys.readouterr()
+            outcomes[width] = (main(["synth", "--out", str(out), *CUBE_SYNTH]),
+                               capsys.readouterr().err,
+                               sorted(p.name for p in out.iterdir()) if out.exists() else None)
+            shutil.rmtree(out, ignore_errors=True)
+    finally:
+        sys.setswitchinterval(switch)
+    return outcomes
 
 
 def test_pooled_cube_synth_near_a_full_disk_fails_as_one_at_a_time(tmp_path, capsys,
                                                                   monkeypatch, pool_width):
-    # room for one and a half 2457600-byte cubes, shrinking by what the renders write:
-    # the second record fails the check, also while the first is still being written
-    out, usage = tmp_path / "ds", shutil.disk_usage(tmp_path)
-    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(
-        free=3686400 - sum(f.stat().st_size for f in out.glob("*"))))
-    outcomes, switch = {}, sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # the threads interleave often, four of them on fewer CPUs
-    try:
-        for width in (1, 2, 4):
-            pool_width(width)
-            capsys.readouterr()
-            outcomes[width] = (main(["synth", "--out", str(out), *CUBE_SYNTH]),
-                               capsys.readouterr().err, sorted(p.name for p in out.iterdir()))
-            shutil.rmtree(out)
-    finally:
-        sys.setswitchinterval(switch)
-    assert outcomes[1] == (2, f"error: {out / 'p1_d1pm_r1.iq'}: needs 2457600 bytes, but its "
-                              "disk has 1228800 free\n", ["p1_d1am_r1.iq"])
+    # room for one and a half 2457600-byte cubes: the cohort fails before its first render
+    out = tmp_path / "ds"
+    outcomes = _synth_on_a_shrinking_disk(out, 3686400, (1, 2, 4), capsys, monkeypatch,
+                                          pool_width)
+    assert outcomes[1] == (2, f"error: {out}: 12 cube files need 29491200 bytes, but its "
+                              "disk has 3686400 free\n", None)
     assert outcomes[2] == outcomes[4] == outcomes[1]
-    assert cohort._CUBE_FILES == []  # every record started was ticked off
+
+
+def test_pooled_cube_synth_passes_with_exact_room_and_fails_one_byte_short(
+        tmp_path, capsys, monkeypatch, pool_width):
+    # the space shrinks as the files grow, so a cohort that passes its call-time check
+    # never fails the check that each cube file makes as it is opened
+    out, widths = tmp_path / "ds", (1, 2, 4)
+    exact = _synth_on_a_shrinking_disk(out, 29491200, widths, capsys, monkeypatch, pool_width)
+    short = _synth_on_a_shrinking_disk(out, 29491199, widths, capsys, monkeypatch, pool_width)
+    files = sorted([*(cohort.record_file(f"p{i}", s, 1) for i in range(1, 7)
+                      for s in ("d1am", "d1pm")), "manifest.json"])
+    for width in widths:
+        assert exact[width][0] == 0 and exact[width][2] == files
+        assert short[width] == (2, f"error: {out}: 12 cube files need 29491200 bytes, but "
+                                   "its disk has 29491199 free\n", None)
 
 
 @pytest.fixture(scope="module")
@@ -774,6 +803,10 @@ def test_report_accepts_nan_metric(prop_csv, tmp_path, capsys):
         # 7 segments of 285 samples would keep 1995 of the 2000
         ("extract", ["--segment", str(20 / 7)], f"segment length {20 / 7} s is not a whole "
          "number of samples: 2000 samples do not split into 7 equal segments"),
+        # 0.4 of a sample: no record is rendered, so no empty file is left behind
+        ("synth", ["--duration", "0.004"], "duration 0.004 s at fs 100.0 Hz is under one sample"),
+        ("synth", ["--duration", "0.004", "--mode", "cube"],
+         "duration 0.004 s at fs 100.0 Hz is under one sample"),
     ],
 )
 def test_out_of_range_setting_exits_2_naming_it(

@@ -130,6 +130,8 @@ def test_displacement_invalid_duration():
         displacement(make_profile(), duration=1e300)
     with pytest.raises(InvalidParameter, match="duration 60.0 s at fs 1e\\+300 Hz is too many"):
         displacement(make_profile(), fs=1e300)
+    with pytest.raises(InvalidParameter, match="duration 0.004 s at fs 100.0 Hz is under one"):
+        displacement(make_profile(), duration=0.004)
 
 
 def test_displacement_rejects_fs_below_twice_the_beat_rate():
@@ -496,6 +498,27 @@ def test_cube_mode_without_out_dir_rejected_at_call_time(tmp_path, monkeypatch):
     with pytest.raises(InvalidParameter, match="cube mode needs out_dir"):
         simulate_measurement(make_profile(), "d1am", 1, mode="cube")
     assert rendered == [] and threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cube_cohort_beyond_the_free_disk_space_raises_at_call_time(tmp_path, monkeypatch):
+    # 12 cube files of 200 chirps: one byte short fails before any record is rendered
+    calls, usage = [], shutil.disk_usage(tmp_path)
+    needed = 12 * 200 * CFG.n_virtual * CFG.n_fast * 8
+    monkeypatch.setattr(cohort, "simulate_measurement", lambda *args: calls.append(args))
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=needed - 1))
+    with pytest.raises(PipelineError, match=f"ds: 12 cube files need {needed} bytes, but its "
+                                            f"disk has {needed - 1} free$"):
+        generate_cohort(default_cohort(), Schedule(days=1, repetitions=1), duration=2.0,
+                        mode="cube", out_dir=tmp_path / "ds")
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["baseband", "cube"])
+def test_cohort_under_one_sample_raises_at_call_time(tmp_path, mode):
+    with pytest.raises(InvalidParameter, match="^duration 0.004 s at fs 100.0 Hz is under one "
+                                               "sample$"):
+        generate_cohort(default_cohort(), duration=0.004, mode=mode, out_dir=tmp_path / "ds")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import warnings
 
+import loop_reference
 import numpy as np
 import pytest
 from loop_reference import DataCube, render_cube
@@ -87,6 +88,15 @@ def test_range_profile_preserves_energy():
     e_in = np.sum(np.abs(values) ** 2, axis=2)
     e_out = np.sum(np.abs(prof) ** 2, axis=2)
     assert np.max(np.abs(e_in - e_out)) <= 1e-9 * np.max(e_in)
+
+
+@pytest.mark.parametrize("n_chirps", [1, 7, 64])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_range_profile_matches_scipy_fft(n_chirps, dtype):
+    rng = np.random.default_rng(n_chirps)
+    shape = (n_chirps, CFG.n_virtual, CFG.n_fast)
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+    assert np.array_equal(range_profile(values), loop_reference.range_profile(values))
 
 
 def test_cube_without_slow_time_sample_is_rejected_without_warning(tmp_path):
