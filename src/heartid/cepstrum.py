@@ -163,7 +163,7 @@ def _time_integral(spec: Spectrogram, work: StftWorkspace | None) -> np.ndarray:
     terms = (work.spectrum.view(np.float64)[:size] if fits else np.empty(size)).reshape(-1, n_bins)
     np.add(y[1:], y[:-1], out=terms)
     np.multiply(np.diff(spec.frame_times)[:, None], terms, out=terms)
-    terms /= 2.0
+    terms *= 0.5  # the bits of trapezoid's / 2.0, at half the cost
     return terms.sum(axis=0)
 
 

@@ -5,7 +5,9 @@ baseband, two CPUs are available and each series has at least
 ``_TWO_LANE_FRAMES`` STFT frames; otherwise it runs one at a time in the
 calling thread.  Each of two lanes owns one
 :class:`~heartid.signals.StftWorkspace`, allocated before the records start,
-and rows are written in record order either way.
+and rows are written in record order either way.  Cube records run one at a
+time, and the front end splits each across the lanes of one
+:class:`~heartid.radar.FrontEndWorkspace`, also allocated before they start.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal failure.
 Option precedence is flags > --config JSON file > built-in defaults; the
@@ -208,11 +210,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _record_series(args, manifest: dict, record: dict, base_id: str) -> list[ComplexSeries]:
+def _record_series(args, manifest: dict, record: dict, base_id: str,
+                   front: radar.FrontEndWorkspace | None) -> list[ComplexSeries]:
     """One record's slow-time series, one per segment.
 
-    A cube record's front end reads its file here, so a bad sample in it is
-    named for the record, as loading names a bad file, whichever segment holds it.
+    A cube record's front end reads its file here, into ``front``, so a bad
+    sample in it is named for the record, as loading names a bad file,
+    whichever segment holds it.
     """
     try:
         measurement = dataio.load_record(args.data, manifest, record)
@@ -220,10 +224,19 @@ def _record_series(args, manifest: dict, record: dict, base_id: str) -> list[Com
         raise PipelineError(f"sample {base_id}: {exc}") from exc
     pieces = [measurement] if args.segment is None else cohort.segment(measurement, args.segment)
     try:
-        return [radar.extract_slow_time(p.signal).series if p.is_cube else p.signal
+        return [radar.extract_slow_time(p.signal, front).series if p.is_cube else p.signal
                 for p in pieces]
     except PipelineError as exc:
         raise PipelineError(f"sample {base_id}: {exc}") from exc
+
+
+def _series_length(args, manifest: dict) -> int:
+    """Samples in the longest series that ``extract`` forms: a record's, or one segment's."""
+    fs, size_key = manifest["fs"], "n_slow" if manifest["mode"] == "cube" else "n_samples"
+    n = max(r[size_key] for r in manifest["records"])
+    if args.segment is not None:  # bounded first, so that no length overflows round()
+        n = round(max(0.0, min(n, args.segment * fs)))
+    return n
 
 
 def _workspaces(args, manifest: dict) -> list[signals.StftWorkspace | None]:
@@ -232,30 +245,46 @@ def _workspaces(args, manifest: dict) -> list[signals.StftWorkspace | None]:
     Baseband series of at least ``_TWO_LANE_FRAMES`` frames, read from the
     manifest's longest record, the segment length, the window and the hop,
     run on ``cohort.lanes()`` lanes; shorter ones, whose small arrays hand the
-    GIL back and forth, run on one.  So do cube records, whose front end holds
-    a 23-MB ``BeamformResult.profiles`` per 20-s cube.  One lane runs in the
-    calling thread, whose fresh arrays later commands reuse, so it holds no
-    workspace (``[None]``) that would add to the cube front end's peak.
+    GIL back and forth, run on one.  So do cube records, whose front end
+    splits each record across the lanes instead (:func:`_front_end`).  One
+    lane runs in the calling thread, whose fresh arrays later commands reuse,
+    so it holds no workspace (``[None]``) that would add to the cube front
+    end's peak.
     """
-    fs, cube = manifest["fs"], manifest["mode"] == "cube"
-    n = max(r["n_slow" if cube else "n_samples"] for r in manifest["records"])
-    if args.segment is not None:  # bounded first, so that no length overflows round()
-        n = round(max(0.0, min(n, args.segment * fs)))
-    frames, n_win = signals.stft_frames(n, fs, args.window, args.hop)
+    frames, n_win = signals.stft_frames(_series_length(args, manifest), manifest["fs"],
+                                        args.window, args.hop)
+    cube = manifest["mode"] == "cube"
     width = cohort.lanes() if not cube and frames >= _TWO_LANE_FRAMES else 1
     return [signals.StftWorkspace(frames * n_win) for _ in range(width)] if width > 1 else [None]
+
+
+def _front_end(args, manifest: dict) -> radar.FrontEndWorkspace | None:
+    """The cube front end's workspace on ``cohort.lanes()`` lanes, sized for the longest series.
+
+    Allocated once, in the calling thread, it keeps every record's or
+    segment's ``profiles`` in one array: a fresh one per short segment made
+    the allocator return and re-fault the heap.  A size entry beyond its
+    file fails at that record's load, so the largest file also bounds the
+    workspace.  Baseband datasets need none.
+    """
+    if manifest["mode"] != "cube":
+        return None
+    chirp_bytes = 8 * radar.RadarConfig.n_virtual * radar.RadarConfig.n_fast
+    files = (Path(args.data) / r["file"] for r in manifest["records"])
+    held = max((f.stat().st_size // chirp_bytes for f in files if f.is_file()), default=0)
+    return radar.FrontEndWorkspace(min(_series_length(args, manifest), held), cohort.lanes())
 
 
 def cmd_extract(args) -> int:
     manifest = dataio.load_manifest(args.data)
     cfg = cepstrum.MelBankConfig(n_filters=args.n_filters, f_ref=args.f_ref, f_prime=args.f_prime)
-    work = _workspaces(args, manifest)
+    work, front = _workspaces(args, manifest), _front_end(args, manifest)
 
     def record_rows(k: int, record: dict) -> list[dict]:
         # records k and k + len(work) never run at once (cohort.in_order), so they share a lane
         base_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
         rows = []
-        for seg_idx, series in enumerate(_record_series(args, manifest, record, base_id)):
+        for seg_idx, series in enumerate(_record_series(args, manifest, record, base_id, front)):
             try:
                 values = cepstrum.extract_features(
                     series, cfg, args.k_prime, args.kind,

@@ -77,11 +77,13 @@ class CubeFile:
     def slow_range(self, start: int, stop: int) -> CubeFile:
         return dataclasses.replace(self, start=self.start + start, n_slow=stop - start)
 
-    def blocks(self, size: int) -> Iterator[np.ndarray]:
+    def blocks(self, size: int, buf: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """The chirps in blocks of ``size``, each read on one open handle into one buffer.
 
-        A block is valid until the next is read: a fresh array per block made
-        the allocator return and re-fault its pages.  A block that comes up
+        The buffer is ``buf`` (complex64, at least a block) when given, so
+        that the caller's thread allocates it, or else a fresh one.  A block
+        is valid until the next is read: a fresh array per block made the
+        allocator return and re-fault its pages.  A block that comes up
         short (the file shrank after :func:`read_cube`) raises :class:`IoError`.
         A NaN or infinity raises :class:`NonFiniteSample` naming its (slow,
         element, fast) index in the file and how many of the whole file's
@@ -89,7 +91,8 @@ class CubeFile:
         """
         shape = (self.config.n_virtual, self.config.n_fast)
         chirp = math.prod(shape)
-        buf = np.empty(min(size, self.n_slow) * chirp, dtype="<c8")
+        if buf is None:
+            buf = np.empty(min(size, self.n_slow) * chirp, dtype="<c8")
         with open(self.path, "rb") as fh:
             fh.seek(8 * chirp * self.start)
             for s0 in range(self.start, self.start + self.n_slow, size):

@@ -102,7 +102,9 @@ class Spectrogram:
 
     ``values`` is indexed (frame, frequency bin).  ``freqs`` is either
     two-sided (centered on 0 Hz, for complex input) or one-sided
-    (0 ... fs/2, for real input).
+    (0 ... fs/2, for real input).  A spectrogram built here is checked:
+    its shape, its nonnegative magnitudes and its increasing frequencies;
+    ``stft_magnitude`` returns its own without the checks.
     """
 
     values: np.ndarray
@@ -132,6 +134,19 @@ class Spectrogram:
     @property
     def two_sided(self) -> bool:
         return bool(self.freqs[0] < 0)
+
+
+def _own_spectrogram(values: np.ndarray, freqs: np.ndarray,
+                     frame_times: np.ndarray) -> Spectrogram:
+    """The spectrogram of moduli ``values`` that this module formed on its own axes, unchecked.
+
+    Its float64 arrays hold every invariant by construction; re-checking
+    each magnitude, as ``Spectrogram`` does for one built from outside, took
+    a frames x bins pass and a mask per call.
+    """
+    spec = object.__new__(Spectrogram)
+    vars(spec).update(values=values, freqs=freqs, frame_times=frame_times)
+    return spec
 
 
 def second_derivative(a: np.ndarray, fs: float) -> np.ndarray:
@@ -266,4 +281,4 @@ def stft_magnitude(
     spec *= 1.0 / math.sqrt(n_win)
 
     frame_times = t0 + (n_hop * np.arange(n_frames) + 0.5 * n_win) / fs
-    return Spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)
+    return _own_spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)

@@ -61,7 +61,7 @@ class DataCube:
     def duration(self) -> float:
         return self.n_slow / self.config.fs_slow
 
-    def blocks(self, size):
+    def blocks(self, size, buf=None):  # the blocks are views: no buffer is read into
         return (self.values[s0:s0 + size] for s0 in range(0, self.n_slow, size))
 
     def slow_range(self, start, stop) -> DataCube:

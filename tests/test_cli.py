@@ -859,6 +859,20 @@ def test_extract_bad_record_size_exits_2(request, tmp_path, capsys, dataset, siz
     assert not out.exists()
 
 
+@pytest.mark.parametrize("segment", [[], SEGMENTS["2s"]], ids=["whole", "2s"])
+@pytest.mark.parametrize("n_slow", [10**30, 2**40])
+def test_extract_of_a_cube_entry_beyond_its_file_exits_2_naming_it(cube_dataset, tmp_path,
+                                                                   capsys, n_slow, segment):
+    # the front end's workspace is sized by the files too, so the record's load fails first
+    records = json.loads((cube_dataset / "manifest.json").read_text())["records"]
+    records[1]["n_slow"] = n_slow
+    bad = _relinked(cube_dataset, tmp_path / "bad", {"records": records})
+    capsys.readouterr()
+    assert main(["extract", "--data", str(bad), "--out", str(tmp_path / "f.csv"), *segment]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: sample p1_d1pm_r1: {bad / records[1]['file']}: 614400 samples, expected ")
+
+
 @pytest.mark.parametrize(
     "key,value",
     [

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import tracemalloc
 from itertools import chain
 
@@ -7,7 +8,7 @@ import loop_reference
 import numpy as np
 import pytest
 
-from heartid import cohort
+from heartid import cohort, radar
 from heartid.cohort import Schedule, default_cohort, generate_cohort
 from heartid.dataio import (
     FeatureTable,
@@ -22,7 +23,14 @@ from heartid.dataio import (
     write_iq,
 )
 from heartid.errors import IoError, ManifestError, NonFiniteSample
-from heartid.radar import _COV_BLOCK, RadarConfig, beamform, extract_slow_time
+from heartid.radar import (
+    _COV_BLOCK,
+    FrontEndWorkspace,
+    RadarConfig,
+    beamform,
+    extract_slow_time,
+    select_echo,
+)
 
 
 def test_iq_roundtrip_is_exact_at_float32(tmp_path):
@@ -60,6 +68,8 @@ def test_cube_roundtrip_and_axis_order(tmp_path):
     write_iq(path, values)  # C order: the bytes of a cube file
     back = read_cube(path, cfg, n_slow=3)
     assert np.array_equal(np.concatenate([b.copy() for b in back.blocks(2)]), values)
+    buf = np.empty(2 * cfg.n_virtual * cfg.n_fast, dtype="<c8")  # the caller's read buffer
+    assert all(b.base is buf for b in back.blocks(2, buf))
     # fastest-varying index is fast time: first 2 * n_fast floats are slow=0, elem=0
     raw = np.fromfile(path, dtype="<f4")
     n = 2 * cfg.n_fast
@@ -150,6 +160,91 @@ def test_cube_file_non_finite_sample_names_file_index_and_whole_count(tmp_path, 
         "non-finite sample at index (390, 5, 7) ((nan+1j)); 2 of 614400 are not finite")
 
 
+# --- the front end on two lanes, read from a file ----------------------------
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Runs a cube of any length on both lanes of a two-lane workspace."""
+    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
+    return lambda cube: beamform(cube, FrontEndWorkspace(cube.n_slow, 2))
+
+
+@pytest.mark.parametrize("start, stop", [(0, 400), (1, 330), (37, 400), (100, 229),
+                                         (333, 400)])
+def test_two_lane_streamed_front_end_same_bits_as_one_lane(tmp_path, two_lanes, start, stop):
+    path = _cube_file(tmp_path / "c.iq", 400, seed=start)
+    cube = read_cube(path, CFG, 400).slow_range(start, stop)
+    one, two = beamform(cube), two_lanes(cube)
+    assert np.array_equal(one.profiles, two.profiles) and np.array_equal(one.power, two.power)
+    a, b = select_echo(one), select_echo(two)
+    assert np.array_equal(a.series.samples, b.series.samples)
+    assert (a.angle_deg, a.range_m, a.power, a.low_snr) == (b.angle_deg, b.range_m, b.power,
+                                                            b.low_snr)
+
+
+def _one_and_two_lane_errors(cube, two_lanes):
+    """The errors of a one-lane and a two-lane pass over ``cube``; no thread is left running."""
+    running, errors = threading.active_count(), []
+    for run in (beamform, two_lanes):
+        with pytest.raises((IoError, NonFiniteSample)) as info:
+            run(cube)
+        assert threading.active_count() == running
+        errors.append(info.value)
+    return errors
+
+
+# the lanes split chirps 0-399 at chirp 256 and chirps 37-399 at chirp 229; chirp
+# 200 is in the first lane's last block, and chirp 10 is before the second range
+@pytest.mark.parametrize("chirps", [(200, 300, 399), (300, 399), (10, 300)])
+@pytest.mark.parametrize("start", [0, 37])
+def test_two_lane_non_finite_samples_raise_the_first_in_the_file(tmp_path, two_lanes, chirps,
+                                                                 start):
+    path = _cube_file(tmp_path / "c.iq", 400)
+    samples = read_iq(path).reshape(400, CFG.n_virtual, CFG.n_fast)
+    samples[list(chirps), 5, 7] = complex(np.nan, 1.0)
+    write_iq(path, samples)
+    one, two = _one_and_two_lane_errors(read_cube(path, CFG, 400).slow_range(start, 400),
+                                        two_lanes)
+    first = min(c for c in chirps if c >= start)
+    assert str(two) == str(one) == (f"non-finite sample at index ({first}, 5, 7) ((nan+1j)); "
+                                    f"{len(chirps)} of 614400 are not finite")
+
+
+# bytes left: inside the second lane's share, at its start, and inside the first lane's
+@pytest.mark.parametrize("chirps_left", [300.5, 256, 100.25])
+def test_two_lane_pass_over_a_shrunk_file_raises_the_one_lane_message(tmp_path, two_lanes,
+                                                                      chirps_left):
+    path = _cube_file(tmp_path / "c.iq", 400)
+    cube = read_cube(path, CFG, 400)  # the size is checked here
+    os.truncate(path, int(8 * CHIRP * chirps_left))
+    one, two = _one_and_two_lane_errors(cube, two_lanes)
+    assert str(two) == str(one)
+    assert "the file shrank after its size was checked" in str(one)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_front_end_peak_memory_is_its_profiles_plus_a_constant(tmp_path, monkeypatch, width):
+    # beside the workspace's profiles, each lane holds a 64-chirp read buffer, a
+    # 16-chirp FFT copy and 30 bins' covariance operands (1.9 MiB), and the power
+    # map steers the covariances (1.5 MiB), whatever the record's length
+    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
+    extra = {}
+    for n_slow in (500, 2000):
+        path = tmp_path / f"c{n_slow}.iq"
+        np.full(n_slow * CHIRP, 1.0 + 1.0j, dtype="<c8").tofile(path)
+        cube = read_cube(path, CFG, n_slow)
+        beamform(cube.slow_range(0, 2 * _COV_BLOCK), FrontEndWorkspace(2 * _COV_BLOCK, width))
+        tracemalloc.start()
+        try:
+            profiles = beamform(cube, FrontEndWorkspace(n_slow, width)).profiles
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra[n_slow] = peak - profiles.nbytes
+    assert abs(extra[2000] - extra[500]) <= 2**16
+    assert extra[2000] <= (width + 1) * 2 * 2**20
+
+
 def test_cube_front_end_peak_memory_is_its_result_plus_a_few_blocks(tmp_path):
     # a 20-s record: 24.6 MB of complex64 on disk; beamform keeps 23 MB of profiles
     n_slow = 2000
@@ -164,8 +259,8 @@ def test_cube_front_end_peak_memory_is_its_result_plus_a_few_blocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the block read, its complex128 FFT and two covariance operands: 4.6 MiB
-    # beside the profiles; the whole-cube read held the cube too, 49.2 MiB in all
+    # one lane's buffers and the power map's steered covariances: 3.5 MiB beside
+    # the profiles; the whole-cube read held the cube too, 49.2 MiB in all
     block_bytes = _COV_BLOCK * CHIRP * 8
     assert peak - profile_bytes <= 8 * block_bytes < cube_bytes / 3
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import threading
 import warnings
 
 import loop_reference
@@ -11,6 +12,7 @@ from scipy.signal import detrend
 
 from heartid.cohort import default_cohort, displacement
 from heartid.dataio import read_cube, write_iq
+from heartid import radar
 from heartid.errors import IoError
 from heartid.radar import (
     _COV_BLOCK,
@@ -18,6 +20,7 @@ from heartid.radar import (
     LOW_SNR_POWER,
     RANGE_WINDOW,
     BeamformResult,
+    FrontEndWorkspace,
     RadarConfig,
     beamform,
     extract_slow_time,
@@ -287,6 +290,93 @@ def test_front_end_same_as_whole_cube(make_cube, dtype):
     cube = DataCube(make_cube().values.astype(dtype), CFG)
     assert cube.values.dtype == dtype
     assert_same_as_whole_cube_front_end(cube)
+
+
+@pytest.fixture
+def lane_threads(monkeypatch):
+    """The threads that take range FFTs, recorded as the front end runs."""
+    threads, range_profile = set(), radar.range_profile
+
+    def spy(values, out=None):
+        threads.add(threading.get_ident())
+        return range_profile(values, out)
+
+    monkeypatch.setattr(radar, "range_profile", spy)
+    return threads
+
+
+@pytest.fixture
+def all_lanes(monkeypatch, lane_threads):
+    """Runs a record of any length on every lane of its workspace."""
+    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
+    return lane_threads
+
+
+def assert_two_lanes_same_as_one(cube, lane_threads):
+    """Two lanes give one lane's bits, each lane on its own thread; none is left running."""
+    running = threading.active_count()
+    results = {}
+    for width in (1, 2):
+        lane_threads.clear()
+        result = beamform(cube, FrontEndWorkspace(cube.n_slow, width))
+        blocks = -(-cube.n_slow // _COV_BLOCK)
+        assert len(lane_threads) == min(width, blocks)
+        assert threading.active_count() == running
+        results[width] = result, select_echo(result)
+    (one, a), (two, b) = results[1], results[2]
+    assert np.array_equal(one.profiles, two.profiles) and np.array_equal(one.power, two.power)
+    assert np.array_equal(a.series.samples, b.series.samples)
+    assert (a.angle_deg, a.range_m, a.power, a.low_snr) == (b.angle_deg, b.range_m, b.power,
+                                                            b.low_snr)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n_slow", [1, 63, 64, 65, 127, 129, 2000])
+def test_two_lane_front_end_same_bits_as_one_lane(all_lanes, n_slow, dtype):
+    cube = still_target_cube(1.5, angle_deg=-7.0, n_slow=n_slow, snr_db=10.0, seed=n_slow)
+    assert_two_lanes_same_as_one(DataCube(cube.values.astype(dtype), CFG), all_lanes)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("start, stop", [(1, 330), (37, 400), (100, 229), (333, 400)])
+def test_two_lane_front_end_of_a_slow_range_same_bits_as_one_lane(all_lanes, start, stop,
+                                                                   dtype):
+    # ranges that start off a block boundary: the lanes split the range's own blocks
+    cube = DataCube(_displacement_cube().values[:400].astype(dtype), CFG)
+    assert_two_lanes_same_as_one(cube.slow_range(start, stop), all_lanes)
+
+
+@pytest.mark.parametrize("make_cube", [*CUBES.values(), _noise_cube],
+                         ids=[*CUBES.keys(), "noise_only"])
+def test_two_lane_front_end_same_bits_as_one_lane_on_every_scene(all_lanes, make_cube):
+    assert_two_lanes_same_as_one(make_cube(), all_lanes)
+
+
+def test_short_records_stay_on_one_lane(lane_threads):
+    # below _TWO_LANE_BLOCKS blocks a record runs in the calling thread alone
+    n_slow = (radar._TWO_LANE_BLOCKS - 1) * _COV_BLOCK
+    for n, lanes in ((n_slow, 1), (n_slow + 1, 2)):
+        lane_threads.clear()
+        beamform(still_target_cube(1.5, n_slow=n), FrontEndWorkspace(n, 2))
+        assert len(lane_threads) == lanes
+
+
+def test_front_end_result_is_a_view_into_its_workspace():
+    # valid until the next beamform into the same workspace; a small workspace is not used
+    work = FrontEndWorkspace(200, 2)
+    first = beamform(still_target_cube(1.5, n_slow=130), work)
+    assert first.profiles.base is work.profiles and first.profiles.shape[0] == 130
+    kept = first.profiles.copy()
+    beamform(still_target_cube(2.5, n_slow=130), work)
+    assert not np.array_equal(first.profiles, kept)
+    assert beamform(still_target_cube(1.5, n_slow=201), work).profiles.base is not work.profiles
+
+
+def test_range_profile_into_a_buffer_same_bits_as_a_copy():
+    values = still_target_cube(1.5, snr_db=5.0, n_slow=16).values
+    out = np.empty(values.shape, dtype=np.complex128)
+    assert range_profile(values, out) is out
+    assert np.array_equal(out, range_profile(values))
 
 
 def test_front_end_keeps_the_fields_the_benchmark_tracer_reads():

@@ -124,6 +124,23 @@ def test_spectrogram_invariants():
         Spectrogram(np.ones((2, 3)), np.arange(4.0), np.arange(2.0))
 
 
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_stft_spectrogram_skips_only_its_own_re_check(is_complex):
+    # stft_magnitude's spectrogram is the one a checked build gives from the same
+    # arrays, while the same arrays built from outside, once broken, still raise
+    z = np.random.default_rng(3).standard_normal(700) * (1j if is_complex else 1.0)
+    spec = stft_magnitude(z, 100.0, 2.0, 0.1)
+    built = Spectrogram(spec.values, spec.freqs, spec.frame_times)
+    assert type(spec) is Spectrogram
+    assert all(getattr(spec, k) is getattr(built, k) for k in ("values", "freqs", "frame_times"))
+    for values, freqs, frame_times in [(-spec.values, spec.freqs, spec.frame_times),
+                                       (spec.values, spec.freqs[::-1], spec.frame_times),
+                                       (spec.values, spec.freqs, spec.frame_times[1:]),
+                                       (spec.values[0], spec.freqs, spec.frame_times)]:
+        with pytest.raises(ValueError):
+            Spectrogram(values, freqs, frame_times)
+
+
 # --- second derivative ------------------------------------------------------
 
 def test_second_derivative_of_quadratic_is_exact():
