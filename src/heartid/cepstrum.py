@@ -9,8 +9,11 @@ low-frequency mel-style triangular filter bank, built by ``build_mel_bank``
 for the series' sampling rate, applied separately to positive and negative
 frequencies, integrated incoherently over the whole measurement) and
 ``dct2``, truncated to the lowest-order coefficients; the branches' energies
-share one ``dct2`` call.  numpy's FFT runs the STFT, and each branch's
-spectrogram, with the time trapezoid's temporary, is written into a
+share one ``dct2`` call.  numpy is the only dependency: ``dct2`` is
+pocketfft's type-II transform (Makhoul's N-point real FFT) ported step for
+step onto numpy's inverse real FFT, so its bits equal ``scipy.fft.dct``'s.
+numpy's FFT also runs the STFT, and each branch's spectrogram, with the time
+trapezoid's temporary, is written into a
 :class:`~heartid.signals.StftWorkspace` that the caller owns and reuses
 across calls (``extract`` keeps one per lane when it runs two).  The complex
 branch yields the two-sided ``comp`` vector (2K' coefficients); the amplitude and
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidParameter, NonFiniteSample, PipelineError
 from .signals import (ComplexSeries, Spectrogram, StftWorkspace, phase_unwrapped,
@@ -193,13 +195,113 @@ def mel_energies(spec: Spectrogram, edges: np.ndarray,
     return energies[0], energies[1] if spec.two_sided else None
 
 
+# pocketfft's long double pi literal, at the platform's long double precision
+_PI = np.longdouble("3.141592653589793238462643383279502884197")
+
+
+def _root_of_unity(x: int, n: int, ang: float) -> tuple[float, float]:
+    """(cos, sin) of 2 pi x / n through an angle of at most pi / 4, as pocketfft forms it.
+
+    ``ang`` is pi / (4 n): the angle 8 x ``ang`` is mirrored into [0, pi), then
+    rotated back from the second quadrant, then taken from whichever of
+    cos and sin keeps it within the first octant.
+    """
+    x *= 8
+    lower = x >= 4 * n  # [pi, 2 pi): mirror the angle, negate the sine
+    if lower:
+        x = 8 * n - x
+    second = x >= 2 * n  # [pi / 2, pi): rotate by pi / 2
+    if second:
+        x -= 2 * n
+    if x < n:
+        c, s = math.cos(x * ang), math.sin(x * ang)
+    else:
+        c, s = math.sin((2 * n - x) * ang), math.cos((2 * n - x) * ang)
+    if second:
+        c, s = -s, c
+    return (c, -s) if lower else (c, s)
+
+
+@functools.lru_cache(maxsize=16)
+def _dct2_twiddles(n: int) -> tuple:
+    """(mirror, own, sign, middle): the twiddles of ``dct2``'s last step, read-only.
+
+    w[i] = cos(pi (i + 1) / (2 n)) for i < n, with the bits of pocketfft's
+    ``sincos_2pibyn(4 n)[i + 1]``: the product of a fine and a coarse root
+    from two short tables of :func:`_root_of_unity`, on a long double angle
+    rounded to double.  ``cos`` itself misses those bits already at n = 1.
+
+    The arrays run along the spectrum's tail y[1:].  At y[k] below the
+    middle, ``mirror`` = w[k - 1] multiplies y[n - k] and ``own`` =
+    w[n - k - 1] multiplies y[k]: their sum is pocketfft's t1.  At y[n - k]
+    above it, the same twiddles, ``own`` negated, form t2.  ``sign`` is +1
+    below and -1 above.  Even n's middle y[n/2] is scaled by ``middle`` =
+    w[n/2 - 1] alone; its slot in the three arrays holds 0.
+    """
+    quad = 4 * n
+    ang = float(np.longdouble(0.25) * _PI / quad)
+    nval, shift = (quad + 2) // 2, 1
+    while (1 << shift) ** 2 < nval:
+        shift += 1
+    fine = np.array([(1.0, 0.0)] + [_root_of_unity(i, quad, ang) for i in range(1, 1 << shift)])
+    coarse = np.array([(1.0, 0.0)] + [_root_of_unity(i << shift, quad, ang)
+                                      for i in range(1, (n >> shift) + 1)])
+    i = np.arange(1, n + 1)
+    f, c = fine[i & ((1 << shift) - 1)], coarse[i >> shift]
+    w = f[:, 0] * c[:, 0] - f[:, 1] * c[:, 1]
+    pairs = (n - 1) // 2
+    below, above = w[:pairs], w[n - 1 - pairs:n - 1][::-1]
+    pad = [0.0] if n % 2 == 0 else []
+    out = (np.concatenate([below, pad, below[::-1]]),
+           np.concatenate([above, pad, -above[::-1]]),
+           np.concatenate([np.ones(pairs), pad, -np.ones(pairs)]))
+    for a in out:
+        a.flags.writeable = False
+    return *out, w[n // 2 - 1]
+
+
 def dct2(m) -> np.ndarray:
-    """Unnormalized DCT-II along the last axis: C_k = sum_n m_n cos(pi k (n + 1/2) / N)."""
+    """Unnormalized DCT-II along the last axis: C_k = sum_n m_n cos(pi k (n + 1/2) / N).
+
+    Makhoul's N-point-FFT algorithm, step for step as pocketfft's type-II
+    transform runs it, so the bits equal ``scipy.fft.dct(m, type=2) / 2``:
+    double m_0 (and m_{N-1} for even N), replace each pair (m_k, m_{k+1}),
+    k odd, by (m_k + m_{k+1}, m_{k+1} - m_k), read the result as a
+    half-complex spectrum, take numpy's (pocketfft's) unscaled inverse real
+    FFT y, and untwist each pair k < N - k with w = :func:`_dct2_twiddles`:
+    t1 = w[k-1] y[N-k] + w[N-k-1] y[k], t2 = w[k-1] y[k] - w[N-k-1] y[N-k],
+    y[k] = (t1 + t2) / 2 and y[N-k] = (t1 - t2) / 2; even N's y[N/2] is
+    scaled by w[N/2 - 1].  The last step halves everything.
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         raise PipelineError("DCT input must be nonempty")
-    # scipy's unnormalized type-II transform is exactly twice this convention.
-    return scipy.fft.dct(m, type=2, norm=None, axis=-1) / 2.0
+    n = m.shape[-1]
+    pairs = (n - 1) // 2
+    # the twisted input as half-complex: [2 m_0, 0, m_1 + m_2, m_2 - m_1, ..., (2 m_{N-1}, 0)]
+    packed = np.zeros(m.shape[:-1] + (2 * (n // 2 + 1),))
+    if n % 2:
+        np.multiply(m[..., 0], 2.0, out=packed[..., 0])
+    else:
+        np.multiply(m[..., ::n - 1], 2.0, out=packed[..., ::n])
+    odd, even = m[..., 1:2 * pairs:2], m[..., 2:2 * pairs + 1:2]
+    np.add(odd, even, out=packed[..., 2:2 * pairs + 2:2])
+    np.subtract(even, odd, out=packed[..., 3:2 * pairs + 3:2])
+    y = np.fft.irfft(packed.view(np.complex128), n=n, norm="forward")
+    mirror, own, sign, middle = _dct2_twiddles(n)
+    tail = y[..., 1:]
+    # t1 below the middle, t2 above it; then t1 + t2 below and t1 - t2 above
+    t = mirror * tail[..., ::-1]
+    t += own * tail
+    pair = t * sign
+    pair += t[..., ::-1]
+    if n % 2 == 0:
+        lone = y[..., n // 2] * middle
+    np.multiply(pair, 0.5, out=tail)
+    if n % 2 == 0:
+        y[..., n // 2] = lone
+    y *= 0.5
+    return y
 
 
 @functools.lru_cache(maxsize=8)

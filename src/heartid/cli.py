@@ -231,25 +231,33 @@ def _record_series(args, manifest: dict, record: dict, base_id: str,
 
 
 def _series_length(args, manifest: dict) -> int:
-    """Samples in the longest series that ``extract`` forms: a record's, or one segment's."""
-    fs, size_key = manifest["fs"], "n_slow" if manifest["mode"] == "cube" else "n_samples"
-    n = max(r[size_key] for r in manifest["records"])
+    """Samples in the longest series that ``extract`` forms: a record's, or one segment's.
+
+    A size entry beyond its file fails at that record's load, so the largest
+    record file also bounds the length: 8 bytes (one complex64) per sample of
+    a baseband record, per virtual channel and fast-time sample of a cube's.
+    """
+    cube = manifest["mode"] == "cube"
+    sample_bytes = 8 * (radar.RadarConfig.n_virtual * radar.RadarConfig.n_fast if cube else 1)
+    files = (Path(args.data) / r["file"] for r in manifest["records"])
+    held = max((f.stat().st_size // sample_bytes for f in files if f.is_file()), default=0)
+    n = min(max(r["n_slow" if cube else "n_samples"] for r in manifest["records"]), held)
     if args.segment is not None:  # bounded first, so that no length overflows round()
-        n = round(max(0.0, min(n, args.segment * fs)))
+        n = round(max(0.0, min(n, args.segment * manifest["fs"])))
     return n
 
 
 def _workspaces(args, manifest: dict) -> list[signals.StftWorkspace | None]:
     """One STFT workspace per lane of ``extract``, allocated in the calling thread.
 
-    Baseband series of at least ``_TWO_LANE_FRAMES`` frames, read from the
-    manifest's longest record, the segment length, the window and the hop,
-    run on ``cohort.lanes()`` lanes; shorter ones, whose small arrays hand the
-    GIL back and forth, run on one.  So do cube records, whose front end
-    splits each record across the lanes instead (:func:`_front_end`).  One
-    lane runs in the calling thread, whose fresh arrays later commands reuse,
-    so it holds no workspace (``[None]``) that would add to the cube front
-    end's peak.
+    Baseband series of at least ``_TWO_LANE_FRAMES`` frames, read from
+    :func:`_series_length`, the window and the hop, run on
+    ``cohort.lanes()`` lanes; shorter ones, whose small arrays hand the GIL
+    back and forth, run on one.  So do cube records, whose front end splits
+    each record across the lanes instead (:func:`_front_end`).  One lane runs
+    in the calling thread, whose fresh arrays later commands reuse, so it
+    holds no workspace (``[None]``) that would add to the cube front end's
+    peak.
     """
     frames, n_win = signals.stft_frames(_series_length(args, manifest), manifest["fs"],
                                         args.window, args.hop)
@@ -259,20 +267,15 @@ def _workspaces(args, manifest: dict) -> list[signals.StftWorkspace | None]:
 
 
 def _front_end(args, manifest: dict) -> radar.FrontEndWorkspace | None:
-    """The cube front end's workspace on ``cohort.lanes()`` lanes, sized for the longest series.
+    """The cube front end's workspace on ``cohort.lanes()`` lanes, sized by :func:`_series_length`.
 
     Allocated once, in the calling thread, it keeps every record's or
     segment's ``profiles`` in one array: a fresh one per short segment made
-    the allocator return and re-fault the heap.  A size entry beyond its
-    file fails at that record's load, so the largest file also bounds the
-    workspace.  Baseband datasets need none.
+    the allocator return and re-fault the heap.  Baseband datasets need none.
     """
     if manifest["mode"] != "cube":
         return None
-    chirp_bytes = 8 * radar.RadarConfig.n_virtual * radar.RadarConfig.n_fast
-    files = (Path(args.data) / r["file"] for r in manifest["records"])
-    held = max((f.stat().st_size // chirp_bytes for f in files if f.is_file()), default=0)
-    return radar.FrontEndWorkspace(min(_series_length(args, manifest), held), cohort.lanes())
+    return radar.FrontEndWorkspace(_series_length(args, manifest), cohort.lanes())
 
 
 def cmd_extract(args) -> int:

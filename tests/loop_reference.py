@@ -8,7 +8,8 @@ formula, Student-t kernel and KL included).  The STFT on ``scipy.fft`` with a
 shifted copy of its modulus, and the time integral as ``np.trapezoid``, are
 the paths that the workspace-writing ones in ``signals`` and ``cepstrum``
 replaced; the range FFT on ``scipy.fft`` is the one that numpy's replaced in
-``radar``.
+``radar``, and the DCT-II on ``scipy.fft`` the one that ``cepstrum.dct2``'s
+numpy port of the same algorithm replaced.
 
 A cube record exists in the program only as its file.  Tests that need a whole
 cube in memory take a :class:`DataCube` from here: ``read_cube`` is the
@@ -33,7 +34,7 @@ from heartid.embedding import (
     MACHINE_EPS,
     PERPLEXITY_TOL,
 )
-from heartid.errors import IoError
+from heartid.errors import IoError, PipelineError
 from heartid.radar import C_LIGHT, RadarConfig
 from heartid.signals import Spectrogram, check_finite, stft_freqs
 
@@ -135,6 +136,15 @@ def range_profile(values) -> np.ndarray:
     profiles = scipy.fft.fft(np.array(values, dtype=np.complex128), axis=2, overwrite_x=True)
     profiles.view(np.float64)[...] *= 1.0 / np.sqrt(RadarConfig.n_fast)
     return profiles
+
+
+def dct2(m) -> np.ndarray:
+    """``cepstrum.dct2`` on ``scipy.fft``: its type-II transform, halved."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.size == 0:
+        raise PipelineError("DCT input must be nonempty")
+    # scipy's unnormalized type-II transform is exactly twice this convention.
+    return scipy.fft.dct(m, type=2, norm=None, axis=-1) / 2.0
 
 
 def time_integral(spec) -> np.ndarray:

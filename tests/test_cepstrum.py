@@ -294,6 +294,18 @@ def test_dct2_empty_input():
         dct2(np.array([]))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e8, 1e300])
+def test_dct2_same_bits_as_scipy_reference(scale):
+    rng = np.random.default_rng(11)
+    # every length up to 300; primes and 4097 = 17 x 241 go through Bluestein's FFT
+    for n in [*range(1, 301), 509, 512, 1000, 1021, 1024, 2003, 4096, 4097]:
+        for shape in ((n,), (4, n), (7, n), (2, 3, n)):
+            m = rng.standard_normal(shape) * scale
+            assert np.array_equal(dct2(m), loop_reference.dct2(m)), (n, shape)
+        m = rng.standard_normal((n, 5)).T * scale  # rows that are not contiguous
+        assert np.array_equal(dct2(m), loop_reference.dct2(m)), (n, "strided")
+
+
 @pytest.mark.parametrize("rows", range(2, 8))
 def test_dct2_of_stacked_rows_same_bits_as_row_by_row(rows):
     rng = np.random.default_rng(rows)
