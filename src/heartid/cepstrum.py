@@ -4,7 +4,7 @@
 :class:`~heartid.signals.ComplexSeries` and passes plain arrays between the
 blocks.  Each branch it runs is one chain of public blocks:
 ``signals.second_derivative`` of the complex samples, of their modulus or of
-their unwrapped phase, ``signals.stft_magnitude``, ``mel_energies`` (a
+their unwrapped phase, ``signals.stft_magnitude`` (three arrays), ``mel_energies`` (a
 low-frequency mel-style triangular filter bank, built by ``build_mel_bank``
 for the series' sampling rate, applied separately to positive and negative
 frequencies, integrated incoherently over the whole measurement) and
@@ -12,8 +12,8 @@ frequencies, integrated incoherently over the whole measurement) and
 share one ``dct2`` call.  numpy is the only dependency: ``dct2`` is
 pocketfft's type-II transform (Makhoul's N-point real FFT) ported step for
 step onto numpy's inverse real FFT, so its bits equal ``scipy.fft.dct``'s.
-numpy's FFT also runs the STFT, and each branch's spectrogram, with the time
-trapezoid's temporary, is written into a
+numpy's FFT also runs the STFT, and each branch's magnitudes, with the time
+trapezoid's temporary, are written into a
 :class:`~heartid.signals.StftWorkspace` that the caller owns and reuses
 across calls (``extract`` keeps one per lane when it runs two).  The complex
 branch yields the two-sided ``comp`` vector (2K' coefficients); the amplitude and
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NonFiniteSample, PipelineError
-from .signals import (ComplexSeries, Spectrogram, StftWorkspace, phase_unwrapped,
-                      second_derivative, stft_magnitude)
+from .signals import (ComplexSeries, StftWorkspace, phase_unwrapped, second_derivative,
+                      stft_magnitude)
 
 FEATURE_KINDS = ("amp", "ph", "comp", "prop")
 
@@ -112,6 +112,8 @@ def bank_response_matrix(edges: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def _check_axis(freqs: np.ndarray, nyq: float) -> None:
+    if not (np.diff(freqs) > 0).all():  # a NaN bin fails this, and passes a test for a fall
+        raise PipelineError("frequency axis must be strictly increasing")
     if freqs.max() > nyq * (1 + 1e-9) or freqs.min() < -nyq * (1 + 1e-9):
         raise PipelineError(
             f"frequency axis [{freqs.min():g}, {freqs.max():g}] exceeds the "
@@ -126,23 +128,23 @@ def _check_axis(freqs: np.ndarray, nyq: float) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _spectral_sides(edges: bytes, freqs: bytes, two_sided: bool) -> tuple:
+def _spectral_sides(edges: bytes, freqs: bytes) -> tuple:
     """(mask, grid, filter responses) of each spectral side, positive first.
 
     Keyed by the bytes of the bank edges and of the frequency axis, so each
-    axis is checked against its bank and its responses are built once.  For
-    a two-sided axis the filters are applied to the negative half through
-    H_ell(-f).  An even-length DFT axis carries -fs/2 without a +fs/2
-    mirror, so the negative side is restricted to the exact mirror of the
-    positive grid: conjugate-symmetric input then yields identical energies
-    on both sides.
+    axis is checked against its bank and its responses are built once.  An
+    axis that starts below 0 Hz is two-sided: the filters are applied to its
+    negative half through H_ell(-f).  An even-length DFT axis carries -fs/2
+    without a +fs/2 mirror, so the negative side is restricted to the exact
+    mirror of the positive grid: conjugate-symmetric input then yields
+    identical energies on both sides.
     """
     edges = np.frombuffer(edges)
     freqs = np.frombuffer(freqs)
     _check_axis(freqs, float(edges[-1]))
     pos_mask = freqs >= 0
     sides = [(pos_mask, freqs[pos_mask], bank_response_matrix(edges, freqs[pos_mask]))]
-    if two_sided:
+    if freqs[0] < 0:
         neg_mask = (freqs <= 0) & (freqs >= -freqs.max())
         sides.append(
             (neg_mask, freqs[neg_mask], bank_response_matrix(edges, -freqs[neg_mask]))
@@ -150,29 +152,36 @@ def _spectral_sides(edges: bytes, freqs: bytes, two_sided: bool) -> tuple:
     return tuple(sides)
 
 
-def _time_integral(spec: Spectrogram, work: StftWorkspace | None) -> np.ndarray:
+def _time_integral(values: np.ndarray, frame_times: np.ndarray,
+                   work: StftWorkspace | None) -> np.ndarray:
     """Trapezoid of each frequency bin over frame time; one frame gives zeros.
 
     ``np.trapezoid(values, frame_times, axis=0)``'s operations, in its order,
     with its (frames - 1, bins) temporary formed in place: in ``work.spectrum``
     when that holds it, else in one fresh array.
     """
-    y, n_bins = spec.values, spec.freqs.size
-    if spec.n_frames < 2:
+    n_frames, n_bins = values.shape
+    if n_frames < 2:
         return np.zeros(n_bins)
-    size = (spec.n_frames - 1) * n_bins
+    dt = np.diff(frame_times)
+    if not (dt > 0).all():  # a NaN time fails this too, rather than give NaN energies
+        raise PipelineError("frame times must be strictly increasing")
+    size = (n_frames - 1) * n_bins
     fits = work is not None and 2 * work.spectrum.size >= size
     terms = (work.spectrum.view(np.float64)[:size] if fits else np.empty(size)).reshape(-1, n_bins)
-    np.add(y[1:], y[:-1], out=terms)
-    np.multiply(np.diff(spec.frame_times)[:, None], terms, out=terms)
+    np.add(values[1:], values[:-1], out=terms)
+    np.multiply(dt[:, None], terms, out=terms)
     terms *= 0.5  # the bits of trapezoid's / 2.0, at half the cost
     return terms.sum(axis=0)
 
 
-def mel_energies(spec: Spectrogram, edges: np.ndarray,
+def mel_energies(values: np.ndarray, freqs: np.ndarray, frame_times: np.ndarray,
+                 edges: np.ndarray,
                  work: StftWorkspace | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Integrate the spectrogram against each filter of the bank ``edges``.
+    """Integrate a spectrogram against each filter of the bank ``edges``.
 
+    The spectrogram is ``stft_magnitude``'s triple: ``values`` (frame, bin) on
+    the axes ``freqs`` and ``frame_times``, which must rise strictly.
     ``edges`` are f_0 ... f_{L+1} as :func:`build_mel_bank` returns them.
     Both integrals use the trapezoidal rule on the discrete STFT grid, time
     first (trapezoid is linear, so the order is immaterial).  For a two-sided
@@ -185,14 +194,17 @@ def mel_energies(spec: Spectrogram, edges: np.ndarray,
 
     The axis check and the filter responses are cached per bank and
     frequency axis, so only the first spectrogram on an axis pays for them.
-    The time trapezoid's temporary goes into ``work``, as the spectrogram's
-    arrays did (see :class:`~heartid.signals.StftWorkspace`).
+    The time trapezoid's temporary goes into ``work``, as the magnitudes did
+    (see :class:`~heartid.signals.StftWorkspace`).
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    sides = _spectral_sides(edges.tobytes(), spec.freqs.tobytes(), spec.two_sided)
-    integral = _time_integral(spec, work)
+    values, freqs, frame_times, edges = (np.asarray(a, dtype=np.float64)
+                                         for a in (values, freqs, frame_times, edges))
+    if values.shape != (frame_times.size, freqs.size):
+        raise PipelineError(f"spectrogram of shape {values.shape} does not match its axes")
+    sides = _spectral_sides(edges.tobytes(), freqs.tobytes())
+    integral = _time_integral(values, frame_times, work)
     energies = [np.trapezoid(h * integral[mask], grid, axis=1) for mask, grid, h in sides]
-    return energies[0], energies[1] if spec.two_sided else None
+    return energies[0], energies[1] if len(energies) == 2 else None
 
 
 # pocketfft's long double pi literal, at the platform's long double precision
@@ -353,7 +365,7 @@ def extract_features(
         for branch in ("amp", "ph", "comp") if kind == "prop" else (kind,):
             # frame times: comp's start at its derivative's first sample, amp's and ph's at 0
             t0 = s.t0 + 1.0 / s.fs if branch == "comp" else 0.0
-            positive, negative = mel_energies(stft_magnitude(second_derivative(
+            positive, negative = mel_energies(*stft_magnitude(second_derivative(
                 s.samples if branch == "comp"
                 else np.abs(s.samples) if branch == "amp" else phase_unwrapped(s.samples),
                 s.fs), s.fs, window_len, hop, t0, work), edges, work)

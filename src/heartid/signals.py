@@ -1,15 +1,15 @@
 """The slow-time series type and the blocks shared by every feature branch.
 
 Slow-time radar returns enter as :class:`ComplexSeries`, which checks them:
-a nonempty 1-D array of finite samples at a rate whose square is finite.
-The blocks past that boundary take and return plain arrays with the rate
-passed alongside: the unwrapped phase, the central-difference second
-derivative, and a rectangular-window STFT whose magnitude feeds the
-filter-bank stage.  Complex input gives a two-sided spectrum, real input
-(the amplitude |s| or the phase) a one-sided one.  numpy's FFT runs the
-STFT.  Its transform and modulus go into a :class:`StftWorkspace` that the
-caller owns and reuses across calls (``extract`` keeps one per lane when it
-runs two), or into fresh arrays without one.
+a nonempty 1-D array of finite samples at a rate whose square is finite,
+from a finite start time.  The blocks past that boundary take and return
+plain arrays with the rate passed alongside: the unwrapped phase, the
+central-difference second derivative, and a rectangular-window STFT whose
+magnitudes, frequency axis and frame times feed the filter-bank stage.
+Complex input gives a two-sided spectrum, real input (the amplitude |s| or
+the phase) a one-sided one.  numpy's FFT runs the STFT, into a
+:class:`StftWorkspace` that the caller owns and reuses across calls
+(``extract`` keeps one per lane when it runs two) or into fresh arrays.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class ComplexSeries:
 
     Every sample must be finite: a NaN or infinity raises
     :class:`NonFiniteSample` naming its index, rather than turning into NaN
-    features downstream.
+    features downstream.  So must ``t0``, the time of the first sample.
     """
 
     samples: np.ndarray
@@ -85,6 +85,9 @@ class ComplexSeries:
         if not (0 < self.fs < math.inf and self.fs * self.fs < math.inf):
             raise InvalidParameter(
                 f"sampling rate must be positive with a finite square, got {self.fs}")
+        # frame times count from t0: where a sample step rounds away, they all coincide
+        if not (math.isfinite(self.t0) and self.t0 + 1.0 / self.fs != self.t0):
+            raise InvalidParameter(f"t0 must be finite and move by 1/fs, got {self.t0}")
         check_finite(samples)
         object.__setattr__(self, "samples", samples)
 
@@ -94,59 +97,6 @@ class ComplexSeries:
     @property
     def duration(self) -> float:
         return self.samples.size / self.fs
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Magnitude STFT on a rectangular grid.
-
-    ``values`` is indexed (frame, frequency bin).  ``freqs`` is either
-    two-sided (centered on 0 Hz, for complex input) or one-sided
-    (0 ... fs/2, for real input).  A spectrogram built here is checked:
-    its shape, its nonnegative magnitudes and its increasing frequencies;
-    ``stft_magnitude`` returns its own without the checks.
-    """
-
-    values: np.ndarray
-    freqs: np.ndarray
-    frame_times: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        freqs = np.asarray(self.freqs, dtype=np.float64)
-        frame_times = np.asarray(self.frame_times, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("values must be 2-D (frame, freq)")
-        if values.shape != (frame_times.size, freqs.size):
-            raise ValueError("values shape inconsistent with axes")
-        if np.any(values < 0):
-            raise ValueError("magnitudes must be nonnegative")
-        if freqs.size > 1 and (freqs[1:] <= freqs[:-1]).any():
-            raise ValueError("frequency axis must be strictly increasing")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "frame_times", frame_times)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def two_sided(self) -> bool:
-        return bool(self.freqs[0] < 0)
-
-
-def _own_spectrogram(values: np.ndarray, freqs: np.ndarray,
-                     frame_times: np.ndarray) -> Spectrogram:
-    """The spectrogram of moduli ``values`` that this module formed on its own axes, unchecked.
-
-    Its float64 arrays hold every invariant by construction; re-checking
-    each magnitude, as ``Spectrogram`` does for one built from outside, took
-    a frames x bins pass and a mask per call.
-    """
-    spec = object.__new__(Spectrogram)
-    vars(spec).update(values=values, freqs=freqs, frame_times=frame_times)
-    return spec
 
 
 def second_derivative(a: np.ndarray, fs: float) -> np.ndarray:
@@ -223,14 +173,14 @@ def stft_frames(n: int, fs: float, window_len: float, hop: float) -> tuple[int, 
 
 
 class StftWorkspace:
-    """Buffers that ``stft_magnitude`` and ``mel_energies`` write a spectrogram's arrays into.
+    """Buffers that ``stft_magnitude`` and ``mel_energies`` write a spectrogram into.
 
-    ``spectrum`` takes the DFT of every frame and ``modulus`` its magnitude,
-    which is the spectrogram's ``values``; ``mel_energies`` then forms its time
+    ``spectrum`` takes the DFT of every frame and ``modulus`` the magnitudes
+    that ``stft_magnitude`` returns; ``mel_energies`` then forms its time
     trapezoid in ``spectrum``, whose transform is dead by then.  A workspace of
     ``size`` holds any spectrogram of up to ``size`` frames x bins (``stft_frames``'
     frames times window samples); for a larger one the call takes fresh arrays.
-    The caller owns it: a spectrogram written into it is valid until the next
+    The caller owns it: magnitudes written into it are valid until the next
     call that writes into it, so one workspace serves one thread at a time.
     Kept across calls, it also keeps a worker thread from growing its own
     allocator arena with fresh arrays that later commands cannot reuse.
@@ -244,9 +194,11 @@ class StftWorkspace:
 def stft_magnitude(
     a: np.ndarray, fs: float, window_len: float, hop: float, t0: float = 0.0,
     work: StftWorkspace | None = None,
-) -> Spectrogram:
-    """Magnitude STFT with a rectangular window and no zero padding.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Magnitude STFT with a rectangular window and no zero padding, as arrays.
 
+    Returns ``(magnitudes, freqs, frame_times)``: (frame, frequency bin)
+    magnitudes on the increasing axis :func:`stft_freqs` and the frame times.
     Frames start at the beginning of the signal and must lie fully inside it,
     giving floor((duration - window_len)/hop) + 1 frames.  The DFT is scaled
     by 1/sqrt(N) so the summed squared magnitudes of a frame's spectrum equal
@@ -281,4 +233,4 @@ def stft_magnitude(
     spec *= 1.0 / math.sqrt(n_win)
 
     frame_times = t0 + (n_hop * np.arange(n_frames) + 0.5 * n_win) / fs
-    return _own_spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)
+    return spec, stft_freqs(fs, window_len, two_sided), frame_times

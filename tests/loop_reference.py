@@ -36,7 +36,7 @@ from heartid.embedding import (
 )
 from heartid.errors import IoError, PipelineError
 from heartid.radar import C_LIGHT, RadarConfig
-from heartid.signals import Spectrogram, check_finite, stft_freqs
+from heartid.signals import check_finite, stft_freqs
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,11 @@ def render_cube(d, cfg, *args, **kwargs) -> DataCube:
     return DataCube(unblocked_cube(d, cfg, *args, **kwargs).astype(np.complex64), cfg)
 
 
-def stft_magnitude(a, fs, window_len, hop, t0=0.0) -> Spectrogram:
-    """``signals.stft_magnitude`` on ``scipy.fft``, its modulus and shift in fresh arrays."""
+def stft_magnitude(a, fs, window_len, hop, t0=0.0) -> tuple:
+    """``signals.stft_magnitude`` on ``scipy.fft``, its modulus and shift in fresh arrays.
+
+    The same triple: (magnitudes, frequency axis, frame times).
+    """
     n_win = int(round(window_len * fs))
     n_hop = min(int(round(hop * fs)), a.size)
     frames = sliding_window_view(a, n_win)[::n_hop]
@@ -128,7 +131,7 @@ def stft_magnitude(a, fs, window_len, hop, t0=0.0) -> Spectrogram:
     if two_sided:
         spec = np.fft.fftshift(spec, axes=1)
     frame_times = t0 + (n_hop * np.arange(frames.shape[0]) + 0.5 * n_win) / fs
-    return Spectrogram(spec, stft_freqs(fs, window_len, two_sided), frame_times)
+    return spec, stft_freqs(fs, window_len, two_sided), frame_times
 
 
 def range_profile(values) -> np.ndarray:
@@ -147,11 +150,11 @@ def dct2(m) -> np.ndarray:
     return scipy.fft.dct(m, type=2, norm=None, axis=-1) / 2.0
 
 
-def time_integral(spec) -> np.ndarray:
+def time_integral(values, frame_times) -> np.ndarray:
     """``cepstrum._time_integral`` as ``np.trapezoid`` over frame time; one frame gives zeros."""
-    if spec.n_frames > 1:
-        return np.trapezoid(spec.values, spec.frame_times, axis=0)
-    return np.zeros(spec.freqs.size)
+    if values.shape[0] > 1:
+        return np.trapezoid(values, frame_times, axis=0)
+    return np.zeros(values.shape[1])
 
 
 def displacement(profile, duration, fs, seed=0, rate_scale=1.0) -> np.ndarray:

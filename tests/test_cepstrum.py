@@ -20,7 +20,6 @@ from heartid.cepstrum import (
 from heartid.errors import InvalidParameter, PipelineError
 from heartid.signals import (
     ComplexSeries,
-    Spectrogram,
     StftWorkspace,
     phase_unwrapped,
     second_derivative,
@@ -138,12 +137,12 @@ def test_filter_response_unit_area():
 
 def test_mel_energies_zero_spectrogram():
     bank = build_mel_bank(MelBankConfig(), 100.0)
-    spec = Spectrogram(
+    positive, negative = mel_energies(
         np.zeros((10, 51)),
         np.linspace(0, 50, 51),
         np.linspace(0, 9, 10),
+        bank,
     )
-    positive, negative = mel_energies(spec, bank)
     assert np.all(positive == 0.0)
     assert negative is None
 
@@ -154,10 +153,7 @@ def test_mel_energies_unit_spectrogram_gives_duration():
     bank = build_mel_bank(MelBankConfig(), 100.0)
     t0 = 10.0
     freqs = np.linspace(0, 50, 8001)
-    spec = Spectrogram(
-        np.ones((21, freqs.size)), freqs, np.linspace(0, t0, 21)
-    )
-    positive, _ = mel_energies(spec, bank)
+    positive, _ = mel_energies(np.ones((21, freqs.size)), freqs, np.linspace(0, t0, 21), bank)
     assert np.max(np.abs(positive - t0)) <= 1e-3 * t0
 
 
@@ -201,12 +197,12 @@ def test_mel_energies_match_brute_force_quadrature():
     frame_times = np.linspace(0.0, duration, 81)
     freqs = np.linspace(-50.0, 50.0, 8001)
     bumps = [(1.0, 3.0, 0.8), (0.5, 12.0, 2.0), (0.25, -7.0, 1.5)]
-    spec = Spectrogram(
+    positive, negative = mel_energies(
         _smooth_spectrogram(freqs, frame_times, bumps),
         freqs,
         frame_times,
+        bank,
     )
-    positive, negative = mel_energies(spec, bank)
     pos_oracle = _riemann_oracle(bank, duration, bumps, 0.0, 50.0, 40001, 801)
     neg_oracle = _riemann_oracle(bank, duration, bumps, -50.0, 0.0, 40001, 801)
     scale = max(pos_oracle.max(), neg_oracle.max())
@@ -224,7 +220,7 @@ def test_mel_energies_tone_concentrates_on_positive_side():
     t = np.arange(1000) / fs
     spec = stft_magnitude(np.exp(2j * np.pi * 3.0 * t), fs, 2.0, 0.1)
     bank = build_mel_bank(MelBankConfig(), 100.0)
-    positive, negative = mel_energies(spec, bank)
+    positive, negative = mel_energies(*spec, bank)
     assert positive.max() > 0
     assert negative.max() <= 1e-9 * positive.max()
     # energy sits in the filters whose support covers 3 Hz
@@ -242,19 +238,49 @@ def test_mel_energies_real_signal_two_sided_symmetry():
     fs = 100.0
     x = rng.standard_normal(2000)  # real signal seen as complex
     spec = stft_magnitude(x + 0j, fs, 2.0, 0.1)
-    positive, negative = mel_energies(spec, build_mel_bank(MelBankConfig(), fs))
+    positive, negative = mel_energies(*spec, build_mel_bank(MelBankConfig(), fs))
     scale = positive.max()
     assert np.max(np.abs(positive - negative)) <= 1e-9 * scale
 
 
 def test_mel_energies_axis_mismatch():
-    spec = Spectrogram(
-        np.ones((4, 26)), np.linspace(0, 25, 26), np.arange(4.0)
-    )
+    spec = np.ones((4, 26)), np.linspace(0, 25, 26), np.arange(4.0)
     with pytest.raises(PipelineError, match="exceeds the bank Nyquist"):
-        mel_energies(spec, build_mel_bank(MelBankConfig(), 40.0))  # nyq 20 < 25
+        mel_energies(*spec, build_mel_bank(MelBankConfig(), 40.0))  # nyq 20 < 25
     with pytest.raises(PipelineError, match="well short of the bank Nyquist"):
-        mel_energies(spec, build_mel_bank(MelBankConfig(), 200.0))  # nyq 100 >> 25
+        mel_energies(*spec, build_mel_bank(MelBankConfig(), 200.0))  # nyq 100 >> 25
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("broken", ["shape", "freqs", "frame_times"])
+def test_mel_energies_rejects_malformed_spectrogram(broken, is_complex):
+    # a spectrogram's three arrays from outside: values whose shape misses the axes,
+    # or an axis that does not rise strictly, NaN included, where a test for a fall
+    # (or any comparison with a NaN) would let it through to finite or NaN energies
+    z = np.random.default_rng(3).standard_normal(700) * (1j if is_complex else 1.0)
+    values, freqs, frame_times = stft_magnitude(z, 100.0, 2.0, 0.1)
+    bank = build_mel_bank(MelBankConfig(), 100.0)
+    mel_energies(values, freqs, frame_times, bank)  # as formed, they pass
+
+    def with_entry(a, i, x):
+        a = a.copy()
+        a[i] = x
+        return a
+
+    def falls(a):  # reversed, a NaN, a repeat
+        return a[::-1], with_entry(a, 7, np.nan), with_entry(a, 7, a[6])
+
+    match, cases = {
+        "shape": ("does not match", [(values, np.arange(3.0), frame_times),
+                                     (values, freqs, frame_times[1:]),
+                                     (values[0], freqs, frame_times),
+                                     (values.T, freqs, frame_times)]),
+        "freqs": ("frequency axis must", [(values, f, frame_times) for f in falls(freqs)]),
+        "frame_times": ("frame times must", [(values, freqs, t) for t in falls(frame_times)]),
+    }[broken]
+    for case in cases:
+        with pytest.raises(PipelineError, match=match):
+            mel_energies(*case, bank)
 
 
 # --- DCT --------------------------------------------------------------------
@@ -321,13 +347,13 @@ def test_time_integral_in_place_same_bits_as_trapezoid(two_sided, n):
     z = rng.standard_normal(n) + (1j * rng.standard_normal(n) if two_sided else 0)
     work = StftWorkspace(n * 200)
     for t0 in (0.0, 12.34):
-        spec = stft_magnitude(z, 100.0, 2.0, 0.1, t0)
-        want = loop_reference.time_integral(spec)
+        values, _, frame_times = stft_magnitude(z, 100.0, 2.0, 0.1, t0)
+        want = loop_reference.time_integral(values, frame_times)
         for w in (None, work, StftWorkspace(1)):
-            assert np.array_equal(cepstrum._time_integral(spec, w), want)
-        # as in extraction: the spectrogram is in the workspace whose transform is overwritten
-        assert np.array_equal(cepstrum._time_integral(
-            stft_magnitude(z, 100.0, 2.0, 0.1, t0, work), work), want)
+            assert np.array_equal(cepstrum._time_integral(values, frame_times, w), want)
+        # as in extraction: the magnitudes are in the workspace whose transform is overwritten
+        values, _, frame_times = stft_magnitude(z, 100.0, 2.0, 0.1, t0, work)
+        assert np.array_equal(cepstrum._time_integral(values, frame_times, work), want)
 
 
 # --- end-to-end feature extraction -----------------------------------------
@@ -420,11 +446,11 @@ def _reference_features(s, cfg, k_prime, kind, window_len, hop, log_energies):
     if kind == "comp":
         spec = stft_magnitude(second_derivative(s.samples, s.fs), s.fs, window_len, hop,
                               s.t0 + 1.0 / s.fs)
-        positive, negative = mel_energies(spec, bank)
+        positive, negative = mel_energies(*spec, bank)
         return np.concatenate([cep(negative)[::-1], cep(positive)])
     base = np.abs(s.samples) if kind == "amp" else phase_unwrapped(s.samples)
     spec = stft_magnitude(second_derivative(base, s.fs), s.fs, window_len, hop)
-    positive, _ = mel_energies(spec, bank)
+    positive, _ = mel_energies(*spec, bank)
     return cep(positive)
 
 

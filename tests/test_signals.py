@@ -10,7 +10,6 @@ from heartid.errors import InvalidParameter, NonFiniteSample, PipelineError
 from heartid.signals import (
     _FINITE_SLAB,
     ComplexSeries,
-    Spectrogram,
     StftWorkspace,
     check_finite,
     phase_unwrapped,
@@ -31,6 +30,10 @@ def test_series_reject_empty_and_bad_fs():
         ComplexSeries(np.array([]), 100.0)
     with pytest.raises(ValueError):
         ComplexSeries(np.ones(4), 0.0)
+    # frame times count from t0: not finite, or so large that a sample step rounds away
+    for t0 in (np.nan, np.inf, -np.inf, 1e20):
+        with pytest.raises(InvalidParameter, match="t0"):
+            ComplexSeries(np.ones(4), 100.0, t0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
@@ -113,32 +116,6 @@ def test_check_finite_of_a_cube_allocates_under_one_mib(case):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_spectrogram_invariants():
-    with pytest.raises(ValueError):
-        Spectrogram(-np.ones((2, 3)), np.arange(3.0), np.arange(2.0))
-    with pytest.raises(ValueError):
-        Spectrogram(np.ones((2, 3)), np.array([0.0, 0.0, 1.0]), np.arange(2.0))
-    with pytest.raises(ValueError):
-        Spectrogram(np.ones((2, 3)), np.arange(4.0), np.arange(2.0))
-
-
-@pytest.mark.parametrize("is_complex", [True, False])
-def test_stft_spectrogram_skips_only_its_own_re_check(is_complex):
-    # stft_magnitude's spectrogram is the one a checked build gives from the same
-    # arrays, while the same arrays built from outside, once broken, still raise
-    z = np.random.default_rng(3).standard_normal(700) * (1j if is_complex else 1.0)
-    spec = stft_magnitude(z, 100.0, 2.0, 0.1)
-    built = Spectrogram(spec.values, spec.freqs, spec.frame_times)
-    assert type(spec) is Spectrogram
-    assert all(getattr(spec, k) is getattr(built, k) for k in ("values", "freqs", "frame_times"))
-    for values, freqs, frame_times in [(-spec.values, spec.freqs, spec.frame_times),
-                                       (spec.values, spec.freqs[::-1], spec.frame_times),
-                                       (spec.values, spec.freqs, spec.frame_times[1:]),
-                                       (spec.values[0], spec.freqs, spec.frame_times)]:
-        with pytest.raises(ValueError):
-            Spectrogram(values, freqs, frame_times)
 
 
 # --- second derivative ------------------------------------------------------
@@ -253,37 +230,36 @@ def test_phase_unwrap_idempotent_after_rewrap(seed):
 def test_stft_complex_tone_peaks_at_positive_frequency():
     fs = 100.0
     t = times(10.0, fs)
-    spec = stft_magnitude(np.exp(2j * np.pi * 3.0 * t), fs, 2.0, 0.1)
-    assert spec.two_sided
-    pos_bin = int(np.argmin(np.abs(spec.freqs - 3.0)))
-    neg_bin = int(np.argmin(np.abs(spec.freqs + 3.0)))
-    assert np.all(np.argmax(spec.values, axis=1) == pos_bin)
-    peak = spec.values[:, pos_bin]
-    assert np.all(spec.values[:, neg_bin] <= 1e-9 * peak)
+    values, freqs, _ = stft_magnitude(np.exp(2j * np.pi * 3.0 * t), fs, 2.0, 0.1)
+    assert freqs[0] < 0  # two-sided
+    pos_bin = int(np.argmin(np.abs(freqs - 3.0)))
+    neg_bin = int(np.argmin(np.abs(freqs + 3.0)))
+    assert np.all(np.argmax(values, axis=1) == pos_bin)
+    peak = values[:, pos_bin]
+    assert np.all(values[:, neg_bin] <= 1e-9 * peak)
 
 
 def test_stft_zero_input():
-    spec = stft_magnitude(np.zeros(500), 100.0, 2.0, 0.1)
-    assert np.all(spec.values == 0.0)
+    values, _, _ = stft_magnitude(np.zeros(500), 100.0, 2.0, 0.1)
+    assert np.all(values == 0.0)
 
 
 def test_stft_real_tone_one_sided_peak():
     fs = 100.0
     t = times(10.0, fs)
     # 7 Hz: the 2 s window holds 14 full periods, so there is no leakage
-    spec = stft_magnitude(np.sin(2 * np.pi * 7.0 * t), fs, 2.0, 0.1)
-    assert not spec.two_sided
-    assert spec.freqs[0] == 0.0 and spec.freqs[-1] == fs / 2
-    bin7 = int(np.argmin(np.abs(spec.freqs - 7.0)))
-    assert np.all(np.argmax(spec.values, axis=1) == bin7)
+    values, freqs, _ = stft_magnitude(np.sin(2 * np.pi * 7.0 * t), fs, 2.0, 0.1)
+    assert freqs[0] == 0.0 and freqs[-1] == fs / 2  # one-sided
+    bin7 = int(np.argmin(np.abs(freqs - 7.0)))
+    assert np.all(np.argmax(values, axis=1) == bin7)
 
 
 def test_stft_frame_count_matches_invariant():
     fs = 100.0
-    spec = stft_magnitude(np.ones(6000), fs, 2.0, 0.1, t0=3.25)
-    assert spec.n_frames == int(np.floor((60.0 - 2.0) / 0.1)) + 1 == 581
+    values, freqs, frame_times = stft_magnitude(np.ones(6000), fs, 2.0, 0.1, t0=3.25)
+    assert values.shape == (int(np.floor((60.0 - 2.0) / 0.1)) + 1, freqs.size) == (581, 101)
     # frame times are window centers counted from t0
-    assert np.array_equal(spec.frame_times, 3.25 + (10 * np.arange(581) + 100) / fs)
+    assert np.array_equal(frame_times, 3.25 + (10 * np.arange(581) + 100) / fs)
 
 
 @pytest.mark.parametrize("is_complex", [True, False])
@@ -300,7 +276,7 @@ def test_stft_matches_direct_formula(is_complex, n, window_len, hop):
     fs = 100.0
     rng = np.random.default_rng(n)
     z = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
-    spec = stft_magnitude(z, fs, window_len, hop)
+    values, freqs, _ = stft_magnitude(z, fs, window_len, hop)
     n_win, n_hop = int(round(window_len * fs)), int(round(hop * fs))
     n_frames = (n - n_win) // n_hop + 1
     frames = z[n_hop * np.arange(n_frames)[:, None] + np.arange(n_win)[None, :]]
@@ -308,8 +284,8 @@ def test_stft_matches_direct_formula(is_complex, n, window_len, hop):
         want = np.abs(np.fft.fftshift(np.fft.fft(frames, axis=1), axes=1))
     else:
         want = np.abs(np.fft.rfft(frames, axis=1))
-    assert np.array_equal(spec.values, want * (1.0 / np.sqrt(n_win)))
-    assert spec.two_sided == is_complex
+    assert np.array_equal(values, want * (1.0 / np.sqrt(n_win)))
+    assert (freqs[0] < 0) == is_complex
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
@@ -324,11 +300,11 @@ def test_stft_same_bits_as_scipy_reference(is_complex, window_len):
         z = 1e3 * (rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0))
         want = loop_reference.stft_magnitude(z, fs, window_len, hop, t0=12.34)
         for w in (work, None, StftWorkspace(10)):  # the last is too small: fresh arrays
-            spec = stft_magnitude(z, fs, window_len, hop, 12.34, w)
-            assert np.array_equal(spec.values, want.values)
-            assert np.array_equal(spec.frame_times, want.frame_times)
-            assert np.array_equal(spec.freqs, want.freqs)
-        assert np.shares_memory(stft_magnitude(z, fs, window_len, hop, work=work).values,
+            got = stft_magnitude(z, fs, window_len, hop, 12.34, w)
+            assert len(got) == len(want) == 3
+            for name, a, b in zip(("values", "freqs", "frame_times"), got, want):
+                assert np.array_equal(a, b), name
+        assert np.shares_memory(stft_magnitude(z, fs, window_len, hop, work=work)[0],
                                 work.modulus)
 
 
@@ -349,12 +325,12 @@ def test_stft_parseval_per_frame(seed):
     n = 300
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     window_len, hop = 1.0, 0.5
-    spec = stft_magnitude(z, fs, window_len, hop)
+    values, _, _ = stft_magnitude(z, fs, window_len, hop)
     n_win = int(window_len * fs)
     n_hop = int(hop * fs)
-    for k in range(spec.n_frames):
+    for k in range(values.shape[0]):
         frame = z[k * n_hop : k * n_hop + n_win]
-        lhs = np.sum(spec.values[k] ** 2)
+        lhs = np.sum(values[k] ** 2)
         rhs = window_len * fs * np.mean(np.abs(frame) ** 2)
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
@@ -379,11 +355,11 @@ def test_stft_errors():
 def test_stft_hop_past_the_end_gives_one_frame():
     # a hop of 2**63 samples or more overflowed the slice stride
     x = np.random.default_rng(4).standard_normal(100)
-    one = stft_magnitude(x, 100.0, 0.5, 1.0)
+    one_values, _, one_times = stft_magnitude(x, 100.0, 0.5, 1.0)
     for hop in (1e17, 2.0**63, 1e300):
-        spec = stft_magnitude(x, 100.0, 0.5, hop)
-        assert np.array_equal(spec.values, one.values)
-        assert np.array_equal(spec.frame_times, one.frame_times)
+        values, _, frame_times = stft_magnitude(x, 100.0, 0.5, hop)
+        assert np.array_equal(values, one_values)
+        assert np.array_equal(frame_times, one_times)
 
 
 @pytest.mark.parametrize("fs", [0.0, -1.0, np.inf, np.nan, 1e155, 1e300])
