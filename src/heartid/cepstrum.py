@@ -112,6 +112,8 @@ def bank_response_matrix(edges: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def _check_axis(freqs: np.ndarray, nyq: float) -> None:
+    if not freqs.size:
+        raise PipelineError("frequency axis is empty")
     if not (np.diff(freqs) > 0).all():  # a NaN bin fails this, and passes a test for a fall
         raise PipelineError("frequency axis must be strictly increasing")
     if freqs.max() > nyq * (1 + 1e-9) or freqs.min() < -nyq * (1 + 1e-9):
@@ -154,13 +156,15 @@ def _spectral_sides(edges: bytes, freqs: bytes) -> tuple:
 
 def _time_integral(values: np.ndarray, frame_times: np.ndarray,
                    work: StftWorkspace | None) -> np.ndarray:
-    """Trapezoid of each frequency bin over frame time; one frame gives zeros.
+    """Trapezoid of each frequency bin over frame time; one frame gives zeros, none raises.
 
     ``np.trapezoid(values, frame_times, axis=0)``'s operations, in its order,
     with its (frames - 1, bins) temporary formed in place: in ``work.spectrum``
     when that holds it, else in one fresh array.
     """
     n_frames, n_bins = values.shape
+    if not n_frames:
+        raise PipelineError("frame times are empty")
     if n_frames < 2:
         return np.zeros(n_bins)
     dt = np.diff(frame_times)

@@ -9,11 +9,13 @@ import numpy as np
 
 from .classify import squared_distances
 from .errors import InvalidParameter, PipelineError
+from .signals import check_finite
 
 MACHINE_EPS = np.finfo(np.float64).eps
 PERPLEXITY_TOL = 1e-4  # bits of entropy
 EARLY_EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
+_BISECT_FLOATS = 2**16  # distances per bisection block: 512 kB, and the fastest measured
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,11 @@ def pca2(X: np.ndarray, labels=None) -> Projection2D:
 
     Axes are ordered by descending variance; each axis is flipped if needed so
     its largest-magnitude loading is positive (fixes the sign ambiguity).
+    A NaN or infinite feature raises :class:`NonFiniteSample` naming its
+    (row, column).
     """
     X = np.asarray(X, dtype=np.float64)
+    check_finite(X)
     if X.ndim != 2 or X.shape[0] < 3 or X.shape[1] < 2:
         raise PipelineError("PCA needs at least 3 rows and 2 dimensions")
     centered = X - X.mean(axis=0)
@@ -64,24 +69,18 @@ def pca2(X: np.ndarray, labels=None) -> Projection2D:
     return Projection2D(points, None if labels is None else np.asarray(labels), "pca")
 
 
-def _conditional_probs(dist_sq: np.ndarray, perplexity: float):
-    """Per-row Gaussian affinities with bandwidths bisected to the perplexity.
+def _bisect_rows(d: np.ndarray, target: float) -> np.ndarray:
+    """Affinities of each row of the shifted distances ``d`` at ``target`` bits.
 
-    The bisection targets Shannon entropy (bits) equal to log2(perplexity).
-    Returns the row-normalized conditional matrix (diagonal zero).  All rows
-    are bisected at once over their shifted off-diagonal distances, each with
-    its own ``beta`` and bracket ``[lo, hi]``; a row leaves at the step where
-    a row-by-row bisection stops, so the two agree bit for bit.
+    All rows are bisected at once, each with its own ``beta`` and bracket
+    ``[lo, hi]``; a row leaves at the step where a row-by-row bisection stops,
+    so the two agree bit for bit.
     """
-    n = dist_sq.shape[0]
-    target = np.log2(perplexity)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    d = dist_sq[off_diagonal].reshape(n, n - 1)
-    d -= d.min(axis=1, keepdims=True)
+    m = d.shape[0]
     p = np.empty_like(d)  # each row's affinities at its latest step
     work, plogp = np.empty_like(d), np.empty_like(d)
-    rows = np.arange(n)  # rows still bisecting, with their beta, lo and hi
-    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    rows = np.arange(m)  # rows still bisecting, with their beta, lo and hi
+    beta, lo, hi = np.ones(m), np.zeros(m), np.full(m, np.inf)
     with np.errstate(over="ignore"):  # -beta * d may overflow to -inf: exp is 0 all the same
         for _ in range(200):
             w = np.take(d, rows, axis=0, out=work[: rows.size])
@@ -101,8 +100,30 @@ def _conditional_probs(dist_sq: np.ndarray, perplexity: float):
             if not bisecting.any():
                 break
             rows, beta, lo, hi = rows[bisecting], beta[bisecting], lo[bisecting], hi[bisecting]
+    return p
+
+
+def _conditional_probs(dist_sq: np.ndarray, perplexity: float):
+    """Per-row Gaussian affinities with bandwidths bisected to the perplexity.
+
+    The bisection targets Shannon entropy (bits) equal to log2(perplexity).
+    Returns the row-normalized conditional matrix (diagonal zero).  Rows are
+    bisected ``max(1, _BISECT_FLOATS // n)`` at a time over their off-diagonal
+    distances shifted by the row minimum, so each of the block's four
+    temporaries holds about ``_BISECT_FLOATS`` floats (512 kB) beside the
+    n x n result.  Each row's arithmetic and step count are those of a
+    row-by-row bisection, whatever the block.
+    """
+    n = dist_sq.shape[0]
+    target = np.log2(perplexity)
+    block = max(1, _BISECT_FLOATS // n)
     P = np.zeros((n, n))
-    P[off_diagonal] = p.ravel()
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        off_diagonal = np.arange(n) != np.arange(start, stop)[:, None]
+        d = dist_sq[start:stop][off_diagonal].reshape(stop - start, n - 1)
+        d -= d.min(axis=1, keepdims=True)
+        P[start:stop][off_diagonal] = _bisect_rows(d, target).ravel()
     return P
 
 
@@ -118,16 +139,31 @@ def _student_q(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
 
 
 def _kl_divergence(P: np.ndarray, Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> float:
+    """KL(P || Q) of the embedding ``Y``, its terms formed in ``num`` once Q is."""
     _student_q(Y, num, Q)
-    Pc = np.maximum(P, MACHINE_EPS)
-    return float(np.sum(P * np.log(Pc / Q)))
+    terms = np.maximum(P, MACHINE_EPS, out=num)
+    terms /= Q
+    np.log(terms, out=terms)
+    terms *= P
+    return float(np.sum(terms))
 
 
 def joint_probabilities(X: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized t-SNE affinities summing to 1."""
+    """Symmetrized t-SNE affinities summing to 1.
+
+    ``cond + cond.T`` is formed in one n x n array, then divided by 2n and
+    floored at machine epsilon in place, so at most two n x n arrays are held
+    at once: the distances and ``cond``, then ``cond`` and the result.  A NaN
+    or infinite feature raises :class:`NonFiniteSample` naming its (row, column).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    check_finite(X)
+    if X.ndim != 2 or X.shape[0] < 2:
+        raise PipelineError(f"t-SNE affinities need rows of features, at least 2, got {X.shape}")
     cond = _conditional_probs(squared_distances(X, X), perplexity)
-    P = (cond + cond.T) / (2.0 * X.shape[0])
-    return np.maximum(P, MACHINE_EPS)
+    P = np.add(cond, cond.T)
+    P /= 2.0 * X.shape[0]
+    return np.maximum(P, MACHINE_EPS, out=P)
 
 
 def tsne2(
@@ -141,10 +177,15 @@ def tsne2(
 
     Standard schedule: early exaggeration (x12) for the first 250 iterations
     with momentum 0.5, then momentum 0.8; adaptive per-coordinate gains;
-    learning rate max(N/12, 50).  Iterations reuse three n x n buffers with the
-    operations and order of fresh temporaries, so they match those bit for bit.
+    learning rate max(N/12, 50).  Iterations and the final KL reuse three n x n
+    buffers with the operations and order of fresh temporaries, so they match
+    those bit for bit.  P and those three buffers are the memory floor: the
+    affinities before them peak at two n x n arrays (see
+    :func:`joint_probabilities`).  A NaN or infinite feature raises
+    :class:`NonFiniteSample` naming its (row, column).
     """
     X = np.asarray(X, dtype=np.float64)
+    check_finite(X)
     n = X.shape[0]
     if not 0 < perplexity < np.inf:
         raise InvalidParameter(f"perplexity must be positive and finite, got {perplexity}")

@@ -252,11 +252,12 @@ def test_mel_energies_axis_mismatch():
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
-@pytest.mark.parametrize("broken", ["shape", "freqs", "frame_times"])
+@pytest.mark.parametrize("broken", ["shape", "freqs", "frame_times", "empty"])
 def test_mel_energies_rejects_malformed_spectrogram(broken, is_complex):
     # a spectrogram's three arrays from outside: values whose shape misses the axes,
-    # or an axis that does not rise strictly, NaN included, where a test for a fall
-    # (or any comparison with a NaN) would let it through to finite or NaN energies
+    # an axis that does not rise strictly, NaN included, where a test for a fall
+    # (or any comparison with a NaN) would let it through to finite or NaN energies,
+    # or an empty axis (no bins raised a bare ValueError, no frames gave zeros)
     z = np.random.default_rng(3).standard_normal(700) * (1j if is_complex else 1.0)
     values, freqs, frame_times = stft_magnitude(z, 100.0, 2.0, 0.1)
     bank = build_mel_bank(MelBankConfig(), 100.0)
@@ -277,6 +278,8 @@ def test_mel_energies_rejects_malformed_spectrogram(broken, is_complex):
                                      (values.T, freqs, frame_times)]),
         "freqs": ("frequency axis must", [(values, f, frame_times) for f in falls(freqs)]),
         "frame_times": ("frame times must", [(values, freqs, t) for t in falls(frame_times)]),
+        "empty": ("(frequency axis is|frame times are) empty",
+                  [(values[:, :0], freqs[:0], frame_times), (values[:0], freqs, frame_times[:0])]),
     }[broken]
     for case in cases:
         with pytest.raises(PipelineError, match=match):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import loop_reference
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from heartid.classify import squared_distances
+from heartid import embedding
 from heartid.embedding import (
     Projection2D,
     _conditional_probs,
@@ -12,7 +14,7 @@ from heartid.embedding import (
     pca2,
     tsne2,
 )
-from heartid.errors import InvalidParameter, PipelineError
+from heartid.errors import InvalidParameter, NonFiniteSample, PipelineError
 
 
 def gaussian_clusters(rng, n_per=30, dims=20, sep=8.0, k=3):
@@ -75,6 +77,21 @@ def test_pca_translation_invariance():
     assert np.allclose(pca2(X).points, pca2(shifted).points, atol=1e-9)
 
 
+@pytest.mark.parametrize("project", [
+    pca2,
+    lambda X: tsne2(X, perplexity=5.0, iterations=10),
+    lambda X: joint_probabilities(X, 5.0),
+], ids=["pca2", "tsne2", "joint_probabilities"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projections_reject_non_finite_feature(project, bad):
+    # pca2 raised LinAlgError, tsne2 a ValueError after its last iteration, and
+    # joint_probabilities returned a P with 1560 NaNs
+    X = np.random.default_rng(0).standard_normal((40, 5))
+    X[17, 3] = bad
+    with pytest.raises(NonFiniteSample, match=re.escape(f"index (17, 3) ({bad}); 1 of 200")):
+        project(X)
+
+
 def test_pca_degenerate_input():
     with pytest.raises(PipelineError, match="at least 3 rows and 2 dimensions"):
         pca2(np.ones((2, 5)))
@@ -120,6 +137,24 @@ def _clusters_96(n):
     return centers[np.arange(n) % 6] + rng.standard_normal((n, 96))
 
 
+@pytest.mark.parametrize("X,perplexity,uneven", [
+    (_clusters_96(7), 2.0, 3),
+    (_equidistant_neighbours(), 2.0, 5),  # row 0 runs all 200 steps in every block
+    (_clusters_96(300), 30.0, 7),
+], ids=["7", "24", "300"])
+def test_conditional_probs_bit_identical_to_row_loop_in_any_block(X, perplexity, uneven,
+                                                                   monkeypatch):
+    D = squared_distances(X, X)
+    n = D.shape[0]
+    assert n % uneven != 0
+    reference = loop_reference.conditional_probs(D, perplexity)
+    # blocks of 1 row (the floor of max(1, .)), of rows that do not divide n,
+    # of exactly n rows, and of more than n
+    for floats in (1, uneven * n, n * n, 2 * n * n + 1):
+        monkeypatch.setattr(embedding, "_BISECT_FLOATS", floats)
+        assert np.array_equal(_conditional_probs(D, perplexity), reference), floats
+
+
 @pytest.mark.parametrize("n,perplexity,iterations", [(24, 5.0, 100), (300, 30.0, 1000)])
 def test_tsne_bit_identical_to_loop_with_fresh_temporaries(n, perplexity, iterations):
     X = _clusters_96(n)
@@ -143,6 +178,20 @@ def test_tsne_peak_memory_no_higher_than_the_loop():
     assert peaks[0] <= peaks[1]
 
 
+def test_tsne_peak_memory_is_p_and_three_buffers():
+    # P, num, Q and W: the bisection works in row blocks, the symmetrized P is
+    # formed in one array and the KL in num (7.0 n^2 floats with fresh temporaries)
+    n = 600
+    X = _clusters_96(n)
+    tracemalloc.start()
+    try:
+        tsne2(X, 30.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * n * n * 8
+
+
 def test_joint_probabilities_symmetric_and_normalized():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 5))
@@ -150,6 +199,12 @@ def test_joint_probabilities_symmetric_and_normalized():
     assert np.all(P >= 0)
     assert np.max(np.abs(P - P.T)) == 0.0
     assert abs(P.sum() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (5,)])
+def test_joint_probabilities_rejects_fewer_than_two_rows(shape):
+    with pytest.raises(PipelineError, match=re.escape(f"at least 2, got {shape}")):
+        joint_probabilities(np.ones(shape), 5.0)
 
 
 def test_tsne_reduces_kl_divergence():
