@@ -111,6 +111,12 @@ def bank_response_matrix(edges: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     )
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of finite ``x``, whose NaN check would import ``numpy.ma``."""
+    x, mid = np.sort(x), len(x) // 2
+    return float(x[mid] if len(x) % 2 else (x[mid - 1] + x[mid]) / 2)
+
+
 def _check_axis(freqs: np.ndarray, nyq: float) -> None:
     if not freqs.size:
         raise PipelineError("frequency axis is empty")
@@ -121,7 +127,7 @@ def _check_axis(freqs: np.ndarray, nyq: float) -> None:
             f"frequency axis [{freqs.min():g}, {freqs.max():g}] exceeds the "
             f"bank Nyquist {nyq:g} Hz"
         )
-    df = float(np.median(np.diff(freqs))) if freqs.size > 1 else nyq
+    df = _median(np.diff(freqs)) if freqs.size > 1 else nyq
     if nyq - freqs.max() > 1.5 * df:
         raise PipelineError(
             f"frequency axis stops at {freqs.max():g} Hz, well short of the "

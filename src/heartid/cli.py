@@ -6,8 +6,9 @@ baseband, two CPUs are available and each series has at least
 calling thread.  Each of two lanes owns one
 :class:`~heartid.signals.StftWorkspace`, allocated before the records start,
 and rows are written in record order either way.  Cube records run one at a
-time, and the front end splits each across the lanes of one
-:class:`~heartid.radar.FrontEndWorkspace`, also allocated before they start.
+time, and the front end streams each through the lanes of one
+:class:`~heartid.radar.FrontEndWorkspace`, also allocated before they start,
+keeping only a few candidate range bins' profiles.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal failure.
 Option precedence is flags > --config JSON file > built-in defaults; the
@@ -269,9 +270,10 @@ def _workspaces(args, manifest: dict) -> list[signals.StftWorkspace | None]:
 def _front_end(args, manifest: dict) -> radar.FrontEndWorkspace | None:
     """The cube front end's workspace on ``cohort.lanes()`` lanes, sized by :func:`_series_length`.
 
-    Allocated once, in the calling thread, it keeps every record's or
-    segment's ``profiles`` in one array: a fresh one per short segment made
-    the allocator return and re-fault the heap.  Baseband datasets need none.
+    Allocated once, in the calling thread, it takes every record's or
+    segment's candidate-bin ``profiles`` and the lanes' block products in the
+    same arrays: fresh ones per short segment made the allocator return and
+    re-fault the heap.  Baseband datasets need none.
     """
     if manifest["mode"] != "cube":
         return None

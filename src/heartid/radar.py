@@ -4,12 +4,13 @@ A cube record exists only as its file, indexed (slow time, virtual element,
 fast time), which ``dataio.CubeFile`` reads a block of chirps at a time.  The
 fast-time DFT, numpy's orthonormal FFT taken in place on a complex128 copy of
 a few chirps, turns beat frequency into range (bin spacing c/(2B)).  The
-bins inside the range window are kept, and their slow-time element
-covariances give the mean delay-and-sum power of every (angle, range) cell
-of the 12-element virtual array; no whole cube is read, and no full-cube
-FFT, copy or steered cube is formed.  A record runs in two phases, each
-split across the lanes of a :class:`FrontEndWorkspace`: the range FFT by
-slow time, then the covariances by range bin, with every bin's block sums
+bins inside the range window give their slow-time element covariances,
+whose map is the mean delay-and-sum power of every (angle, range) cell of
+the 12-element virtual array; no whole cube is read, and no full-cube FFT,
+copy or steered cube is formed.  A record runs in one pass over its blocks,
+split by slow time across the lanes of a :class:`FrontEndWorkspace`: each
+block's covariance products are formed while its profiles are in cache, and
+only a few candidate bins' profiles are kept.  Every bin's block sums are
 taken in slow-time order, so the result has the same bits on any number of
 lanes.  Steering only the strongest cell yields the slow-time series s(t)
 that the feature pipeline consumes.  The device, its angle grid and its
@@ -18,7 +19,7 @@ range window are fixed; only the slow-time rate varies between datasets.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -40,12 +41,16 @@ LOW_SNR_POWER = 1.0  # mean echo power below which a selection is flagged low_sn
 # that every lane reads and sums the blocks that one lane would.
 _COV_BLOCK = 64
 _FFT_CHIRPS = 16  # chirps per range FFT, whose complex128 copy stays in cache
-_COV_BINS = 30  # window bins per covariance pass of a lane: half the window
+_COV_BINS = 30  # window bins per covariance product: half the window
+# Window bins whose profiles a pass keeps: those of most element power (the
+# covariance's trace, which bounds the bin's map from above) in its first
+# block.  At least 2, so that a kept bin's (slow, element) view is strided.
+_CANDIDATES = 4
 # Blocks per record or segment from which beamform runs on all its lanes.
-# Two lanes against one, medians of 6-8 alternating fresh-process extracts
-# of 12 x 20-s cubes at 100 Hz on 2 CPUs: 32 blocks (whole records) -33%,
-# 8 blocks (5-s segments) -18%, 4 blocks (2.5-s segments) -3% for 33% more
-# CPU time.
+# Two lanes against one, medians of 8 alternating fresh-process extracts of
+# 12 x 20-s cubes at 100 Hz on 2 CPUs: 32 blocks (whole records) -23% (two
+# lanes faster in 7 of 8), 8 blocks (5-s segments) -14% (8 of 8), 4 blocks
+# (2.5-s segments) +7% (4 of 8).
 _TWO_LANE_BLOCKS = 8
 
 
@@ -80,6 +85,7 @@ class RadarConfig:
 # the range bins inside RANGE_WINDOW, 13-72 of the device's 128
 _WINDOW = slice(int(np.searchsorted(RadarConfig.range_axis, RANGE_WINDOW[0])),
                 int(np.searchsorted(RadarConfig.range_axis, RANGE_WINDOW[1], side="right")))
+_N_WIN = _WINDOW.stop - _WINDOW.start
 
 
 def range_profile(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -107,19 +113,20 @@ def steering_weights(angles_deg: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BeamformResult:
-    """Power map over (angle, range) with on-demand access to steered series.
+    """Power map over (angle, range) and the slow-time profiles of a few range bins.
 
-    Both cover only the range bins inside ``RANGE_WINDOW``: ``profiles`` is
-    (slow, element, window bin) and ``power`` is (n_angles, window bin).  The
-    map comes from per-range element covariances, so no steered sample is
-    formed for it; :meth:`steered_series` forms only the requested cell's
-    slow-time series from the kept profiles and the grid's weights.
-    ``profiles`` is a view into the :class:`FrontEndWorkspace` that
-    :func:`beamform` wrote it into, valid until the next pass into that
-    workspace.
+    ``power`` is (n_angles, window bin) over the range bins inside
+    ``RANGE_WINDOW``; it comes from per-range element covariances, so no
+    steered sample is formed for it.  ``profiles`` is (slow, element, kept
+    bin): the range profiles of the window bins ``bins``, which hold the bin
+    of the map's strongest cell.  :meth:`steered_series` forms a kept cell's
+    slow-time series from them and the grid's weights.  ``profiles`` is a
+    view into the :class:`FrontEndWorkspace` that :func:`beamform` wrote it
+    into, valid until the next pass into that workspace.
     """
 
     profiles: np.ndarray
+    bins: np.ndarray
     config: RadarConfig
     power: np.ndarray
 
@@ -127,44 +134,56 @@ class BeamformResult:
     weights = steering_weights(ANGLE_GRID)
 
     def steered_series(self, angle_idx: int, window_idx: int) -> np.ndarray:
-        return self.profiles[:, :, window_idx] @ self.weights[angle_idx]
+        kept = np.flatnonzero(self.bins == window_idx)
+        if not kept.size:
+            raise InvalidParameter(f"window bin {window_idx} is not one of the kept bins "
+                                   f"{self.bins.tolist()}")
+        # a strided (slow, element) operand takes numpy's own loop; BLAS's
+        # zgemv, which a contiguous one takes, rounds differently
+        return self.profiles[:, :, kept[0]] @ self.weights[angle_idx]
 
 
 class FrontEndWorkspace:
     """Buffers for :func:`beamform` of up to ``n_slow`` chirps on ``width`` lanes.
 
-    ``profiles`` takes a record's window bins, and each lane owns a block
-    read buffer, a range-FFT buffer and the covariance operands of
-    ``_COV_BINS`` bins.  The calling thread allocates them all, so no lane
-    grows an allocator arena of its own.  A result's ``profiles`` is a view
-    into the workspace, valid until the next :func:`beamform` into it, so one
-    workspace serves one record at a time.
+    ``profiles`` takes a record's ``_CANDIDATES`` kept bins, ``cov`` its
+    window bins' covariance sums, and ``products`` the per-block element
+    products of the lanes after the first, until they are added in
+    slow-time order.  Each lane owns a block read buffer, a range-FFT
+    buffer, a block's window bins and their covariance operands.  The
+    calling thread allocates them all, so no lane grows an allocator arena
+    of its own.  A result's ``profiles`` is a view into the workspace, valid
+    until the next :func:`beamform` into it, so one workspace serves one
+    record at a time.
     """
 
     def __init__(self, n_slow: int, width: int = 1):
-        n_elem, n_win = RadarConfig.n_virtual, _WINDOW.stop - _WINDOW.start
-        self.profiles = np.empty((n_slow, n_elem, n_win), dtype=np.complex128)
-        self.cov = np.empty((n_win, n_elem, n_elem), dtype=np.complex128)
+        n_elem, n_blocks = RadarConfig.n_virtual, -(-n_slow // _COV_BLOCK)
+        self.profiles = np.empty((n_slow, n_elem, _CANDIDATES), dtype=np.complex128)
+        self.cov = np.empty((_N_WIN, n_elem, n_elem), dtype=np.complex128)
+        later = n_blocks - -(-n_blocks // width)  # the blocks after the first lane's share
+        self.products = np.empty((later, _N_WIN, n_elem, n_elem), dtype=np.complex128)
         self.lanes = [_Lane() for _ in range(width)]
 
 
 class _Lane:
     """One lane's buffers.
 
-    The covariance operands are flat, so that a block's are contiguous at its
-    own (bins, element, chirps) shape, however few its chirps.
+    A block's window bins are flat, so that they are contiguous at the
+    block's own (bin, element, chirp) shape, however few its chirps, and so
+    is each covariance operand of ``_COV_BINS`` of them.
     """
 
     def __init__(self):
         n_elem, n_fast = RadarConfig.n_virtual, RadarConfig.n_fast
         self.read = np.empty(_COV_BLOCK * n_elem * n_fast, dtype="<c8")
         self.fft = np.empty((_FFT_CHIRPS, n_elem, n_fast), dtype=np.complex128)
-        self.blk = np.empty(_COV_BINS * n_elem * _COV_BLOCK, dtype=np.complex128)
-        self.conj = np.empty_like(self.blk)
-        self.prod = np.empty((_COV_BINS, n_elem, n_elem), dtype=np.complex128)
+        self.window = np.empty(_N_WIN * n_elem * _COV_BLOCK, dtype=np.complex128)
+        self.conj = np.empty(_COV_BINS * n_elem * _COV_BLOCK, dtype=np.complex128)
+        self.prod = np.empty((_N_WIN, n_elem, n_elem), dtype=np.complex128)
 
 
-def _shares(n: int, width: int, step: int = 1) -> list[tuple[int, int]]:
+def _shares(n: int, width: int, step: int) -> list[tuple[int, int]]:
     """``range(n)`` in up to ``width`` nonempty contiguous shares.
 
     Each starts on a multiple of ``step``; the first shares take the steps
@@ -188,59 +207,90 @@ def _on_lanes(pool: ThreadPoolExecutor | None, fn, shares: list[tuple[int, int]]
         future.result()
 
 
+def _window(buf: _Lane, block: np.ndarray) -> np.ndarray:
+    """A block's window bins, (bin, element, chirp) in ``buf.window``, ``_FFT_CHIRPS`` per FFT."""
+    n = len(block)
+    window = buf.window[:_N_WIN * RadarConfig.n_virtual * n].reshape(_N_WIN, -1, n)
+    for j in range(0, n, _FFT_CHIRPS):
+        chirps = block[j:j + _FFT_CHIRPS]
+        spectra = range_profile(chirps, buf.fft[:len(chirps)])
+        window[:, :, j:j + len(chirps)] = spectra[:, :, _WINDOW].transpose(2, 1, 0)
+    return window
+
+
+def _products(buf: _Lane, window: np.ndarray, out: np.ndarray) -> None:
+    """Each bin's element products over a block's chirps, a BLAS product per ``_COV_BINS`` bins."""
+    for r0 in range(0, _N_WIN, _COV_BINS):
+        part = window[r0:r0 + _COV_BINS]
+        conj = buf.conj[:part.size].reshape(part.shape)
+        np.conjugate(part, out=conj)
+        np.matmul(part, conj.transpose(0, 2, 1), out=out[r0:r0 + _COV_BINS])
+
+
 def beamform(cube: CubeFile, work: FrontEndWorkspace | None = None) -> BeamformResult:
     """Steer the virtual array over the fixed grid ``ANGLE_GRID`` inside ``RANGE_WINDOW``.
 
-    The slow-time phase splits the chirps across the lanes of ``work`` (a
-    one-lane workspace of its own without one, or if it is too small): each
-    reads its blocks of ``_COV_BLOCK`` chirps on its own handle and stores
-    their range profiles' window bins in ``work.profiles``.  The range phase
-    splits the window bins: each lane sums its bins' per-block element
-    covariances, a BLAS product of a contiguous (range, element, slow) copy
-    of the block, in slow-time order, and the sums are divided by the number
-    of chirps.  Records of fewer than ``_TWO_LANE_BLOCKS`` blocks run on one
-    lane.  Errors are raised as a one-lane pass raises them: that of the
-    earliest chirps first, once every lane has ended.
+    One pass over the record's blocks of ``_COV_BLOCK`` chirps, split by
+    slow time across the lanes of ``work`` (a one-lane workspace of its own
+    without one, or if it is too small); each lane reads its blocks on its
+    own handle.  A block's range profiles give its window bins' element
+    products, a BLAS product of a contiguous (range, element, slow) copy,
+    and the profiles of its ``_CANDIDATES`` kept bins go to
+    ``work.profiles``.  The first block picks the kept bins; the other lanes
+    wait for them only to copy their first block's.  The first lane adds its
+    blocks' products into the covariance sums as it goes and the others
+    store theirs, which are added after it, so every bin's sum runs in
+    slow-time order; the sums are divided by the number of chirps.  If the
+    map's strongest bin was not kept, one more pass over the record's blocks
+    keeps it in place of the last candidate, with the same bits.  Records of
+    fewer than ``_TWO_LANE_BLOCKS`` blocks run on one lane.  Errors are
+    raised as a one-lane pass raises them: that of the earliest chirps
+    first, once every lane has ended.
     """
     n_slow = cube.n_slow
     if work is None or len(work.profiles) < n_slow:
         work = FrontEndWorkspace(n_slow)
-    profiles, cov = work.profiles[:n_slow], work.cov
-    n_blocks = -(-n_slow // _COV_BLOCK)
-    width = len(work.lanes) if n_blocks >= _TWO_LANE_BLOCKS else 1
+    kept, cov = work.profiles[:n_slow], work.cov
+    width = len(work.lanes) if -(-n_slow // _COV_BLOCK) >= _TWO_LANE_BLOCKS else 1
+    shares = _shares(n_slow, width, _COV_BLOCK)
+    later = shares[1][0] if len(shares) > 1 else n_slow  # the first chirp of a later lane
+    cov[...] = 0
+    picked = Future()  # the kept bins; cancelled if the first block fails
 
-    def transform(lane: int, start: int, stop: int) -> None:
+    def run(lane: int, start: int, stop: int) -> None:
         buf = work.lanes[lane]
-        for s0, block in zip(range(start, stop, _COV_BLOCK),
-                             cube.slow_range(start, stop).blocks(_COV_BLOCK, buf.read)):
-            for j in range(0, len(block), _FFT_CHIRPS):
-                chirps = block[j:j + _FFT_CHIRPS]
-                window = range_profile(chirps, buf.fft[:len(chirps)])[:, :, _WINDOW]
-                profiles[s0 + j:s0 + j + len(chirps)] = window
+        try:
+            for s0, block in zip(range(start, stop, _COV_BLOCK),
+                                 cube.slow_range(start, stop).blocks(_COV_BLOCK, buf.read)):
+                window = _window(buf, block)
+                if lane:
+                    _products(buf, window, work.products[(s0 - later) // _COV_BLOCK])
+                else:
+                    _products(buf, window, buf.prod)
+                    np.add(cov, buf.prod, out=cov)
+                    if not s0:  # the first block's strongest bins are kept
+                        trace = np.einsum("rii->r", cov).real
+                        picked.set_result(np.argsort(-trace, kind="stable")[:_CANDIDATES])
+                kept[s0:s0 + len(block)] = window[picked.result()].transpose(2, 1, 0)
+        finally:
+            if not lane:
+                picked.cancel()
 
-    def covariances(lane: int, start: int, stop: int) -> None:
-        buf = work.lanes[lane]
-        for r0 in range(start, stop, _COV_BINS):
-            r1 = min(stop, r0 + _COV_BINS)
-            acc = cov[r0:r1]
-            acc[...] = 0
-            for s0 in range(0, n_slow, _COV_BLOCK):
-                window = profiles[s0:s0 + _COV_BLOCK, :, r0:r1].transpose(2, 1, 0)
-                size = window.size
-                blk = buf.blk[:size].reshape(window.shape)
-                conj = buf.conj[:size].reshape(window.shape)
-                np.copyto(blk, window)
-                np.conjugate(blk, out=conj)
-                acc += np.matmul(blk, conj.transpose(0, 2, 1), out=buf.prod[:r1 - r0])
-
-    # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H
     with ThreadPoolExecutor(width - 1) if width > 1 else nullcontext() as pool:
-        _on_lanes(pool, transform, _shares(n_slow, width, _COV_BLOCK))
-        _on_lanes(pool, covariances, _shares(len(cov), width))
+        _on_lanes(pool, run, shares)
+    for prod in work.products[:-(-(n_slow - later) // _COV_BLOCK)]:
+        cov += prod
     cov /= n_slow
+    # mean |p_t . w_a|^2 over slow time is w_a^T R_r conj(w_a), R_r = mean_t p_t p_t^H
     weights = BeamformResult.weights
     power = np.einsum("rai,ai->ar", weights[None] @ cov, weights.conj()).real
-    return BeamformResult(profiles, cube.config, power)
+    bins, r = picked.result(), np.unravel_index(np.argmax(power), power.shape)[1]
+    if r not in bins:
+        bins[-1] = r
+        buf = work.lanes[0]
+        for s0, block in zip(range(0, n_slow, _COV_BLOCK), cube.blocks(_COV_BLOCK, buf.read)):
+            kept[s0:s0 + len(block), :, -1] = _window(buf, block)[r].T
+    return BeamformResult(kept, bins, cube.config, power)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import loop_reference
 import mpmath
@@ -529,3 +533,27 @@ def test_branch_intermediates_die_with_their_branch():
     single = max(_traced_peak(lambda: extract_features(s, cfg, kind=kind))
                  for kind in ("amp", "ph", "comp"))
     assert _traced_peak(lambda: extract_features(s, cfg, kind="prop")) <= single + 64 * 1024
+
+
+@given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_axis_median_same_float_as_numpy(steps):
+    x = np.array(steps)
+    assert cepstrum._median(x).hex() == float(np.median(x)).hex()
+
+
+def test_extract_does_not_import_numpy_ma():
+    # np.median's NaN check imports numpy.ma: 16 ms and 0.76 MB on a process's first extract
+    src = str(Path(cepstrum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, numpy as np\n"
+        "from heartid.cepstrum import MelBankConfig, extract_features\n"
+        "from heartid.signals import ComplexSeries\n"
+        "z = np.exp(2j * np.pi * 1.2 * np.arange(1000) / 100.0)\n"
+        "extract_features(ComplexSeries(z, 100.0), MelBankConfig(), kind='comp')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

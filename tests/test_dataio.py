@@ -210,6 +210,27 @@ def test_two_lane_non_finite_samples_raise_the_first_in_the_file(tmp_path, two_l
                                     f"{len(chirps)} of 614400 are not finite")
 
 
+def test_a_failing_first_block_releases_the_lanes_waiting_for_its_bins(tmp_path, two_lanes):
+    # the second lane reads well but waits for the kept bins that the first block picks
+    path = _cube_file(tmp_path / "c.iq", 400)
+    samples = read_iq(path).reshape(400, CFG.n_virtual, CFG.n_fast)
+    samples[10, 5, 7] = complex(np.nan, 1.0)
+    write_iq(path, samples)
+    running, errors = threading.active_count(), []
+
+    def run():
+        with pytest.raises(NonFiniteSample) as info:
+            two_lanes(read_cube(path, CFG, 400))
+        errors.append(info.value)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive() and threading.active_count() == running
+    assert str(errors[0]) == ("non-finite sample at index (10, 5, 7) ((nan+1j)); "
+                              "1 of 614400 are not finite")
+
+
 # bytes left: inside the second lane's share, at its start, and inside the first lane's
 @pytest.mark.parametrize("chirps_left", [300.5, 256, 100.25])
 def test_two_lane_pass_over_a_shrunk_file_raises_the_one_lane_message(tmp_path, two_lanes,
@@ -224,11 +245,14 @@ def test_two_lane_pass_over_a_shrunk_file_raises_the_one_lane_message(tmp_path, 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_front_end_peak_memory_is_its_profiles_plus_a_constant(tmp_path, monkeypatch, width):
-    # beside the workspace's profiles, each lane holds a 64-chirp read buffer, a
-    # 16-chirp FFT copy and 30 bins' covariance operands (1.9 MiB), and the power
-    # map steers the covariances (1.5 MiB), whatever the record's length
+    # what grows with the record is the kept bins' profiles (768 B per chirp)
+    # and, on two lanes, the second lane's block products until they are added
+    # (138 KiB per 64 chirps); keeping every window bin's profiles would take
+    # 11.5 KB per chirp.  Each lane holds a 64-chirp read buffer, a 16-chirp
+    # FFT copy and a block's window bins and covariance operands (2.4 MiB), and
+    # the power map steers the covariances (1.5 MiB), whatever the length.
     monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
-    extra = {}
+    peak = {}
     for n_slow in (500, 2000):
         path = tmp_path / f"c{n_slow}.iq"
         np.full(n_slow * CHIRP, 1.0 + 1.0j, dtype="<c8").tofile(path)
@@ -236,33 +260,34 @@ def test_front_end_peak_memory_is_its_profiles_plus_a_constant(tmp_path, monkeyp
         beamform(cube.slow_range(0, 2 * _COV_BLOCK), FrontEndWorkspace(2 * _COV_BLOCK, width))
         tracemalloc.start()
         try:
-            profiles = beamform(cube, FrontEndWorkspace(n_slow, width)).profiles
-            peak = tracemalloc.get_traced_memory()[1]
+            beamform(cube, FrontEndWorkspace(n_slow, width))
+            peak[n_slow] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        extra[n_slow] = peak - profiles.nbytes
-    assert abs(extra[2000] - extra[500]) <= 2**16
-    assert extra[2000] <= (width + 1) * 2 * 2**20
+    per_chirp = 3 * 2**10
+    assert peak[2000] - peak[500] <= 1500 * per_chirp
+    assert peak[2000] <= (width + 1) * 2 * 2**20 + 2000 * per_chirp
 
 
 def test_cube_front_end_peak_memory_is_its_result_plus_a_few_blocks(tmp_path):
-    # a 20-s record: 24.6 MB of complex64 on disk; beamform keeps 23 MB of profiles
+    # a 20-s record: 24.6 MB of complex64 on disk, of which the pass keeps
+    # 1.5 MB of profiles; every window bin's would take 23 MB
     n_slow = 2000
     path = tmp_path / "c.iq"
     np.full(n_slow * CHIRP, 1.0 + 1.0j, dtype="<c8").tofile(path)
     cube_bytes = os.path.getsize(path)
-    first_chirp = beamform(read_cube(path, CFG, n_slow).slow_range(0, 1))  # warms the caches
-    profile_bytes = n_slow * first_chirp.profiles[0].nbytes
+    beamform(read_cube(path, CFG, n_slow).slow_range(0, 1))  # warms the caches
     tracemalloc.start()
     try:
         extract_slow_time(read_cube(path, CFG, n_slow))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one lane's buffers and the power map's steered covariances: 3.5 MiB beside
-    # the profiles; the whole-cube read held the cube too, 49.2 MiB in all
+    # the kept profiles, one lane's buffers and the power map's steered
+    # covariances: 5.4 MiB in all; the whole-cube read held the cube too,
+    # 49.2 MiB in all
     block_bytes = _COV_BLOCK * CHIRP * 8
-    assert peak - profile_bytes <= 8 * block_bytes < cube_bytes / 3
+    assert peak <= 8 * block_bytes < cube_bytes / 3
 
 
 def test_dataset_roundtrip(tmp_path):

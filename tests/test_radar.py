@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import sys
 import threading
 import warnings
 
@@ -13,7 +14,7 @@ from scipy.signal import detrend
 from heartid.cohort import default_cohort, displacement
 from heartid.dataio import read_cube, write_iq
 from heartid import radar
-from heartid.errors import IoError
+from heartid.errors import InvalidParameter, IoError
 from heartid.radar import (
     _COV_BLOCK,
     ANGLE_GRID,
@@ -170,7 +171,7 @@ def test_beamform_power_matches_materialized_steering(n_slow, scale, angles):
     values = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     result = beamform(DataCube(values, CFG))
     profiles = range_profile(values)[:, :, WINDOW_BINS]
-    assert np.array_equal(result.profiles, profiles)
+    assert np.array_equal(result.profiles, profiles[:, :, result.bins])
     if angles is None:
         power, reference = result.power, materialized_power(profiles, result.weights)
     else:
@@ -216,10 +217,10 @@ CUBES = {
 
 @pytest.mark.parametrize("make_cube", CUBES.values(), ids=CUBES.keys())
 def test_select_echo_same_as_with_materialized_map(make_cube):
-    result = beamform(make_cube())
-    reference = dataclasses.replace(
-        result, power=materialized_power(result.profiles, result.weights)
-    )
+    cube = make_cube()
+    result = beamform(cube)
+    profiles = range_profile(cube.values)[:, :, WINDOW_BINS]
+    reference = dataclasses.replace(result, power=materialized_power(profiles, result.weights))
     sel, ref = select_echo(result), select_echo(reference)
     assert (sel.angle_deg, sel.range_m) == (ref.angle_deg, ref.range_m)
     assert np.array_equal(sel.series.samples, ref.series.samples)
@@ -370,6 +371,87 @@ def test_front_end_result_is_a_view_into_its_workspace():
     beamform(still_target_cube(2.5, n_slow=130), work)
     assert not np.array_equal(first.profiles, kept)
     assert beamform(still_target_cube(1.5, n_slow=201), work).profiles.base is not work.profiles
+
+
+@pytest.fixture
+def fft_chirps(monkeypatch):
+    """The chirps of each range FFT that the front end takes, recorded as it runs."""
+    calls, range_profile = [], radar.range_profile
+
+    def spy(values, out=None):
+        calls.append(len(values))
+        return range_profile(values, out)
+
+    monkeypatch.setattr(radar, "range_profile", spy)
+    return calls
+
+
+def _late_target_cube(n_slow=300):
+    """A weak echo throughout and a strong one from chirp 64 on, silent in the first block."""
+    weak = still_target_cube(1.0, angle_deg=-10.0, n_slow=n_slow, snr_db=20.0, seed=5).values
+    strong = 4.0 * still_target_cube(2.5, angle_deg=15.0, n_slow=n_slow).values
+    strong[:_COV_BLOCK] = 0
+    return DataCube(weak + strong, CFG)
+
+
+@pytest.mark.parametrize("n_slow", [1, 15, 16, 17, _COV_BLOCK, _COV_BLOCK + 1, 400])
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_kept_winner_takes_one_range_fft_per_16_chirps(monkeypatch, fft_chirps, n_slow, width):
+    # the common path reads and transforms each chirp once
+    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
+    cube = still_target_cube(1.5, angle_deg=7.0, n_slow=n_slow, snr_db=10.0, seed=n_slow)
+    result = beamform(cube, FrontEndWorkspace(n_slow, width))
+    assert len(fft_chirps) == -(-n_slow // radar._FFT_CHIRPS) and sum(fft_chirps) == n_slow
+    assert result.profiles.shape == (n_slow, CFG.n_virtual, radar._CANDIDATES)
+    assert len(set(result.bins.tolist())) == radar._CANDIDATES
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_winner_silent_in_the_first_block_is_kept_by_a_second_pass(tmp_path, monkeypatch,
+                                                                     fft_chirps, width):
+    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
+    cube = _late_target_cube()
+    series, angle, range_m, power = whole_cube_front_end(cube)
+    assert range_m == CFG.range_axis[round(2.5 / CFG.range_bin_spacing)]
+    winner = int(np.flatnonzero(WINDOW_BINS == np.flatnonzero(CFG.range_axis == range_m)[0])[0])
+    first_block = beamform(cube.slow_range(0, _COV_BLOCK))
+    assert winner not in first_block.bins  # the first block's candidates miss the winner
+    path = tmp_path / "late.iq"
+    write_iq(path, cube.values)
+    fft_chirps.clear()
+    result = beamform(read_cube(path, CFG, cube.n_slow), FrontEndWorkspace(cube.n_slow, width))
+    assert sum(fft_chirps) == 2 * cube.n_slow  # the second pass ran, once over every chirp
+    assert winner in result.bins
+    sel = select_echo(result)
+    assert np.array_equal(sel.series.samples, series)
+    assert sel.angle_deg == angle and sel.range_m == range_m and sel.power == power
+    assert_same_as_whole_cube_front_end(cube)
+
+
+def test_more_lanes_than_cores_switching_often_same_bits_as_one_lane(all_lanes):
+    # the later lanes wait for the first block's kept bins and store their
+    # products for the caller: a lost or reordered update would change bits
+    cube = _late_target_cube(_COV_BLOCK * 11 + 5)
+    one = select_echo(beamform(cube))
+    running, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            all_lanes.clear()
+            many = select_echo(beamform(cube, FrontEndWorkspace(cube.n_slow, 5)))
+            assert len(all_lanes) == 5 and threading.active_count() == running
+            assert np.array_equal(many.series.samples, one.series.samples)
+            assert (many.angle_deg, many.range_m, many.power) == (one.angle_deg, one.range_m,
+                                                                  one.power)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_bin_that_was_not_kept_is_not_steered():
+    result = beamform(still_target_cube(1.5))
+    missing = next(r for r in range(len(WINDOW_BINS)) if r not in result.bins)
+    with pytest.raises(InvalidParameter, match=f"window bin {missing} is not one of the kept"):
+        result.steered_series(0, missing)
 
 
 def test_range_profile_into_a_buffer_same_bits_as_a_copy():
