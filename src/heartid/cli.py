@@ -1,14 +1,13 @@
 """Command-line front end: synth, extract, eval, project, report.
 
-``extract`` runs two records at a time on threads when the dataset is
-baseband, two CPUs are available and each series has at least
-``_TWO_LANE_FRAMES`` STFT frames; otherwise it runs one at a time in the
-calling thread.  Each of two lanes owns one
-:class:`~heartid.signals.StftWorkspace`, allocated before the records start,
-and rows are written in record order either way.  Cube records run one at a
-time, and the front end streams each through the lanes of one
-:class:`~heartid.radar.FrontEndWorkspace`, also allocated before they start,
-keeping only a few candidate range bins' profiles.
+``extract`` runs two records at a time on threads when two CPUs are
+available and the dataset is cube, or baseband with at least
+``_TWO_LANE_FRAMES`` STFT frames per series; otherwise it runs one at a time
+in the calling thread.  Each lane owns its workspaces, allocated before the
+records start: a baseband lane one :class:`~heartid.signals.StftWorkspace`, a
+cube lane one :class:`~heartid.radar.FrontEndWorkspace`, into which the
+front end streams each record, keeping only a few candidate range bins'
+profiles.  Rows are written in record order either way.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal failure.
 Option precedence is flags > --config JSON file > built-in defaults; the
@@ -195,6 +194,8 @@ def cmd_synth(args) -> int:
         out_dir=args.out,
     )
     with closing(measurements):  # ends the render threads however saving ends
+        # a dataset left part-written has no manifest, so extract refuses it
+        (Path(args.out) / dataio.MANIFEST_NAME).unlink(missing_ok=True)
         records = dataio.save_dataset(
             args.out,
             measurements,
@@ -215,9 +216,9 @@ def _record_series(args, manifest: dict, record: dict, base_id: str,
                    front: radar.FrontEndWorkspace | None) -> list[ComplexSeries]:
     """One record's slow-time series, one per segment.
 
-    A cube record's front end reads its file here, into ``front``, so a bad
-    sample in it is named for the record, as loading names a bad file,
-    whichever segment holds it.
+    A cube record's front end reads its file here, into its lane's ``front``
+    workspace, so a bad sample in it is named for the record, as loading
+    names a bad file, whichever segment holds it.
     """
     try:
         measurement = dataio.load_record(args.data, manifest, record)
@@ -248,52 +249,44 @@ def _series_length(args, manifest: dict) -> int:
     return n
 
 
-def _workspaces(args, manifest: dict) -> list[signals.StftWorkspace | None]:
-    """One STFT workspace per lane of ``extract``, allocated in the calling thread.
+def _workspaces(args, manifest: dict) -> list[tuple[signals.StftWorkspace | None,
+                                                     radar.FrontEndWorkspace | None]]:
+    """An (STFT, front-end) workspace pair per lane of ``extract``, made in the calling thread.
 
-    Baseband series of at least ``_TWO_LANE_FRAMES`` frames, read from
-    :func:`_series_length`, the window and the hop, run on
-    ``cohort.lanes()`` lanes; shorter ones, whose small arrays hand the GIL
-    back and forth, run on one.  So do cube records, whose front end splits
-    each record across the lanes instead (:func:`_front_end`).  One lane runs
-    in the calling thread, whose fresh arrays later commands reuse, so it
-    holds no workspace (``[None]``) that would add to the cube front end's
-    peak.
+    Cube records run on ``cohort.lanes()`` lanes, each owning a front-end
+    workspace sized by :func:`_series_length`, which takes every record's
+    or segment's candidate-bin profiles: fresh ones per short segment made
+    the allocator return and re-fault the heap.  Baseband series of at least
+    ``_TWO_LANE_FRAMES`` frames, read from :func:`_series_length`, the window
+    and the hop, run on ``cohort.lanes()`` lanes, each owning an STFT
+    workspace; shorter ones, whose small arrays hand the GIL back and forth,
+    run on one, in the calling thread, whose fresh arrays later commands
+    reuse, so it holds no workspace (``[(None, None)]``).
     """
-    frames, n_win = signals.stft_frames(_series_length(args, manifest), manifest["fs"],
-                                        args.window, args.hop)
-    cube = manifest["mode"] == "cube"
-    width = cohort.lanes() if not cube and frames >= _TWO_LANE_FRAMES else 1
-    return [signals.StftWorkspace(frames * n_win) for _ in range(width)] if width > 1 else [None]
-
-
-def _front_end(args, manifest: dict) -> radar.FrontEndWorkspace | None:
-    """The cube front end's workspace on ``cohort.lanes()`` lanes, sized by :func:`_series_length`.
-
-    Allocated once, in the calling thread, it takes every record's or
-    segment's candidate-bin ``profiles`` and the lanes' block products in the
-    same arrays: fresh ones per short segment made the allocator return and
-    re-fault the heap.  Baseband datasets need none.
-    """
-    if manifest["mode"] != "cube":
-        return None
-    return radar.FrontEndWorkspace(_series_length(args, manifest), cohort.lanes())
+    n, width = _series_length(args, manifest), cohort.lanes()
+    if manifest["mode"] == "cube":
+        return [(None, radar.FrontEndWorkspace(n)) for _ in range(width)]
+    frames, n_win = signals.stft_frames(n, manifest["fs"], args.window, args.hop)
+    if frames < _TWO_LANE_FRAMES or width == 1:
+        return [(None, None)]
+    return [(signals.StftWorkspace(frames * n_win), None) for _ in range(width)]
 
 
 def cmd_extract(args) -> int:
     manifest = dataio.load_manifest(args.data)
     cfg = cepstrum.MelBankConfig(n_filters=args.n_filters, f_ref=args.f_ref, f_prime=args.f_prime)
-    work, front = _workspaces(args, manifest), _front_end(args, manifest)
+    work = _workspaces(args, manifest)
 
     def record_rows(k: int, record: dict) -> list[dict]:
         # records k and k + len(work) never run at once (cohort.in_order), so they share a lane
+        stft, front = work[k % len(work)]
         base_id = f"{record['label']}_{record['session_id']}_r{record['repetition']}"
         rows = []
         for seg_idx, series in enumerate(_record_series(args, manifest, record, base_id, front)):
             try:
                 values = cepstrum.extract_features(
                     series, cfg, args.k_prime, args.kind,
-                    args.window, args.hop, args.log_energies, work[k % len(work)],
+                    args.window, args.hop, args.log_energies, stft,
                 )
             except PipelineError as exc:
                 raise PipelineError(f"sample {base_id} segment {seg_idx}: {exc}") from exc

@@ -476,6 +476,35 @@ def test_synth_failing_record_exits_as_in_record_order(tmp_path, capsys, monkeyp
     assert outcomes == [(2, "error: second record\n")] * 2
 
 
+def test_interrupted_resynth_leaves_no_manifest_for_extract(tmp_path, capsys, monkeypatch):
+    # a re-synth into an existing dataset, stopped at its fifth record, left the old
+    # manifest over a mix of two seeds' records, which extract read as whole
+    data, argv = tmp_path / "ds", ["--days", "2", "--repetitions", "1", "--duration", "5"]
+    assert main(["synth", "--out", str(data), "--seed", "0", *argv]) == 0
+    files = {p.name: p.read_bytes() for p in data.iterdir()}
+    assert len(files) == 25  # 24 records and the manifest
+    capsys.readouterr()
+    assert main(["synth", "--out", str(data), "--seed", "7", *argv, "--duration", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == files  # rejected: untouched
+    write_iq, written = dataio.write_iq, []
+
+    def interrupted(path, samples):
+        if len(written) == 4:
+            raise KeyboardInterrupt
+        written.append(path)
+        write_iq(path, samples)
+
+    monkeypatch.setattr(dataio, "write_iq", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["synth", "--out", str(data), "--seed", "7", *argv])
+    assert len(written) == 4 and not (data / "manifest.json").exists()
+    capsys.readouterr()
+    assert main(["extract", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == f"error: no manifest.json in {data}\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_synth_cube_beyond_the_free_disk_space_exits_2(tmp_path, capsys, monkeypatch):
     usage = shutil.disk_usage(tmp_path)
     monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=10**6))
@@ -559,17 +588,20 @@ def extract_lanes(monkeypatch):
     return set_lanes
 
 
-@pytest.mark.parametrize("duration, segment, mode, frames", [
+# size: STFT frames of a baseband lane's workspace, or chirps of a cube lane's profiles
+@pytest.mark.parametrize("duration, segment, mode, size", [
     (60, None, "baseband", 581), (60, 30.0, "baseband", 281), (60, 20.0, "baseband", None),
-    (60, 5.0, "baseband", None), (20, None, "baseband", None), (60, None, "cube", None),
+    (60, 5.0, "baseband", None), (20, None, "baseband", None), (60, None, "cube", 6000),
+    (60, 5.0, "cube", 500), (20, None, "cube", 2000),
     # segments that extract rejects later: no series is sized beyond the record
     (60, -1.0, "baseband", None), (60, float("nan"), "baseband", 581),
     (60, float("inf"), "baseband", 581), (60, 1e308, "baseband", 581),
 ])
-def test_extract_runs_two_lanes_only_on_long_baseband_series(monkeypatch, tmp_path, duration,
-                                                              segment, mode, frames):
+def test_extract_runs_cubes_on_lanes_always_and_baseband_only_when_long(monkeypatch, tmp_path,
+                                                                       duration, segment, mode,
+                                                                       size):
     # the gate reads the frames per series from the manifest, segment, window and hop;
-    # one lane, in the calling thread, takes fresh arrays (no workspace)
+    # one baseband lane, in the calling thread, takes fresh arrays (no workspace)
     monkeypatch.setattr(cohort, "lanes", lambda: 2)
     cube = mode == "cube"
     sample_bytes = 8 * (RadarConfig.n_virtual * RadarConfig.n_fast if cube else 1)
@@ -580,26 +612,62 @@ def test_extract_runs_two_lanes_only_on_long_baseband_series(monkeypatch, tmp_pa
     args = cli.build_parser().parse_args(["extract", "--data", str(tmp_path), "--out", "o"])
     args.segment = segment
     work = cli._workspaces(args, manifest)
-    if frames is None:
-        assert work == [None]
+    if cube:
+        assert size == cli._series_length(args, manifest)
+        assert len(work) == 2 and work[0][1] is not work[1][1]
+        assert all(stft is None and len(front.profiles) == size for stft, front in work)
+    elif size is None:
+        assert work == [(None, None)]
     else:
-        assert len(work) == 2 and work[0] is not work[1]
-        assert all(w.modulus.size == w.spectrum.size == frames * 200 for w in work)
+        assert len(work) == 2 and work[0][0] is not work[1][0]
+        assert all(front is None and stft.modulus.size == stft.spectrum.size == size * 200
+                   for stft, front in work)
     monkeypatch.setattr(cohort, "lanes", lambda: 1)  # a single CPU
-    assert cli._workspaces(args, manifest) == [None]
+    work = cli._workspaces(args, manifest)
+    if cube:
+        assert len(work) == 1 and work[0][0] is None and len(work[0][1].profiles) == size
+    else:
+        assert work == [(None, None)]
+
+
+def _extract_on_two_lanes_and_one(data, out_dir, extract_lanes, extra):
+    """``extract`` of ``data`` on two lanes and on one: the CSV's bytes per lane count."""
+    out, threads = {}, threading.active_count()
+    for lanes in (2, 1):
+        widths = extract_lanes(lanes)
+        path = out_dir / f"w{lanes}.csv"
+        assert main(["extract", "--data", str(data), "--out", str(path), *extra]) == 0
+        assert widths[-1] == lanes and threading.active_count() == threads
+        out[lanes] = path.read_bytes()
+    return out
 
 
 @pytest.mark.parametrize("extra", [["--kind", "amp"], ["--kind", "ph"], ["--kind", "comp"],
                                    ["--kind", "prop"], ["--log-energies"], ["--segment", "30"]])
 def test_two_lane_extract_same_bytes_as_one_lane(long_dataset, tmp_path, extract_lanes, extra):
-    out, threads = {}, threading.active_count()
-    for lanes in (2, 1):
-        widths = extract_lanes(lanes)
-        path = tmp_path / f"w{lanes}.csv"
-        assert main(["extract", "--data", str(long_dataset), "--out", str(path), *extra]) == 0
-        assert widths[-1] == lanes and threading.active_count() == threads
-        out[lanes] = path.read_bytes()
+    out = _extract_on_two_lanes_and_one(long_dataset, tmp_path, extract_lanes, extra)
     assert out[2] == out[1] and out[1].count(b"\n") == (25 if "--segment" in extra else 13)
+
+
+@pytest.mark.parametrize("segment", [[], SEGMENTS["2s"]], ids=["whole", "2s"])
+def test_two_lane_cube_extract_same_bytes_as_one_lane(cube_dataset, tmp_path, extract_lanes,
+                                                      segment):
+    # each lane's front-end workspace takes every other record or its segments
+    out = _extract_on_two_lanes_and_one(cube_dataset, tmp_path, extract_lanes, segment)
+    assert out[2] == out[1] and out[1].count(b"\n") == (25 if segment else 13)
+
+
+def _extract_exits_on_one_lane_and_two(data, out, capsys, extract_lanes):
+    """(exit code, stderr) of ``extract`` of ``data`` on one lane and on two."""
+    outcomes, threads = {}, threading.active_count()
+    for lanes in (1, 2):
+        widths = extract_lanes(lanes)
+        capsys.readouterr()
+        outcomes[lanes] = (main(["extract", "--data", str(data), "--out", str(out)]),
+                           capsys.readouterr().err)
+        assert widths[-1] == lanes and threading.active_count() == threads
+    assert not out.exists()
+    return outcomes
 
 
 def test_two_lane_extract_of_a_non_finite_record_exits_as_one_lane(long_dataset, tmp_path,
@@ -611,50 +679,78 @@ def test_two_lane_extract_of_a_non_finite_record_exits_as_one_lane(long_dataset,
     samples = read_iq(data / record["file"])
     samples[4321] = np.nan
     write_iq(data / record["file"], samples)
-    outcomes, threads = {}, threading.active_count()
-    for lanes in (1, 2):
-        widths = extract_lanes(lanes)
-        capsys.readouterr()
-        outcomes[lanes] = (main(["extract", "--data", str(data), "--out",
-                                 str(tmp_path / "f.csv")]), capsys.readouterr().err)
-        assert widths[-1] == lanes and threading.active_count() == threads
-    assert not (tmp_path / "f.csv").exists()
+    outcomes = _extract_exits_on_one_lane_and_two(data, tmp_path / "f.csv", capsys,
+                                                  extract_lanes)
     assert outcomes[2] == outcomes[1] == (2, "error: sample p2_d1am_r1: non-finite sample at "
                                              "index 4321 ((nan+0j)); 1 of 6000 are not finite\n")
 
 
-def test_extract_on_more_lanes_than_cpus_shares_no_workspace(long_dataset, tmp_path,
-                                                             monkeypatch, extract_lanes):
-    # a record's lane workspace is reused by the record `lanes` later, which in_order
-    # submits only after this record's rows were taken; threads switch every microsecond
-    extract, lock = cepstrum.extract_features, threading.Lock()
+def test_two_lane_cube_extract_of_non_finite_records_exits_on_the_earliest(cube_dataset, tmp_path,
+                                                                          capsys, extract_lanes):
+    # record 2 holds a NaN in its last block, and record 3, beside it, in its first
+    data = _relinked(cube_dataset, tmp_path / "ds", {})
+    for index, chirp in ((2, 390), (3, 10)):
+        record = json.loads((data / "manifest.json").read_text())["records"][index]
+        samples = read_iq(cube_dataset / record["file"]).reshape(400, -1)
+        samples[chirp, 7] = np.nan
+        (data / record["file"]).unlink()
+        write_iq(data / record["file"], samples)
+    outcomes = _extract_exits_on_one_lane_and_two(data, tmp_path / "f.csv", capsys,
+                                                  extract_lanes)
+    assert outcomes[2] == outcomes[1] == (2, "error: sample p2_d1am_r1: non-finite sample at "
+                                             "index (390, 0, 7) ((nan+0j)); 1 of 614400 are "
+                                             "not finite\n")
+
+
+def _assert_four_lanes_share_no_workspace(argv, out_dir, monkeypatch, extract_lanes, module,
+                                          name, work_of):
+    """``extract`` on 4 lanes, threads switching every microsecond, uses 4 workspaces
+    (``work_of`` the arguments of ``module.name``), none in two calls at once, and
+    writes the bytes of one lane."""
+    extract_lanes(1)
+    assert main([*argv, "--out", str(out_dir / "w1.csv")]) == 0
+    fn, lock = getattr(module, name), threading.Lock()
     busy, used, clashes = set(), set(), []
 
     def watched(*args):
-        work = args[7]
+        work = work_of(args)
         with lock:
             if id(work) in busy:
                 clashes.append(id(work))
             busy.add(id(work))
             used.add(id(work))
         try:
-            return extract(*args)
+            return fn(*args)
         finally:
             with lock:
                 busy.discard(id(work))
 
-    argv = ["extract", "--data", str(long_dataset), "--segment", "30", "--kind", "comp"]
-    extract_lanes(1)
-    assert main([*argv, "--out", str(tmp_path / "w1.csv")]) == 0
-    monkeypatch.setattr(cepstrum, "extract_features", watched)
+    monkeypatch.setattr(module, name, watched)
     widths, switch = extract_lanes(4), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert main([*argv, "--out", str(tmp_path / "w4.csv")]) == 0
+        assert main([*argv, "--out", str(out_dir / "w4.csv")]) == 0
     finally:
         sys.setswitchinterval(switch)
     assert widths[-1] == 4 and len(used) == 4 and clashes == []
-    assert (tmp_path / "w4.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+    assert (out_dir / "w4.csv").read_bytes() == (out_dir / "w1.csv").read_bytes()
+
+
+def test_extract_on_more_lanes_than_cpus_shares_no_workspace(long_dataset, tmp_path,
+                                                             monkeypatch, extract_lanes):
+    # a record's lane workspace is reused by the record `lanes` later, which in_order
+    # submits only after this record's rows were taken
+    argv = ["extract", "--data", str(long_dataset), "--segment", "30", "--kind", "comp"]
+    _assert_four_lanes_share_no_workspace(argv, tmp_path, monkeypatch, extract_lanes,
+                                          cepstrum, "extract_features", lambda args: args[7])
+
+
+def test_cube_extract_on_more_lanes_than_cpus_shares_no_front_end_workspace(
+        cube_dataset, tmp_path, monkeypatch, extract_lanes):
+    # as above, for the front-end workspace that each cube lane passes to beamform
+    argv = ["extract", "--data", str(cube_dataset), *SEGMENTS["2s"]]
+    _assert_four_lanes_share_no_workspace(argv, tmp_path, monkeypatch, extract_lanes,
+                                          radar, "beamform", lambda args: args[1])
 
 
 @pytest.mark.parametrize("missing", ["accuracy_pct", "macro_auc"])

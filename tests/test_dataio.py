@@ -1,6 +1,5 @@
 import json
 import os
-import threading
 import tracemalloc
 from itertools import chain
 
@@ -8,7 +7,7 @@ import loop_reference
 import numpy as np
 import pytest
 
-from heartid import cohort, radar
+from heartid import cohort
 from heartid.cohort import Schedule, default_cohort, generate_cohort
 from heartid.dataio import (
     FeatureTable,
@@ -29,7 +28,6 @@ from heartid.radar import (
     RadarConfig,
     beamform,
     extract_slow_time,
-    select_echo,
 )
 
 
@@ -160,113 +158,54 @@ def test_cube_file_non_finite_sample_names_file_index_and_whole_count(tmp_path, 
         "non-finite sample at index (390, 5, 7) ((nan+1j)); 2 of 614400 are not finite")
 
 
-# --- the front end on two lanes, read from a file ----------------------------
+# --- the front end's errors and memory, read from a file ----------------------
 
-@pytest.fixture
-def two_lanes(monkeypatch):
-    """Runs a cube of any length on both lanes of a two-lane workspace."""
-    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
-    return lambda cube: beamform(cube, FrontEndWorkspace(cube.n_slow, 2))
-
-
-@pytest.mark.parametrize("start, stop", [(0, 400), (1, 330), (37, 400), (100, 229),
-                                         (333, 400)])
-def test_two_lane_streamed_front_end_same_bits_as_one_lane(tmp_path, two_lanes, start, stop):
-    path = _cube_file(tmp_path / "c.iq", 400, seed=start)
-    cube = read_cube(path, CFG, 400).slow_range(start, stop)
-    one, two = beamform(cube), two_lanes(cube)
-    assert np.array_equal(one.profiles, two.profiles) and np.array_equal(one.power, two.power)
-    a, b = select_echo(one), select_echo(two)
-    assert np.array_equal(a.series.samples, b.series.samples)
-    assert (a.angle_deg, a.range_m, a.power, a.low_snr) == (b.angle_deg, b.range_m, b.power,
-                                                            b.low_snr)
-
-
-def _one_and_two_lane_errors(cube, two_lanes):
-    """The errors of a one-lane and a two-lane pass over ``cube``; no thread is left running."""
-    running, errors = threading.active_count(), []
-    for run in (beamform, two_lanes):
-        with pytest.raises((IoError, NonFiniteSample)) as info:
-            run(cube)
-        assert threading.active_count() == running
-        errors.append(info.value)
-    return errors
-
-
-# the lanes split chirps 0-399 at chirp 256 and chirps 37-399 at chirp 229; chirp
-# 200 is in the first lane's last block, and chirp 10 is before the second range
 @pytest.mark.parametrize("chirps", [(200, 300, 399), (300, 399), (10, 300)])
 @pytest.mark.parametrize("start", [0, 37])
-def test_two_lane_non_finite_samples_raise_the_first_in_the_file(tmp_path, two_lanes, chirps,
-                                                                 start):
+def test_non_finite_samples_raise_the_first_in_the_file(tmp_path, chirps, start):
     path = _cube_file(tmp_path / "c.iq", 400)
     samples = read_iq(path).reshape(400, CFG.n_virtual, CFG.n_fast)
     samples[list(chirps), 5, 7] = complex(np.nan, 1.0)
     write_iq(path, samples)
-    one, two = _one_and_two_lane_errors(read_cube(path, CFG, 400).slow_range(start, 400),
-                                        two_lanes)
+    with pytest.raises(NonFiniteSample) as info:
+        beamform(read_cube(path, CFG, 400).slow_range(start, 400))
     first = min(c for c in chirps if c >= start)
-    assert str(two) == str(one) == (f"non-finite sample at index ({first}, 5, 7) ((nan+1j)); "
-                                    f"{len(chirps)} of 614400 are not finite")
+    assert str(info.value) == (f"non-finite sample at index ({first}, 5, 7) ((nan+1j)); "
+                               f"{len(chirps)} of 614400 are not finite")
 
 
-def test_a_failing_first_block_releases_the_lanes_waiting_for_its_bins(tmp_path, two_lanes):
-    # the second lane reads well but waits for the kept bins that the first block picks
-    path = _cube_file(tmp_path / "c.iq", 400)
-    samples = read_iq(path).reshape(400, CFG.n_virtual, CFG.n_fast)
-    samples[10, 5, 7] = complex(np.nan, 1.0)
-    write_iq(path, samples)
-    running, errors = threading.active_count(), []
-
-    def run():
-        with pytest.raises(NonFiniteSample) as info:
-            two_lanes(read_cube(path, CFG, 400))
-        errors.append(info.value)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(60)
-    assert not thread.is_alive() and threading.active_count() == running
-    assert str(errors[0]) == ("non-finite sample at index (10, 5, 7) ((nan+1j)); "
-                              "1 of 614400 are not finite")
-
-
-# bytes left: inside the second lane's share, at its start, and inside the first lane's
+# bytes left: inside a late block, at a block boundary, and inside an early block
 @pytest.mark.parametrize("chirps_left", [300.5, 256, 100.25])
-def test_two_lane_pass_over_a_shrunk_file_raises_the_one_lane_message(tmp_path, two_lanes,
-                                                                      chirps_left):
+def test_a_pass_over_a_shrunk_file_raises_that_it_shrank(tmp_path, chirps_left):
     path = _cube_file(tmp_path / "c.iq", 400)
     cube = read_cube(path, CFG, 400)  # the size is checked here
     os.truncate(path, int(8 * CHIRP * chirps_left))
-    one, two = _one_and_two_lane_errors(cube, two_lanes)
-    assert str(two) == str(one)
-    assert "the file shrank after its size was checked" in str(one)
+    with pytest.raises(IoError) as info:
+        beamform(cube)
+    assert "the file shrank after its size was checked" in str(info.value)
 
 
-@pytest.mark.parametrize("width", [1, 2])
-def test_front_end_peak_memory_is_its_profiles_plus_a_constant(tmp_path, monkeypatch, width):
-    # what grows with the record is the kept bins' profiles (768 B per chirp)
-    # and, on two lanes, the second lane's block products until they are added
-    # (138 KiB per 64 chirps); keeping every window bin's profiles would take
-    # 11.5 KB per chirp.  Each lane holds a 64-chirp read buffer, a 16-chirp
-    # FFT copy and a block's window bins and covariance operands (2.4 MiB), and
-    # the power map steers the covariances (1.5 MiB), whatever the length.
-    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
+def test_front_end_peak_memory_is_its_profiles_plus_a_constant(tmp_path):
+    # what grows with the record is the kept bins' profiles (768 B per chirp);
+    # keeping every window bin's profiles would take 11.5 KB per chirp.  The
+    # workspace holds a 64-chirp read buffer, a 16-chirp FFT copy, a block's
+    # window bins, covariance operands and products (2.4 MiB), and the power
+    # map steers the covariances (1.5 MiB), whatever the length.
     peak = {}
     for n_slow in (500, 2000):
         path = tmp_path / f"c{n_slow}.iq"
         np.full(n_slow * CHIRP, 1.0 + 1.0j, dtype="<c8").tofile(path)
         cube = read_cube(path, CFG, n_slow)
-        beamform(cube.slow_range(0, 2 * _COV_BLOCK), FrontEndWorkspace(2 * _COV_BLOCK, width))
+        beamform(cube.slow_range(0, 2 * _COV_BLOCK), FrontEndWorkspace(2 * _COV_BLOCK))
         tracemalloc.start()
         try:
-            beamform(cube, FrontEndWorkspace(n_slow, width))
+            beamform(cube, FrontEndWorkspace(n_slow))
             peak[n_slow] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     per_chirp = 3 * 2**10
     assert peak[2000] - peak[500] <= 1500 * per_chirp
-    assert peak[2000] <= (width + 1) * 2 * 2**20 + 2000 * per_chirp
+    assert peak[2000] <= 2 * 2 * 2**20 + 2000 * per_chirp
 
 
 def test_cube_front_end_peak_memory_is_its_result_plus_a_few_blocks(tmp_path):

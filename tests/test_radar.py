@@ -1,7 +1,5 @@
 import dataclasses
 import inspect
-import sys
-import threading
 import warnings
 
 import loop_reference
@@ -293,78 +291,9 @@ def test_front_end_same_as_whole_cube(make_cube, dtype):
     assert_same_as_whole_cube_front_end(cube)
 
 
-@pytest.fixture
-def lane_threads(monkeypatch):
-    """The threads that take range FFTs, recorded as the front end runs."""
-    threads, range_profile = set(), radar.range_profile
-
-    def spy(values, out=None):
-        threads.add(threading.get_ident())
-        return range_profile(values, out)
-
-    monkeypatch.setattr(radar, "range_profile", spy)
-    return threads
-
-
-@pytest.fixture
-def all_lanes(monkeypatch, lane_threads):
-    """Runs a record of any length on every lane of its workspace."""
-    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
-    return lane_threads
-
-
-def assert_two_lanes_same_as_one(cube, lane_threads):
-    """Two lanes give one lane's bits, each lane on its own thread; none is left running."""
-    running = threading.active_count()
-    results = {}
-    for width in (1, 2):
-        lane_threads.clear()
-        result = beamform(cube, FrontEndWorkspace(cube.n_slow, width))
-        blocks = -(-cube.n_slow // _COV_BLOCK)
-        assert len(lane_threads) == min(width, blocks)
-        assert threading.active_count() == running
-        results[width] = result, select_echo(result)
-    (one, a), (two, b) = results[1], results[2]
-    assert np.array_equal(one.profiles, two.profiles) and np.array_equal(one.power, two.power)
-    assert np.array_equal(a.series.samples, b.series.samples)
-    assert (a.angle_deg, a.range_m, a.power, a.low_snr) == (b.angle_deg, b.range_m, b.power,
-                                                            b.low_snr)
-
-
-@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-@pytest.mark.parametrize("n_slow", [1, 63, 64, 65, 127, 129, 2000])
-def test_two_lane_front_end_same_bits_as_one_lane(all_lanes, n_slow, dtype):
-    cube = still_target_cube(1.5, angle_deg=-7.0, n_slow=n_slow, snr_db=10.0, seed=n_slow)
-    assert_two_lanes_same_as_one(DataCube(cube.values.astype(dtype), CFG), all_lanes)
-
-
-@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-@pytest.mark.parametrize("start, stop", [(1, 330), (37, 400), (100, 229), (333, 400)])
-def test_two_lane_front_end_of_a_slow_range_same_bits_as_one_lane(all_lanes, start, stop,
-                                                                   dtype):
-    # ranges that start off a block boundary: the lanes split the range's own blocks
-    cube = DataCube(_displacement_cube().values[:400].astype(dtype), CFG)
-    assert_two_lanes_same_as_one(cube.slow_range(start, stop), all_lanes)
-
-
-@pytest.mark.parametrize("make_cube", [*CUBES.values(), _noise_cube],
-                         ids=[*CUBES.keys(), "noise_only"])
-def test_two_lane_front_end_same_bits_as_one_lane_on_every_scene(all_lanes, make_cube):
-    assert_two_lanes_same_as_one(make_cube(), all_lanes)
-
-
-def test_short_records_stay_on_one_lane(lane_threads):
-    # below _TWO_LANE_BLOCKS blocks a record runs in the calling thread alone
-    n_slow = (radar._TWO_LANE_BLOCKS - 1) * _COV_BLOCK
-    for n, lanes in ((n_slow, 1), (n_slow + 1, 2)):
-        lane_threads.clear()
-        beamform(still_target_cube(1.5, n_slow=n), FrontEndWorkspace(n, 2))
-        assert len(lane_threads) == lanes
-
-
 def test_front_end_result_is_a_view_into_its_workspace():
     # valid until the next beamform into the same workspace; a small workspace is not used
-    work = FrontEndWorkspace(200, 2)
+    work = FrontEndWorkspace(200)
     first = beamform(still_target_cube(1.5, n_slow=130), work)
     assert first.profiles.base is work.profiles and first.profiles.shape[0] == 130
     kept = first.profiles.copy()
@@ -395,21 +324,16 @@ def _late_target_cube(n_slow=300):
 
 
 @pytest.mark.parametrize("n_slow", [1, 15, 16, 17, _COV_BLOCK, _COV_BLOCK + 1, 400])
-@pytest.mark.parametrize("width", [1, 2])
-def test_a_kept_winner_takes_one_range_fft_per_16_chirps(monkeypatch, fft_chirps, n_slow, width):
+def test_a_kept_winner_takes_one_range_fft_per_16_chirps(fft_chirps, n_slow):
     # the common path reads and transforms each chirp once
-    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
     cube = still_target_cube(1.5, angle_deg=7.0, n_slow=n_slow, snr_db=10.0, seed=n_slow)
-    result = beamform(cube, FrontEndWorkspace(n_slow, width))
+    result = beamform(cube, FrontEndWorkspace(n_slow))
     assert len(fft_chirps) == -(-n_slow // radar._FFT_CHIRPS) and sum(fft_chirps) == n_slow
     assert result.profiles.shape == (n_slow, CFG.n_virtual, radar._CANDIDATES)
     assert len(set(result.bins.tolist())) == radar._CANDIDATES
 
 
-@pytest.mark.parametrize("width", [1, 2])
-def test_a_winner_silent_in_the_first_block_is_kept_by_a_second_pass(tmp_path, monkeypatch,
-                                                                     fft_chirps, width):
-    monkeypatch.setattr(radar, "_TWO_LANE_BLOCKS", 1)
+def test_a_winner_silent_in_the_first_block_is_kept_by_a_second_pass(tmp_path, fft_chirps):
     cube = _late_target_cube()
     series, angle, range_m, power = whole_cube_front_end(cube)
     assert range_m == CFG.range_axis[round(2.5 / CFG.range_bin_spacing)]
@@ -419,32 +343,13 @@ def test_a_winner_silent_in_the_first_block_is_kept_by_a_second_pass(tmp_path, m
     path = tmp_path / "late.iq"
     write_iq(path, cube.values)
     fft_chirps.clear()
-    result = beamform(read_cube(path, CFG, cube.n_slow), FrontEndWorkspace(cube.n_slow, width))
+    result = beamform(read_cube(path, CFG, cube.n_slow), FrontEndWorkspace(cube.n_slow))
     assert sum(fft_chirps) == 2 * cube.n_slow  # the second pass ran, once over every chirp
     assert winner in result.bins
     sel = select_echo(result)
     assert np.array_equal(sel.series.samples, series)
     assert sel.angle_deg == angle and sel.range_m == range_m and sel.power == power
     assert_same_as_whole_cube_front_end(cube)
-
-
-def test_more_lanes_than_cores_switching_often_same_bits_as_one_lane(all_lanes):
-    # the later lanes wait for the first block's kept bins and store their
-    # products for the caller: a lost or reordered update would change bits
-    cube = _late_target_cube(_COV_BLOCK * 11 + 5)
-    one = select_echo(beamform(cube))
-    running, interval = threading.active_count(), sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            all_lanes.clear()
-            many = select_echo(beamform(cube, FrontEndWorkspace(cube.n_slow, 5)))
-            assert len(all_lanes) == 5 and threading.active_count() == running
-            assert np.array_equal(many.series.samples, one.series.samples)
-            assert (many.angle_deg, many.range_m, many.power) == (one.angle_deg, one.range_m,
-                                                                  one.power)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_a_bin_that_was_not_kept_is_not_steered():
